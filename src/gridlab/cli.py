@@ -22,11 +22,11 @@ import numpy as np
 
 from . import __version__, config as cfgmod
 from .config import ConfigError, atomic_write_text, dump_json, fmt_float, load_json
-from .dynamics import Params, Region
+from .dynamics import Params, Region, breakpoints
 from .errors import GridlabError, InfeasibleScenario, SimulationDiverged
 from .lyapunov import drift_report, lyap_h, negative_drift_geometry
 from .montecarlo import SimConfig, SweepPoint, simulate, sweep
-from .rng import ALGORITHM, stream
+from .rng import ALGORITHM, point_seed, stream
 from .thermal import run_heat_pump_scenario, run_scenario_pair
 
 EXIT_CONFIG = 2
@@ -106,18 +106,21 @@ def cmd_simulate(config_path, out_dir, seed):
         if seed is not None:
             cfg["seed"] = seed
         out = Path(out_dir)
-        sim = SimConfig(params=cfg["params"], x0=cfg["x0"], steps=cfg["steps"],
-                        burn_in=cfg["burn_in"], seed=cfg["seed"],
-                        record_every=cfg["record_every"])
+        try:
+            sim = SimConfig(params=cfg["params"], x0=cfg["x0"],
+                            steps=cfg["steps"], burn_in=cfg["burn_in"],
+                            seed=cfg["seed"], record_every=cfg["record_every"])
+        except ValueError as exc:
+            raise ConfigError(f"config: {exc}")
         stats, traj = simulate(sim, return_records=True)
 
         p = cfg["params"]
         rows = (
             [int(t), fmt_float(r), fmt_float(z), reg, fmt_float(b),
-             fmt_float(f), fmt_float(h), fmt_float(lyap_h(p, (r, z)))]
-            for t, r, z, reg, b, f, h in zip(
+             fmt_float(f), fmt_float(h), fmt_float(v)]
+            for t, r, z, reg, b, f, h, v in zip(
                 traj.t, traj.r, traj.z, traj.region, traj.b_expr,
-                traj.f_frustrated, traj.h_control)
+                traj.f_frustrated, traj.h_control, lyap_h(p, (traj.r, traj.z)))
         )
         _write_csv(out / "trajectory.csv",
                    ["t", "R", "Z", "region", "B", "F", "H_control", "H_lyap"],
@@ -134,11 +137,10 @@ def cmd_simulate(config_path, out_dir, seed):
 
 def _sample_points(p: Params, per_region: int, seed: int) -> list[tuple[float, float]]:
     rng = stream(seed, 9)
-    spans = [(-50.0, 0.0), (0.0, p.r_star - p.zeta),
-             (p.r_star - p.zeta, p.r_star + p.xi),
-             (p.r_star + p.xi, p.r_star + p.xi + 50.0)]
+    cuts = breakpoints(p)
+    edges = (-50.0, *cuts, cuts[-1] + 50.0)
     pts = []
-    for lo, hi in spans:
+    for lo, hi in zip(edges, edges[1:]):
         r = rng.uniform(lo, hi, per_region)
         z = rng.uniform(0.0, 50.0, per_region)
         pts.extend(zip(r.tolist(), z.tolist()))
@@ -162,8 +164,7 @@ def cmd_drift(config_path, out_dir, seed):
         rows = []
         for i, x in enumerate(points):
             rep = drift_report(p, x, cfg["mc_samples"],
-                               seed=int(np.random.SeedSequence(
-                                   [cfg["seed"], i]).generate_state(1)[0]))
+                               seed=point_seed(cfg["seed"], i))
             if rep.paper_formula is None:
                 paper_val, kind, agree = "", "not-applicable", ""
             else:
@@ -215,11 +216,9 @@ def cmd_sweep(config_path, out_dir, seed, threads):
 
         # Per-point seeds depend only on (seed, index): worker count and
         # scheduling cannot change any result.
-        def point_seed(i):
-            return int(np.random.SeedSequence([cfg["seed"], i]).generate_state(1)[0])
-
-        tasks = [(base, ov, i, point_seed(i), cfg["steps"], cfg["burn_in"],
-                  cfg["n_seeds"], cfg["ks_threshold"], cfg["slope_threshold"])
+        tasks = [(base, ov, i, point_seed(cfg["seed"], i), cfg["steps"],
+                  cfg["burn_in"], cfg["n_seeds"], cfg["ks_threshold"],
+                  cfg["slope_threshold"])
                  for i, ov in enumerate(cfg["grid"])]
         if n_workers > 1 and len(tasks) > 1:
             with ProcessPoolExecutor(max_workers=n_workers) as pool:
@@ -318,14 +317,11 @@ def cmd_regions(config_path, out_dir):
         sec = cfgmod._Section(load_json(config_path), "config")
         p = cfgmod.parse_params(sec)
         sec.finish()
+        edges = (None, *breakpoints(p), None)
         doc = {
             "params": _params_echo(p),
-            "domains": {
-                "D1": [None, 0.0],
-                "D2": [0.0, p.r_star - p.zeta],
-                "D3": [p.r_star - p.zeta, p.r_star + p.xi],
-                "D4": [p.r_star + p.xi, None],
-            },
+            "domains": {region.value: [lo, hi] for region, lo, hi
+                        in zip(Region, edges, edges[1:])},
         }
         if p.mu > 0.0:
             g = negative_drift_geometry(p)

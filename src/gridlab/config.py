@@ -20,6 +20,16 @@ from .thermal import Building, ThermalScenario
 _MISSING = object()
 
 
+def _is_number(v: Any) -> bool:
+    return isinstance(v, (int, float)) and not isinstance(v, bool)
+
+
+def _pair(v: Any, where: str) -> tuple[float, float]:
+    if not (isinstance(v, list) and len(v) == 2 and all(map(_is_number, v))):
+        raise ConfigError(f"{where} must be a [r, z] pair of numbers")
+    return (float(v[0]), float(v[1]))
+
+
 class _Section:
     """One JSON object with take-or-fail key access."""
 
@@ -40,7 +50,7 @@ class _Section:
         v = self.take(key, default)
         if v is default and default is not _MISSING:
             return v
-        if isinstance(v, bool) or not isinstance(v, (int, float)):
+        if not _is_number(v):
             raise ConfigError(f"{self._path}: field '{key}' must be a number")
         return float(v)
 
@@ -91,19 +101,11 @@ def parse_params(sec: _Section) -> Params:
         raise ConfigError(str(exc))
 
 
-def parse_state(sec: _Section, key: str, default: Any = _MISSING) -> tuple[float, float]:
-    v = sec.take(key, default)
-    if not (isinstance(v, list) and len(v) == 2
-            and all(isinstance(c, (int, float)) and not isinstance(c, bool) for c in v)):
-        raise ConfigError(f"field '{key}' must be a [r, z] pair of numbers")
-    return (float(v[0]), float(v[1]))
-
-
 def parse_simulate(doc: dict, path: str = "config") -> dict:
     sec = _Section(doc, path)
     out = {
         "params": parse_params(sec),
-        "x0": parse_state(sec, "x0"),
+        "x0": _pair(sec.take("x0"), "field 'x0'"),
         "steps": sec.take_int("steps"),
         "burn_in": sec.take_int("burn_in", 0),
         "seed": sec.take_int("seed", 0),
@@ -120,12 +122,8 @@ def parse_drift(doc: dict, path: str = "config") -> dict:
     if points is not None:
         if not isinstance(points, list):
             raise ConfigError(f"{path}: 'points' must be a list of [r, z] pairs")
-        parsed = []
-        for i, pt in enumerate(points):
-            if not (isinstance(pt, list) and len(pt) == 2):
-                raise ConfigError(f"{path}: points[{i}] must be a [r, z] pair")
-            parsed.append((float(pt[0]), float(pt[1])))
-        points = parsed
+        points = [_pair(pt, f"{path}: points[{i}]")
+                  for i, pt in enumerate(points)]
     out = {
         "params": params,
         "points": points,
@@ -148,8 +146,9 @@ def parse_sweep(doc: dict, path: str = "config") -> dict:
         vals = grid_sec.take(name, None)
         if vals is None:
             continue
-        if not isinstance(vals, list) or not vals:
-            raise ConfigError(f"{path}.grid.{name}: must be a non-empty list")
+        if not (isinstance(vals, list) and vals and all(map(_is_number, vals))):
+            raise ConfigError(
+                f"{path}.grid.{name}: must be a non-empty list of numbers")
         axes[name] = [float(v) for v in vals]
     grid_sec.finish()
     if not axes:
@@ -170,6 +169,10 @@ def parse_sweep(doc: dict, path: str = "config") -> dict:
         "slope_threshold": sec.take_number("slope_threshold", 0.03),
     }
     sec.finish()
+    if not out["steps"] > out["burn_in"] >= 0:
+        raise ConfigError(f"{path}: need steps > burn_in >= 0")
+    if out["n_seeds"] < 1:
+        raise ConfigError(f"{path}: 'n_seeds' must be >= 1")
     return out
 
 
@@ -188,11 +191,11 @@ def parse_thermal(doc: dict, path: str = "scenario") -> tuple[Building, ThermalS
     theta = sec.take("theta")
     demand = sec.take("demand")
     for name, series in (("theta", theta), ("demand", demand)):
-        if not isinstance(series, list) or not all(
-                isinstance(v, (int, float)) and not isinstance(v, bool) for v in series):
+        if not isinstance(series, list) or not all(map(_is_number, series)):
             raise ConfigError(f"{path}.{name}: must be a list of numbers")
     frustration = sec.take("frustration", None)
-    if frustration is not None and not isinstance(frustration, list):
+    if frustration is not None and not (
+            isinstance(frustration, list) and all(map(_is_number, frustration))):
         raise ConfigError(f"{path}.frustration: must be a list of numbers")
     kwargs = dict(
         theta=[float(v) for v in theta],

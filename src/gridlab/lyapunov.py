@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import Params, Region, State, affine_piece, classify_region
+from .dynamics import Params, Region, State, classify_region, step_matrix
 from .errors import GeometryUndefined, TransformUndefined
 from .rng import gaussian, stream
 
@@ -125,7 +125,7 @@ def quad_form(p: Params) -> QuadForm:
 
 
 def lyap_h(p: Params, x: State) -> float:
-    """H(x) = (r + lam z)^2 + (r + (lam+mu) z)^2."""
+    """H(x) = (r + lam z)^2 + (r + (lam+mu) z)^2; r and z may be arrays."""
     r, z = x
     a = r + p.lam * z
     b = r + (p.lam + p.mu) * z
@@ -188,11 +188,7 @@ def drift_exact(p: Params, x: State) -> float:
     each linear in r, so the noise contributes sigma^2 per square:
     D H(x) = H(A_i x + b_i) + 2 sigma^2 - H(x).
     """
-    piece = affine_piece(p, classify_region(p, x))
-    r, z = x
-    (a00, a01), (a10, a11) = piece.a
-    b0, b1 = piece.b
-    mean_next = (a00 * r + a01 * z + b0, a10 * r + a11 * z + b1)
+    mean_next = step_matrix(p, x, 0.0)
     return lyap_h(p, mean_next) + 2.0 * p.sigma * p.sigma - lyap_h(p, x)
 
 

@@ -13,13 +13,23 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.stats import ks_2samp
 
-from .dynamics import Params, State, affine_piece, classify_region
+from .dynamics import (
+    Params,
+    Region,
+    State,
+    expressed_backlog,
+    frustrated_demand,
+    iterate,
+    ramp_control,
+    region_codes,
+    step_matrix,
+    validate_params,
+)
 from .errors import SimulationDiverged
 from .lyapunov import lyap_h
-from .rng import gaussian, stream
+from .rng import gaussian, point_seed, stream
 
 __all__ = [
-    "OVERFLOW_GUARD",
     "SimConfig",
     "TrajectoryStats",
     "Trajectory",
@@ -35,7 +45,6 @@ __all__ = [
     "sweep",
 ]
 
-OVERFLOW_GUARD = 1e300
 QUANTILES = (0.05, 0.25, 0.5, 0.75, 0.95)
 
 # Verdict thresholds are artifact choices, not model constants; both are
@@ -46,46 +55,6 @@ SLOPE_THRESHOLD = 0.03
 # Default launch state for growth-rate probes: deep in the frustrated
 # region, where the unstable mode (eigenvalue 1 - mu of A1) is excited.
 GROWTH_X0 = (-100.0, 50.0)
-
-
-def _iterate_py(lam, zeta, xi, rs, gamma, llm, r0, z0, noise, out_r, out_z):
-    # Branch arithmetic mirrors dynamics.step exactly.
-    r = r0
-    z = z0
-    out_r[0] = r
-    out_z[0] = z
-    lo = rs - zeta
-    hi = rs + xi
-    one_lam = 1.0 + lam
-    for t in range(noise.shape[0]):
-        n = noise[t]
-        if r < 0.0:
-            rp = ((one_lam * r + llm * z) + zeta) + n
-            zp = -r + gamma * z
-        elif r < lo:
-            rp = ((r + llm * z) + zeta) + n
-            zp = gamma * z
-        elif r < hi:
-            rp = (llm * z + rs) + n
-            zp = gamma * z
-        else:
-            rp = ((r + llm * z) + (-xi)) + n
-            zp = gamma * z
-        r = rp
-        z = zp
-        out_r[t + 1] = r
-        out_z[t + 1] = z
-        if abs(r) > 1e300 or z > 1e300:
-            return t + 1
-    return -1
-
-
-try:  # pragma: no cover - exercised indirectly
-    from numba import njit
-
-    _iterate = njit(cache=True)(_iterate_py)
-except Exception:  # pragma: no cover
-    _iterate = _iterate_py
 
 
 @dataclass(frozen=True)
@@ -163,10 +132,8 @@ def _run_chain_raw(p: Params, x0: State, steps: int,
     noise = gaussian(rng, steps, p.sigma)
     out_r = np.empty(steps + 1)
     out_z = np.empty(steps + 1)
-    llm = p.lam * (p.lam + p.mu)
-    bad = _iterate(p.lam, p.zeta, p.xi, p.r_star, p.gamma, llm,
-                   float(x0[0]), float(x0[1]), noise, out_r, out_z)
-    return out_r, out_z, int(bad)
+    bad = iterate(p, float(x0[0]), float(x0[1]), noise, out_r, out_z)
+    return out_r, out_z, bad
 
 
 def _run_chain(p: Params, x0: State, steps: int,
@@ -190,14 +157,6 @@ def monotone_violations(p: Params, x0: State, steps: int,
     return viol, end - 1
 
 
-def _regions(p: Params, r: np.ndarray) -> np.ndarray:
-    out = np.full(r.shape, "D4", dtype="U2")
-    out[r < p.r_star + p.xi] = "D3"
-    out[r < p.r_star - p.zeta] = "D2"
-    out[r < 0.0] = "D1"
-    return out
-
-
 def simulate(cfg: SimConfig,
              return_records: bool = False) -> tuple[TrajectoryStats, Trajectory | None]:
     """Run one chain and summarize it.
@@ -210,20 +169,18 @@ def simulate(cfg: SimConfig,
     r, z = _run_chain(p, cfg.x0, cfg.steps, rng)
 
     rs_, zs_ = r[cfg.burn_in:], z[cfg.burn_in:]
-    regions = _regions(p, rs_)
-    counts = {f"D{i}": float(np.count_nonzero(regions == f"D{i}")) / rs_.size
-              for i in (1, 2, 3, 4)}
-    f_vals = np.maximum(-rs_, 0.0)
+    counts = np.bincount(region_codes(p, rs_), minlength=len(Region))
     stats = TrajectoryStats(
         r_mean=float(rs_.mean()), r_var=float(rs_.var()),
         r_min=float(rs_.min()), r_max=float(rs_.max()),
-        r_quantiles={q: float(np.quantile(rs_, q)) for q in QUANTILES},
+        r_quantiles=dict(zip(QUANTILES, np.quantile(rs_, QUANTILES).tolist())),
         z_mean=float(zs_.mean()), z_var=float(zs_.var()),
         z_min=float(zs_.min()), z_max=float(zs_.max()),
-        z_quantiles={q: float(np.quantile(zs_, q)) for q in QUANTILES},
-        occupancy=counts,
-        mean_frustrated=float(f_vals.mean()),
-        mean_expressed=float(p.lam * zs_.mean()),
+        z_quantiles=dict(zip(QUANTILES, np.quantile(zs_, QUANTILES).tolist())),
+        occupancy={region.value: float(c) / rs_.size
+                   for region, c in zip(Region, counts)},
+        mean_frustrated=float(frustrated_demand(rs_).mean()),
+        mean_expressed=float(expressed_backlog(p, zs_.mean())),
         final_state=(float(r[-1]), float(z[-1])),
         n_samples=int(rs_.size),
     )
@@ -236,27 +193,18 @@ def simulate(cfg: SimConfig,
             t=idx,
             r=rr,
             z=z[idx],
-            region=_regions(p, rr),
-            b_expr=p.lam * z[idx],
-            f_frustrated=np.maximum(-rr, 0.0),
-            h_control=np.clip(p.r_star - rr, -p.xi, p.zeta),
+            region=np.array([d.value for d in Region])[region_codes(p, rr)],
+            b_expr=expressed_backlog(p, z[idx]),
+            f_frustrated=frustrated_demand(rr),
+            h_control=ramp_control(p, rr),
         )
     return stats, traj
 
 
 def empirical_drift(p: Params, x: State, n: int, seed: int) -> tuple[float, float]:
     """Sample mean and stderr of H(X(1)) - H(x) over n independent draws."""
-    rng = stream(seed)
-    noise = gaussian(rng, n, p.sigma)
-    piece = affine_piece(p, classify_region(p, x))
-    r, z = x
-    (a00, a01), (a10, a11) = piece.a
-    det_r = (a00 * r + a01 * z) + piece.b[0]
-    zp = (a10 * r + a11 * z) + piece.b[1]
-    rp = det_r + noise
-    a = rp + p.lam * zp
-    b = rp + (p.lam + p.mu) * zp
-    incr = (a * a + b * b) - lyap_h(p, x)
+    noise = gaussian(stream(seed), n, p.sigma)
+    incr = lyap_h(p, step_matrix(p, x, noise)) - lyap_h(p, x)
     mean = float(incr.mean())
     stderr = 0.0 if p.sigma == 0.0 else float(incr.std(ddof=1) / math.sqrt(n))
     return mean, stderr
@@ -399,8 +347,6 @@ def sweep(base: Params, grid: list[dict[str, float]], steps: int,
     so results do not depend on evaluation order or worker count.
     Per-point failures are recorded and the sweep continues.
     """
-    from .dynamics import validate_params
-
     rows = []
     for i, overrides in enumerate(grid):
         vals = base.as_dict()
@@ -411,9 +357,8 @@ def sweep(base: Params, grid: list[dict[str, float]], steps: int,
         except Exception as exc:
             rows.append(SweepPoint(i, dict(overrides), None, None, str(exc)))
             continue
-        point_seed = int(np.random.SeedSequence([seed, i]).generate_state(1)[0])
         try:
-            res = _verdict(p, point_seed, steps, burn_in, n_seeds,
+            res = _verdict(p, point_seed(seed, i), steps, burn_in, n_seeds,
                            ks_threshold, slope_threshold, growth_x0)
             rows.append(SweepPoint(i, dict(overrides), p, res))
         except Exception as exc:

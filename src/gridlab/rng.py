@@ -23,6 +23,11 @@ def stream(seed: int, *indices: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(ss))
 
 
+def point_seed(seed: int, index: int) -> int:
+    """A 32-bit seed for item ``index`` of a run seeded with ``seed``."""
+    return int(np.random.SeedSequence([seed, index]).generate_state(1)[0])
+
+
 def gaussian(rng: np.random.Generator, size: int, sigma: float) -> np.ndarray:
     """N(0, sigma^2) draws via the inverse CDF, strictly inside (0, 1)."""
     u = (rng.integers(0, 1 << 53, size=size).astype(np.float64) + 0.5) / _TWO53

@@ -297,3 +297,33 @@ class TestRegions:
         assert res.exit_code == 0, res.output
         doc = json.loads((out / "regions.json").read_text())
         assert "geometry" not in doc
+
+
+SIM = {"params": P0, "x0": [0.0, 0.0], "steps": 50}
+SWEEP = {"params": P0, "grid": {"mu": [0.1]}, "steps": 200, "burn_in": 20,
+         "n_seeds": 2}
+DRIFT = {"params": P0, "mc_samples": 100}
+
+
+@pytest.mark.parametrize("command, doc", [
+    ("simulate", dict(SIM, steps=10, burn_in=10)),
+    ("simulate", dict(SIM, steps=0)),
+    ("simulate", dict(SIM, record_every=0)),
+    ("simulate", dict(SIM, x0=[0.0, -1.0])),
+    ("sweep", dict(SWEEP, grid={"mu": [0.1, "fast"]})),
+    ("sweep", dict(SWEEP, grid={"lambda": ["0.5"]})),
+    ("sweep", dict(SWEEP, n_seeds=0)),
+    ("sweep", dict(SWEEP, steps=200, burn_in=200)),
+    ("drift", dict(DRIFT, points=[[1.0, "x"]])),
+    ("drift", dict(DRIFT, points=[[None, 1.0]])),
+], ids=["steps-le-burn-in", "zero-steps", "zero-record-every",
+        "negative-z0", "grid-string", "grid-numeric-string", "zero-seeds",
+        "sweep-burn-in-ge-steps", "point-string", "point-null"])
+def test_invalid_config_exit_2_one_line(runner, tmp_path, command, doc):
+    cfg = write_config(tmp_path, doc)
+    res = runner.invoke(main, [command, "--config", cfg,
+                               "--out", str(tmp_path / "o")])
+    assert res.exit_code == 2, res.output
+    assert res.stdout == ""
+    assert res.stderr.startswith("config error: ")
+    assert res.stderr.count("\n") == 1

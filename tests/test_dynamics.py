@@ -14,6 +14,7 @@ from gridlab import (
     step_matrix,
     validate_params,
 )
+from gridlab.dynamics import breakpoints, iterate, region_codes
 from conftest import random_params
 
 
@@ -187,3 +188,60 @@ class TestAffinePiece:
         assert d2.a == d4.a
         assert d2.b == (p0.zeta, 0.0)
         assert d4.b == (-p0.xi, 0.0)
+
+
+def bits(*xs):
+    """The IEEE-754 bit patterns of xs, so that 0.0 and -0.0 differ."""
+    return np.array(xs, dtype=np.float64).view(np.uint64).tolist()
+
+
+def edge_states(rng, p):
+    """States on each breakpoint and one ulp either side, plus random ones."""
+    rs = []
+    for b in breakpoints(p):
+        rs += [b, math.nextafter(b, -math.inf), math.nextafter(b, math.inf)]
+    rs += rng.uniform(-50.0, p.r_star + p.xi + 50.0, 20).tolist()
+    zs = [0.0, *rng.uniform(0.0, 50.0, 3).tolist()]
+    return [(r, z) for r in rs for z in zs]
+
+
+class TestKernelMatchesMatrixTable:
+    def test_one_step_bitwise(self):
+        rng = np.random.default_rng(41)
+        for _ in range(100):
+            p = random_params(rng)
+            for x in edge_states(rng, p):
+                n = float(rng.normal(0.0, p.sigma))
+                out_r, out_z = np.empty(2), np.empty(2)
+                assert iterate(p, x[0], x[1], [n], out_r, out_z) == -1
+                want = bits(*step_matrix(p, x, n))
+                assert bits(out_r[1], out_z[1]) == want
+                assert bits(*step(p, x, n)[0]) == want
+
+    def test_trajectory_bitwise(self):
+        # A kernel run equals step_matrix applied one step at a time.
+        rng = np.random.default_rng(42)
+        for _ in range(50):
+            p = random_params(rng)
+            noise = rng.normal(0.0, p.sigma, 200)
+            out_r, out_z = np.empty(201), np.empty(201)
+            x = (float(rng.uniform(-50, 50)), float(rng.uniform(0, 50)))
+            assert iterate(p, x[0], x[1], noise, out_r, out_z) == -1
+            for t, n in enumerate(noise.tolist(), start=1):
+                x = step_matrix(p, x, n)
+                assert bits(out_r[t], out_z[t]) == bits(*x)
+
+    def test_region_codes_match_classify_region(self):
+        rng = np.random.default_rng(43)
+        regions = list(Region)
+        for _ in range(100):
+            p = random_params(rng)
+            for i, b in enumerate(breakpoints(p)):
+                # Regions are left-closed: a breakpoint opens the next one.
+                assert classify_region(p, (b, 0.0)) is regions[i + 1]
+            rs = [r for r, _ in edge_states(rng, p)]
+            rs += [-0.0, math.nan, math.inf, -math.inf]
+            codes = region_codes(p, np.array(rs))
+            assert [regions[c] for c in codes] \
+                == [classify_region(p, (r, 0.0)) for r in rs]
+            assert classify_region(p, (math.nan, 0.0)) is Region.D4

@@ -1,0 +1,90 @@
+"""Golden SHA-256 digests of CLI outputs from small fixed configs.
+
+Every output file except ``manifest.json`` (which records wall-clock time)
+is pinned, so a refactor of the dynamics, the drift routes or the writers
+shows up here as soon as one byte changes.  Regenerate the digests only
+when an output is meant to change, and say why in CHANGES.md.
+"""
+
+import hashlib
+import json
+
+import pytest
+from click.testing import CliRunner
+
+from gridlab.cli import main
+
+P0 = {"lambda": 0.5, "mu": 0.1, "zeta": 1.0, "xi": 1.0, "r_star": 3.0,
+      "sigma": 1.0}
+
+# Explicit drift points include each breakpoint 0, r*-zeta and r*+xi.
+CASES = {
+    "simulate": ("simulate", {
+        "params": P0, "x0": [-5.0, 3.0], "steps": 3000, "burn_in": 300,
+        "seed": 11, "record_every": 3}),
+    "drift-points": ("drift", {
+        "params": P0,
+        "points": [[-1.0, 2.0], [0.0, 1.0], [2.0, 1.0], [2.5, 1.0],
+                   [4.0, 0.5], [10.0, 3.0]],
+        "mc_samples": 2000, "seed": 3}),
+    "drift-per-region": ("drift", {
+        "params": dict(P0, mu=-0.1), "per_region": 2, "mc_samples": 1000,
+        "seed": 4}),
+    "sweep": ("sweep", {
+        "params": P0, "grid": {"mu": [-0.6, -0.1, 0.1, 0.9]},
+        "steps": 3000, "burn_in": 300, "n_seeds": 3, "seed": 2}),
+    "regions": ("regions", {"params": P0}),
+    "regions-negative-mu": ("regions", {"params": dict(P0, mu=-0.1)}),
+}
+
+GOLDEN = {
+    "drift-per-region": {
+        "drift_report.csv":
+            "beaa5e6820564f28d4dcdb4ac6ffd176489955402fb25be2e09cf180408f42b9",
+    },
+    "drift-points": {
+        "drift_report.csv":
+            "abf3463014baa1b2cd8716f31c944109acca5c5f3d7906299b70eeb9a62c91ad",
+    },
+    "regions": {
+        "regions.json":
+            "df150922a1066e4b4097f05de6947ae4acf7736b3bb0df93918569c9cf03e2dc",
+    },
+    "regions-negative-mu": {
+        "regions.json":
+            "88a2f1d3d67b3870d373efa5a70ea910f93bb6eee0420ab855503514c74ac306",
+    },
+    "simulate": {
+        "stats.json":
+            "2131d981049efd3dbdb3ea0592dfd78776b646ca17cefe2d2f404a8c7b2ca905",
+        "trajectory.csv":
+            "d2038c243b1bb2cfaac81703ae9e518fbad4891b133772ac69afaea8129abb53",
+    },
+    "sweep": {
+        "geometry.json":
+            "d46143dd278f30be5cf909e42faea7c6490d6f16beb61a3f8b966753f848d431",
+        "verdicts.csv":
+            "ce1c08d0eb040a6e902e8914bbdc7987e5722ecdf2f9f613c9d37bdfbedf2db9",
+    },
+}
+
+
+def output_digests(out):
+    return {f.name: hashlib.sha256(f.read_bytes()).hexdigest()
+            for f in sorted(out.iterdir()) if f.name != "manifest.json"}
+
+
+def run_case(name, tmp_path):
+    command, doc = CASES[name]
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps(doc))
+    out = tmp_path / "out"
+    res = CliRunner().invoke(main, [command, "--config", str(cfg),
+                                    "--out", str(out)])
+    assert res.exit_code == 0, res.output
+    return output_digests(out)
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_golden_digests(name, tmp_path):
+    assert run_case(name, tmp_path) == GOLDEN[name]
