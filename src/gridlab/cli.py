@@ -8,14 +8,13 @@ scenario or diverged simulation), 4 (internal error).
 
 from __future__ import annotations
 
-import csv
-import io
 import json
 import os
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
+from typing import Iterator
 
 import click
 import numpy as np
@@ -59,15 +58,30 @@ def _run(fn):
     except GridlabError as exc:
         click.echo(f"error: {exc}", err=True)
         sys.exit(EXIT_INTERNAL)
+    except Exception as exc:
+        # A bug, not bad input: one line on stderr, no traceback.
+        click.echo(f"internal error: {type(exc).__name__}: {exc}", err=True)
+        sys.exit(EXIT_INTERNAL)
 
 
-def _write_csv(path: Path, header: list[str], rows) -> None:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(header)
-    for row in rows:
-        writer.writerow(row)
-    atomic_write_text(path, buf.getvalue())
+def _write_rows(path: Path, header: list[str], rows: list[list[str]]) -> None:
+    """Write a small CSV file.  Every field is a number, a fixed word or
+    blank, so none needs quoting."""
+    atomic_write_text(path, "".join([",".join(row) + "\n"
+                                     for row in [header, *rows]]))
+
+
+# One trajectory.csv row; '%.17g' gives the bytes of fmt_float.
+_TRAJECTORY_ROW = "%d,%.17g,%.17g,%s,%.17g,%.17g,%.17g,%.17g\n"
+_CHUNK_ROWS = 8192
+
+
+def _trajectory_chunks(columns: list[np.ndarray]) -> Iterator[str]:
+    """trajectory.csv text: the header, then ``_CHUNK_ROWS`` rows at a time."""
+    yield "t,R,Z,region,B,F,H_control,H_lyap\n"
+    for lo in range(0, len(columns[0]), _CHUNK_ROWS):
+        rows = zip(*[c[lo:lo + _CHUNK_ROWS].tolist() for c in columns])
+        yield "".join([_TRAJECTORY_ROW % row for row in rows])
 
 
 def _manifest(out: Path, command: str, resolved: dict, outputs: list[str],
@@ -115,16 +129,10 @@ def cmd_simulate(config_path, out_dir, seed):
         stats, traj = simulate(sim, return_records=True)
 
         p = cfg["params"]
-        rows = (
-            [int(t), fmt_float(r), fmt_float(z), reg, fmt_float(b),
-             fmt_float(f), fmt_float(h), fmt_float(v)]
-            for t, r, z, reg, b, f, h, v in zip(
-                traj.t, traj.r, traj.z, traj.region, traj.b_expr,
-                traj.f_frustrated, traj.h_control, lyap_h(p, (traj.r, traj.z)))
-        )
-        _write_csv(out / "trajectory.csv",
-                   ["t", "R", "Z", "region", "B", "F", "H_control", "H_lyap"],
-                   rows)
+        columns = [traj.t, traj.r, traj.z, traj.region, traj.b_expr,
+                   traj.f_frustrated, traj.h_control,
+                   lyap_h(p, (traj.r, traj.z))]
+        atomic_write_text(out / "trajectory.csv", _trajectory_chunks(columns))
         dump_json(out / "stats.json", stats.as_dict())
         resolved = {"params": _params_echo(p), "x0": list(cfg["x0"]),
                     "steps": cfg["steps"], "burn_in": cfg["burn_in"],
@@ -160,7 +168,9 @@ def cmd_drift(config_path, out_dir, seed):
         if seed is not None:
             cfg["seed"] = seed
         p = cfg["params"]
-        points = cfg["points"] or _sample_points(p, cfg["per_region"], cfg["seed"])
+        points = cfg["points"]
+        if points is None:
+            points = _sample_points(p, cfg["per_region"], cfg["seed"])
         rows = []
         for i, x in enumerate(points):
             rep = drift_report(p, x, cfg["mc_samples"],
@@ -176,10 +186,10 @@ def cmd_drift(config_path, out_dir, seed):
                          fmt_float(rep.mc_mean), fmt_float(rep.mc_stderr),
                          agree, str(rep.agree_mc).lower()])
         out = Path(out_dir)
-        _write_csv(out / "drift_report.csv",
-                   ["r", "z", "region", "exact", "paper_formula", "paper_kind",
-                    "mc_mean", "mc_stderr", "agree_paper", "agree_mc"],
-                   rows)
+        _write_rows(out / "drift_report.csv",
+                    ["r", "z", "region", "exact", "paper_formula", "paper_kind",
+                     "mc_mean", "mc_stderr", "agree_paper", "agree_mc"],
+                    rows)
         resolved = {"params": _params_echo(p),
                     "points": [list(pt) for pt in points],
                     "mc_samples": cfg["mc_samples"], "seed": cfg["seed"]}
@@ -239,12 +249,12 @@ def cmd_sweep(config_path, out_dir, seed, threads):
             rstar = p.r_star if p else sp.overrides.get("r_star", "")
             if sp.error is not None or sp.result is None:
                 rows.append([fmt_or_blank(mu), fmt_or_blank(lam), fmt_or_blank(rstar),
-                             "error", "", "", cfg["n_seeds"]])
+                             "error", "", "", str(cfg["n_seeds"])])
                 continue
             res = sp.result
             rows.append([fmt_or_blank(mu), fmt_or_blank(lam), fmt_or_blank(rstar),
                          res.verdict, fmt_float(res.ks_distance),
-                         fmt_float(res.logz_slope), cfg["n_seeds"]])
+                         fmt_float(res.logz_slope), str(cfg["n_seeds"])])
             if p is not None and p.mu > 0.0:
                 g = negative_drift_geometry(p)
                 geometry[str(sp.index)] = {
@@ -255,10 +265,10 @@ def cmd_sweep(config_path, out_dir, seed, threads):
                                 "radius_const": g.radius_const},
                 }
         out = Path(out_dir)
-        _write_csv(out / "verdicts.csv",
-                   ["mu", "lambda", "r_star", "verdict", "ks_distance",
-                    "logz_slope", "seeds_used"],
-                   rows)
+        _write_rows(out / "verdicts.csv",
+                    ["mu", "lambda", "r_star", "verdict", "ks_distance",
+                     "logz_slope", "seeds_used"],
+                    rows)
         outputs = ["verdicts.csv"]
         if geometry:
             dump_json(out / "geometry.json", geometry)

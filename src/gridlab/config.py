@@ -8,10 +8,11 @@ silently falling back to a default.
 from __future__ import annotations
 
 import json
+import math
 import os
 import tempfile
 from pathlib import Path
-from typing import Any
+from typing import Any, Iterable
 
 from .dynamics import Params, validate_params
 from .errors import ConfigError
@@ -21,12 +22,18 @@ _MISSING = object()
 
 
 def _is_number(v: Any) -> bool:
-    return isinstance(v, (int, float)) and not isinstance(v, bool)
+    """A finite JSON number (``json.load`` also accepts NaN and Infinity)."""
+    if isinstance(v, bool) or not isinstance(v, (int, float)):
+        return False
+    try:
+        return math.isfinite(v)
+    except OverflowError:  # an integer beyond the float range
+        return False
 
 
 def _pair(v: Any, where: str) -> tuple[float, float]:
     if not (isinstance(v, list) and len(v) == 2 and all(map(_is_number, v))):
-        raise ConfigError(f"{where} must be a [r, z] pair of numbers")
+        raise ConfigError(f"{where} must be a [r, z] pair of finite numbers")
     return (float(v[0]), float(v[1]))
 
 
@@ -51,7 +58,7 @@ class _Section:
         if v is default and default is not _MISSING:
             return v
         if not _is_number(v):
-            raise ConfigError(f"{self._path}: field '{key}' must be a number")
+            raise ConfigError(f"{self._path}: field '{key}' must be a finite number")
         return float(v)
 
     def take_int(self, key: str, default: Any = _MISSING) -> int:
@@ -120,8 +127,9 @@ def parse_drift(doc: dict, path: str = "config") -> dict:
     params = parse_params(sec)
     points = sec.take("points", None)
     if points is not None:
-        if not isinstance(points, list):
-            raise ConfigError(f"{path}: 'points' must be a list of [r, z] pairs")
+        if not (isinstance(points, list) and points):
+            raise ConfigError(
+                f"{path}: 'points' must be a non-empty list of [r, z] pairs")
         points = [_pair(pt, f"{path}: points[{i}]")
                   for i, pt in enumerate(points)]
     out = {
@@ -134,6 +142,9 @@ def parse_drift(doc: dict, path: str = "config") -> dict:
     sec.finish()
     if out["points"] is None and out["per_region"] <= 0:
         raise ConfigError(f"{path}: provide 'points' or a positive 'per_region'")
+    # The Monte Carlo stderr uses ddof=1, so it needs two samples.
+    if out["mc_samples"] < 2:
+        raise ConfigError(f"{path}: 'mc_samples' must be >= 2")
     return out
 
 
@@ -148,7 +159,7 @@ def parse_sweep(doc: dict, path: str = "config") -> dict:
             continue
         if not (isinstance(vals, list) and vals and all(map(_is_number, vals))):
             raise ConfigError(
-                f"{path}.grid.{name}: must be a non-empty list of numbers")
+                f"{path}.grid.{name}: must be a non-empty list of finite numbers")
         axes[name] = [float(v) for v in vals]
     grid_sec.finish()
     if not axes:
@@ -192,11 +203,11 @@ def parse_thermal(doc: dict, path: str = "scenario") -> tuple[Building, ThermalS
     demand = sec.take("demand")
     for name, series in (("theta", theta), ("demand", demand)):
         if not isinstance(series, list) or not all(map(_is_number, series)):
-            raise ConfigError(f"{path}.{name}: must be a list of numbers")
+            raise ConfigError(f"{path}.{name}: must be a list of finite numbers")
     frustration = sec.take("frustration", None)
     if frustration is not None and not (
             isinstance(frustration, list) and all(map(_is_number, frustration))):
-        raise ConfigError(f"{path}.frustration: must be a list of numbers")
+        raise ConfigError(f"{path}.frustration: must be a list of finite numbers")
     kwargs = dict(
         theta=[float(v) for v in theta],
         demand=[float(v) for v in demand],
@@ -218,13 +229,17 @@ def fmt_float(x: float) -> str:
     return format(float(x), ".17g")
 
 
-def atomic_write_text(path: Path, text: str) -> None:
-    """Write-then-rename so readers never observe a partial file."""
+def atomic_write_text(path: Path, text: str | Iterable[str]) -> None:
+    """Write-then-rename so readers never observe a partial file.
+
+    ``text`` is one string or an iterable of string chunks, written in
+    order as they are produced, so a long file never sits in memory whole.
+    """
     path.parent.mkdir(parents=True, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name, suffix=".tmp")
     try:
         with os.fdopen(fd, "w") as fh:
-            fh.write(text)
+            fh.writelines([text] if isinstance(text, str) else text)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):

@@ -1,10 +1,18 @@
 import csv
+import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
+import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from gridlab.cli import main
+import gridlab.cli
+from gridlab.cli import _CHUNK_ROWS, _trajectory_chunks, main
+from gridlab.config import atomic_write_text, fmt_float
 
 P0 = {"lambda": 0.5, "mu": 0.1, "zeta": 1.0, "xi": 1.0, "r_star": 3.0,
       "sigma": 1.0}
@@ -299,6 +307,8 @@ class TestRegions:
         assert "geometry" not in doc
 
 
+NAN, INF = float("nan"), float("inf")
+
 SIM = {"params": P0, "x0": [0.0, 0.0], "steps": 50}
 SWEEP = {"params": P0, "grid": {"mu": [0.1]}, "steps": 200, "burn_in": 20,
          "n_seeds": 2}
@@ -316,9 +326,36 @@ DRIFT = {"params": P0, "mc_samples": 100}
     ("sweep", dict(SWEEP, steps=200, burn_in=200)),
     ("drift", dict(DRIFT, points=[[1.0, "x"]])),
     ("drift", dict(DRIFT, points=[[None, 1.0]])),
+    ("drift", dict(DRIFT, points=[])),
+    ("drift", dict(DRIFT, per_region=1, mc_samples=0)),
+    ("drift", dict(DRIFT, per_region=1, mc_samples=1)),
+    # json.dumps writes NAN and INF as the NaN / Infinity / -Infinity
+    # literals that json.load accepts; 10**400 cannot become a float.
+    ("simulate", dict(SIM, x0=[NAN, 1.0])),
+    ("simulate", dict(SIM, x0=[0.0, INF])),
+    ("simulate", dict(SIM, x0=[10**400, 1.0])),
+    ("simulate", dict(SIM, params=dict(P0, mu=NAN))),
+    ("simulate", dict(SIM, params=dict(P0, sigma=INF))),
+    ("sweep", dict(SWEEP, grid={"mu": [0.1, NAN]})),
+    ("sweep", dict(SWEEP, grid={"lambda": [-INF]})),
+    ("sweep", dict(SWEEP, ks_threshold=NAN)),
+    ("sweep", dict(SWEEP, slope_threshold=INF)),
+    ("drift", dict(DRIFT, points=[[NAN, 1.0]])),
+    ("drift", dict(DRIFT, points=[[1.0, -INF]])),
+    ("thermal", dict(B0_SCENARIO, theta=[0.0, NAN, 0.0])),
+    ("thermal", dict(B0_SCENARIO, demand=[1.0, 1.0, INF])),
+    ("thermal", dict(B0_SCENARIO, frustration=[NAN, 0.0, 0.0])),
+    ("thermal", dict(B0_SCENARIO, t0_temp=NAN)),
+    ("thermal", dict(B0_SCENARIO,
+                     building=dict(B0_SCENARIO["building"], k_leak=INF))),
 ], ids=["steps-le-burn-in", "zero-steps", "zero-record-every",
         "negative-z0", "grid-string", "grid-numeric-string", "zero-seeds",
-        "sweep-burn-in-ge-steps", "point-string", "point-null"])
+        "sweep-burn-in-ge-steps", "point-string", "point-null",
+        "empty-points", "zero-mc-samples", "one-mc-sample",
+        "x0-nan", "x0-inf", "x0-huge-int", "params-nan", "params-inf",
+        "grid-nan", "grid-neg-inf", "ks-threshold-nan", "slope-threshold-inf",
+        "point-nan", "point-neg-inf", "theta-nan", "demand-inf",
+        "frustration-nan", "t0-temp-nan", "building-inf"])
 def test_invalid_config_exit_2_one_line(runner, tmp_path, command, doc):
     cfg = write_config(tmp_path, doc)
     res = runner.invoke(main, [command, "--config", cfg,
@@ -327,3 +364,64 @@ def test_invalid_config_exit_2_one_line(runner, tmp_path, command, doc):
     assert res.stdout == ""
     assert res.stderr.startswith("config error: ")
     assert res.stderr.count("\n") == 1
+
+
+def test_two_mc_samples_accepted(runner, tmp_path):
+    cfg = write_config(tmp_path, dict(DRIFT, points=[[1.0, 1.0]], mc_samples=2))
+    out = tmp_path / "o"
+    res = runner.invoke(main, ["drift", "--config", cfg, "--out", str(out)])
+    assert res.exit_code == 0, res.output
+    row = read_csv(out / "drift_report.csv")[1]
+    assert row[7] != "nan"
+
+
+def test_unexpected_exception_exit_4_one_line(runner, tmp_path, monkeypatch):
+    def broken(*args, **kwargs):
+        raise RuntimeError("kernel exploded")
+
+    monkeypatch.setattr(gridlab.cli, "simulate", broken)
+    cfg = write_config(tmp_path, SIM)
+    res = runner.invoke(main, ["simulate", "--config", cfg,
+                               "--out", str(tmp_path / "o")])
+    assert res.exit_code == 4
+    assert res.stdout == ""
+    assert res.stderr == "internal error: RuntimeError: kernel exploded\n"
+
+
+def reference_trajectory_csv(columns) -> str:
+    """trajectory.csv as the csv-module writer produced it."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(["t", "R", "Z", "region", "B", "F", "H_control", "H_lyap"])
+    for t, r, z, reg, *rest in zip(*columns):
+        writer.writerow([int(t), fmt_float(r), fmt_float(z), reg,
+                         *map(fmt_float, rest)])
+    return buf.getvalue()
+
+
+@pytest.mark.parametrize("n_rows", [1, _CHUNK_ROWS - 1, _CHUNK_ROWS,
+                                    _CHUNK_ROWS + 1])
+def test_trajectory_chunks_match_csv_writer(tmp_path, n_rows):
+    specials = np.array([-0.0, 0.0, 5e-324, -5e-324, 1e-5, 0.1, 1e16, 1e17,
+                         1e300, -1e300, 2.0 ** 53 + 1, np.nan, np.inf, -np.inf])
+    rng = np.random.default_rng(n_rows)
+    # Each column starts at a different special value, so one row holds six.
+    floats = [np.concatenate([np.roll(specials, -2 * k),
+                              rng.normal(size=n_rows) * 10.0 ** k])[:n_rows]
+              for k in range(6)]
+    regions = np.array(["D1", "D2", "D3", "D4"])[rng.integers(0, 4, n_rows)]
+    columns = [np.arange(n_rows) * 7, floats[0], floats[1], regions, *floats[2:]]
+    path = tmp_path / "trajectory.csv"
+    atomic_write_text(path, _trajectory_chunks(columns))
+    assert path.read_bytes() == reference_trajectory_csv(columns).encode()
+
+
+def test_import_leaves_scipy_stats_out():
+    src = str(Path(gridlab.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=src)
+    res = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, gridlab.cli; print('scipy.stats' in sys.modules)"],
+        capture_output=True, text=True, env=env, timeout=60)
+    assert res.returncode == 0, res.stderr
+    assert res.stdout.strip() == "False"

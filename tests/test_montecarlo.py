@@ -16,7 +16,8 @@ from gridlab import (
     two_chain_convergence,
     validate_params,
 )
-from gridlab.montecarlo import GROWTH_X0
+from gridlab.montecarlo import GROWTH_X0, _ks_statistic, _run_chain
+from gridlab.rng import point_seed, stream
 from conftest import random_params
 
 
@@ -131,6 +132,52 @@ class TestTwoChainConvergence:
     def test_distance_in_unit_interval(self, p0):
         d = two_chain_convergence(p0, (0.0, 0.0), (-5.0, 10.0), 5000, 500, seed=10)
         assert 0.0 <= d <= 1.0
+
+
+class TestKSStatistic:
+    """The private KS distance against scipy.stats, bit for bit."""
+
+    @staticmethod
+    def scipy_ks(a, b):
+        from scipy.stats import ks_2samp
+        return float(ks_2samp(a, b, method="asymp").statistic)
+
+    @pytest.mark.parametrize("case", ["random", "shifted", "heavy-ties",
+                                      "unequal-sizes", "single-values"])
+    def test_matches_scipy(self, case):
+        rng = np.random.default_rng(12)
+        a, b = {
+            "random": lambda: (rng.normal(size=500), rng.normal(size=500)),
+            "shifted": lambda: (rng.normal(size=400), rng.normal(-0.3, size=600)),
+            "heavy-ties": lambda: (rng.integers(0, 5, 300).astype(float),
+                                   rng.integers(1, 4, 200).astype(float)),
+            "unequal-sizes": lambda: (rng.normal(size=7), rng.normal(size=3001)),
+            "single-values": lambda: (np.array([1.0]), np.array([-0.0, 0.0])),
+        }[case]()
+        for x, y in ((a, b), (b, a)):
+            assert _ks_statistic(x, y).hex() == self.scipy_ks(x, y).hex()
+
+    def test_identical_arrays_give_zero(self):
+        a = np.random.default_rng(3).normal(size=1000)
+        assert _ks_statistic(a, a.copy()) == self.scipy_ks(a, a.copy()) == 0.0
+
+    def test_nan_propagates_like_scipy(self):
+        a = np.array([1.0, np.nan, 2.0])
+        b = np.array([0.5, 3.0])
+        assert math.isnan(_ks_statistic(a, b)) and math.isnan(self.scipy_ks(a, b))
+        assert math.isnan(_ks_statistic(b, a)) and math.isnan(self.scipy_ks(b, a))
+
+    @pytest.mark.parametrize("mu", [-0.1, 0.1])
+    def test_sweep_point_chains(self, mu):
+        # The two chains of sweep point 0 (seed 5), as _verdict runs them.
+        p = validate_params(0.5, mu, 1.0, 1.0, 3.0, 1.0)
+        seed = point_seed(5, 0)
+        ra, _ = _run_chain(p, (0.0, 0.0), 5000, stream(seed, 0))
+        rb, _ = _run_chain(p, (-50.0, 100.0), 5000, stream(seed, 1))
+        want = self.scipy_ks(ra[500:], rb[500:])
+        assert _ks_statistic(ra[500:], rb[500:]).hex() == want.hex()
+        assert two_chain_convergence(p, (0.0, 0.0), (-50.0, 100.0),
+                                     5000, 500, seed).hex() == want.hex()
 
 
 class TestGrowthSlope:
