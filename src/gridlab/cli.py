@@ -64,6 +64,14 @@ def _run(fn):
         sys.exit(EXIT_INTERNAL)
 
 
+def _override_seed(cfg: dict, seed: int | None) -> None:
+    """Apply a --seed option; it must be a seed the config could hold."""
+    if seed is not None:
+        if seed < 0:
+            raise ConfigError("--seed must be >= 0")
+        cfg["seed"] = seed
+
+
 def _write_rows(path: Path, header: list[str], rows: list[list[str]]) -> None:
     """Write a small CSV file.  Every field is a number, a fixed word or
     blank, so none needs quoting."""
@@ -117,8 +125,7 @@ def cmd_simulate(config_path, out_dir, seed):
     def body():
         started = time.perf_counter()
         cfg = cfgmod.parse_simulate(load_json(config_path))
-        if seed is not None:
-            cfg["seed"] = seed
+        _override_seed(cfg, seed)
         out = Path(out_dir)
         try:
             sim = SimConfig(params=cfg["params"], x0=cfg["x0"],
@@ -165,8 +172,7 @@ def cmd_drift(config_path, out_dir, seed):
     def body():
         started = time.perf_counter()
         cfg = cfgmod.parse_drift(load_json(config_path))
-        if seed is not None:
-            cfg["seed"] = seed
+        _override_seed(cfg, seed)
         p = cfg["params"]
         points = cfg["points"]
         if points is None:
@@ -219,8 +225,7 @@ def cmd_sweep(config_path, out_dir, seed, threads):
     def body():
         started = time.perf_counter()
         cfg = cfgmod.parse_sweep(load_json(config_path))
-        if seed is not None:
-            cfg["seed"] = seed
+        _override_seed(cfg, seed)
         n_workers = _threads(threads)
         base = cfg["params"]
 

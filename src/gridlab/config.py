@@ -20,6 +20,10 @@ from .thermal import Building, ThermalScenario
 
 _MISSING = object()
 
+# The most steps one chain, or draws one drift estimate, may take: a chain
+# holds 24 bytes per step (noise, R and Z), so this is about 2.4 GB.
+MAX_DRAWS = 10**8
+
 
 def _is_number(v: Any) -> bool:
     """A finite JSON number (``json.load`` also accepts NaN and Infinity)."""
@@ -61,12 +65,17 @@ class _Section:
             raise ConfigError(f"{self._path}: field '{key}' must be a finite number")
         return float(v)
 
-    def take_int(self, key: str, default: Any = _MISSING) -> int:
+    def take_int(self, key: str, default: Any = _MISSING, *,
+                 least: int | None = None, most: int | None = None) -> int:
         v = self.take(key, default)
         if v is default and default is not _MISSING:
             return v
         if isinstance(v, bool) or not isinstance(v, int):
             raise ConfigError(f"{self._path}: field '{key}' must be an integer")
+        if least is not None and v < least:
+            raise ConfigError(f"{self._path}: field '{key}' must be >= {least}")
+        if most is not None and v > most:
+            raise ConfigError(f"{self._path}: field '{key}' must be <= {most}")
         return v
 
     def section(self, key: str) -> "_Section":
@@ -113,9 +122,9 @@ def parse_simulate(doc: dict, path: str = "config") -> dict:
     out = {
         "params": parse_params(sec),
         "x0": _pair(sec.take("x0"), "field 'x0'"),
-        "steps": sec.take_int("steps"),
+        "steps": sec.take_int("steps", most=MAX_DRAWS),
         "burn_in": sec.take_int("burn_in", 0),
-        "seed": sec.take_int("seed", 0),
+        "seed": sec.take_int("seed", 0, least=0),
         "record_every": sec.take_int("record_every", 1),
     }
     sec.finish()
@@ -136,15 +145,14 @@ def parse_drift(doc: dict, path: str = "config") -> dict:
         "params": params,
         "points": points,
         "per_region": sec.take_int("per_region", 0),
-        "mc_samples": sec.take_int("mc_samples", 100_000),
-        "seed": sec.take_int("seed", 0),
+        # The Monte Carlo stderr uses ddof=1, so it needs two samples.
+        "mc_samples": sec.take_int("mc_samples", 100_000, least=2,
+                                   most=MAX_DRAWS),
+        "seed": sec.take_int("seed", 0, least=0),
     }
     sec.finish()
     if out["points"] is None and out["per_region"] <= 0:
         raise ConfigError(f"{path}: provide 'points' or a positive 'per_region'")
-    # The Monte Carlo stderr uses ddof=1, so it needs two samples.
-    if out["mc_samples"] < 2:
-        raise ConfigError(f"{path}: 'mc_samples' must be >= 2")
     return out
 
 
@@ -172,18 +180,16 @@ def parse_sweep(doc: dict, path: str = "config") -> dict:
     out = {
         "params": params,
         "grid": points,
-        "steps": sec.take_int("steps", 100_000),
+        "steps": sec.take_int("steps", 100_000, most=MAX_DRAWS),
         "burn_in": sec.take_int("burn_in", 10_000),
-        "n_seeds": sec.take_int("n_seeds", 16),
-        "seed": sec.take_int("seed", 0),
+        "n_seeds": sec.take_int("n_seeds", 16, least=1),
+        "seed": sec.take_int("seed", 0, least=0),
         "ks_threshold": sec.take_number("ks_threshold", 0.05),
         "slope_threshold": sec.take_number("slope_threshold", 0.03),
     }
     sec.finish()
     if not out["steps"] > out["burn_in"] >= 0:
         raise ConfigError(f"{path}: need steps > burn_in >= 0")
-    if out["n_seeds"] < 1:
-        raise ConfigError(f"{path}: 'n_seeds' must be >= 1")
     return out
 
 

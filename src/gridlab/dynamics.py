@@ -48,6 +48,9 @@ __all__ = [
 # The kernel stops a trajectory once |R| or Z exceeds this.
 OVERFLOW_GUARD = 1e300
 
+# Noise steps that iterate converts to Python floats at a time.
+KERNEL_BLOCK = 4096
+
 
 class Regime(str, enum.Enum):
     """Stability regime implied by the sign of the evaporation rate."""
@@ -215,6 +218,15 @@ def iterate(p: Params, r0: float, z0: float, noise, out_r, out_z) -> int:
 
     Returns -1, or the index of the first state beyond OVERFLOW_GUARD, where
     the run stops.  Each branch adds in the order of :func:`step_matrix`.
+
+    noise may be any sequence of floats; ``step`` passes a 1-tuple.
+
+    The loop runs on Python floats, converting the noise ``KERNEL_BLOCK``
+    steps at a time.  Arithmetic on numpy scalars costs about twice as much
+    per step, and converting the whole array at once would hold about 32
+    bytes per step in Python objects.  Python floats and numpy float64 are
+    both IEEE binary64 with round-to-nearest and no fused multiply-add, so
+    every state has the bits that numpy arithmetic gives.
     """
     lam, zeta, xi, gamma = p.lam, p.zeta, p.xi, p.gamma
     llm = lam * (lam + p.mu)
@@ -222,30 +234,31 @@ def iterate(p: Params, r0: float, z0: float, noise, out_r, out_z) -> int:
     rs = p.r_star
     one_lam = 1.0 + lam
     guard = OVERFLOW_GUARD
-    r = r0
-    z = z0
+    noise = np.asarray(noise, dtype=np.float64)
+    r = float(r0)
+    z = float(z0)
     out_r[0] = r
     out_z[0] = z
-    for t in range(len(noise)):
-        n = noise[t]
-        if r < b1:
-            rp = ((one_lam * r + llm * z) + zeta) + n
-            zp = -r + gamma * z
-        elif r < b2:
-            rp = ((r + llm * z) + zeta) + n
-            zp = gamma * z
-        elif r < b3:
-            rp = (llm * z + rs) + n
-            zp = gamma * z
-        else:
-            rp = ((r + llm * z) + (-xi)) + n
-            zp = gamma * z
-        r = rp
-        z = zp
-        out_r[t + 1] = r
-        out_z[t + 1] = z
-        if abs(r) > guard or z > guard:
-            return t + 1
+    for lo in range(0, len(noise), KERNEL_BLOCK):
+        for t, n in enumerate(noise[lo:lo + KERNEL_BLOCK].tolist(), lo + 1):
+            if r < b1:
+                rp = ((one_lam * r + llm * z) + zeta) + n
+                zp = -r + gamma * z
+            elif r < b2:
+                rp = ((r + llm * z) + zeta) + n
+                zp = gamma * z
+            elif r < b3:
+                rp = (llm * z + rs) + n
+                zp = gamma * z
+            else:
+                rp = ((r + llm * z) + (-xi)) + n
+                zp = gamma * z
+            r = rp
+            z = zp
+            out_r[t] = r
+            out_z[t] = z
+            if abs(r) > guard or z > guard:
+                return t
     return -1
 
 

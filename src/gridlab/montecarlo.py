@@ -131,7 +131,7 @@ def _run_chain_raw(p: Params, x0: State, steps: int,
     noise = gaussian(rng, steps, p.sigma)
     out_r = np.empty(steps + 1)
     out_z = np.empty(steps + 1)
-    bad = iterate(p, float(x0[0]), float(x0[1]), noise, out_r, out_z)
+    bad = iterate(p, x0[0], x0[1], noise, out_r, out_z)
     return out_r, out_z, bad
 
 

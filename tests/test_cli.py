@@ -12,7 +12,8 @@ from click.testing import CliRunner
 
 import gridlab.cli
 from gridlab.cli import _CHUNK_ROWS, _trajectory_chunks, main
-from gridlab.config import atomic_write_text, fmt_float
+from gridlab.config import (MAX_DRAWS, ConfigError, atomic_write_text,
+                            fmt_float, parse_simulate)
 
 P0 = {"lambda": 0.5, "mu": 0.1, "zeta": 1.0, "xi": 1.0, "r_star": 3.0,
       "sigma": 1.0}
@@ -348,6 +349,17 @@ DRIFT = {"params": P0, "mc_samples": 100}
     ("thermal", dict(B0_SCENARIO, t0_temp=NAN)),
     ("thermal", dict(B0_SCENARIO,
                      building=dict(B0_SCENARIO["building"], k_leak=INF))),
+    # A seed is non-negative, in the config and as --seed alike.
+    ("simulate", dict(SIM, seed=-1)),
+    ("sweep", dict(SWEEP, seed=-1)),
+    ("drift", dict(DRIFT, per_region=1, seed=-3)),
+    ("simulate --seed -1", SIM),
+    ("sweep --seed -1", SWEEP),
+    ("drift --seed -1", dict(DRIFT, per_region=1)),
+    # Past MAX_DRAWS the draws would not fit in memory.
+    ("simulate", dict(SIM, steps=10**12)),
+    ("sweep", dict(SWEEP, steps=10**12)),
+    ("drift", dict(DRIFT, per_region=1, mc_samples=10**12)),
 ], ids=["steps-le-burn-in", "zero-steps", "zero-record-every",
         "negative-z0", "grid-string", "grid-numeric-string", "zero-seeds",
         "sweep-burn-in-ge-steps", "point-string", "point-null",
@@ -355,15 +367,25 @@ DRIFT = {"params": P0, "mc_samples": 100}
         "x0-nan", "x0-inf", "x0-huge-int", "params-nan", "params-inf",
         "grid-nan", "grid-neg-inf", "ks-threshold-nan", "slope-threshold-inf",
         "point-nan", "point-neg-inf", "theta-nan", "demand-inf",
-        "frustration-nan", "t0-temp-nan", "building-inf"])
+        "frustration-nan", "t0-temp-nan", "building-inf",
+        "simulate-negative-seed", "sweep-negative-seed", "drift-negative-seed",
+        "simulate-negative-seed-option", "sweep-negative-seed-option",
+        "drift-negative-seed-option", "simulate-steps-over-limit",
+        "sweep-steps-over-limit", "drift-mc-samples-over-limit"])
 def test_invalid_config_exit_2_one_line(runner, tmp_path, command, doc):
     cfg = write_config(tmp_path, doc)
-    res = runner.invoke(main, [command, "--config", cfg,
+    res = runner.invoke(main, [*command.split(), "--config", cfg,
                                "--out", str(tmp_path / "o")])
     assert res.exit_code == 2, res.output
     assert res.stdout == ""
     assert res.stderr.startswith("config error: ")
     assert res.stderr.count("\n") == 1
+
+
+def test_draw_limit_is_inclusive_and_named():
+    assert parse_simulate(dict(SIM, steps=MAX_DRAWS))["steps"] == MAX_DRAWS
+    with pytest.raises(ConfigError, match=f"'steps' must be <= {MAX_DRAWS}$"):
+        parse_simulate(dict(SIM, steps=MAX_DRAWS + 1))
 
 
 def test_two_mc_samples_accepted(runner, tmp_path):

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -14,7 +15,13 @@ from gridlab import (
     step_matrix,
     validate_params,
 )
-from gridlab.dynamics import breakpoints, iterate, region_codes
+from gridlab.dynamics import (
+    KERNEL_BLOCK,
+    OVERFLOW_GUARD,
+    breakpoints,
+    iterate,
+    region_codes,
+)
 from conftest import random_params
 
 
@@ -245,3 +252,91 @@ class TestKernelMatchesMatrixTable:
             assert [regions[c] for c in codes] \
                 == [classify_region(p, (r, 0.0)) for r in rs]
             assert classify_region(p, (math.nan, 0.0)) is Region.D4
+
+
+def reference_run(p, x, noise, one_step=step_matrix):
+    """iterate's contract, one one_step(p, x, n) call per step."""
+    rs, zs = [x[0]], [x[1]]
+    for t, n in enumerate(noise, start=1):
+        x = one_step(p, x, n)
+        rs.append(x[0])
+        zs.append(x[1])
+        if abs(x[0]) > OVERFLOW_GUARD or x[1] > OVERFLOW_GUARD:
+            return t, rs, zs
+    return -1, rs, zs
+
+
+B = KERNEL_BLOCK
+
+
+class TestKernelBlocks:
+    """The kernel converts its noise in blocks; block edges change nothing."""
+
+    @pytest.mark.parametrize("steps", [B - 1, B, B + 1, 2 * B + 1])
+    def test_trajectory_bitwise_across_blocks(self, steps):
+        rng = np.random.default_rng(steps)
+        for _ in range(3):
+            # Stable parameters, so that no run meets the guard.
+            p = random_params(rng, mu_sign="positive")
+            noise = rng.normal(0.0, p.sigma, steps)
+            x = (float(rng.uniform(-50, 50)), float(rng.uniform(0, 50)))
+            out_r, out_z = np.empty(steps + 1), np.empty(steps + 1)
+            bad, rs, zs = reference_run(p, x, noise.tolist())
+            assert bad == -1
+            assert iterate(p, x[0], x[1], noise, out_r, out_z) == -1
+            assert bits(*out_r) == bits(*rs) and bits(*out_z) == bits(*zs)
+
+    @pytest.mark.parametrize("steps", [B, B + 1, 2 * B + 1])
+    @pytest.mark.parametrize("kick", [1e301, -1e301, math.inf, math.nan])
+    def test_guard_and_nan_at_block_edges(self, p0, steps, kick):
+        # The kick lands on step B, the last of the first block, or on
+        # step B + 1, the first of the second.  Past a NaN reserve the
+        # matrix form makes Z NaN too (0.0 * NaN), while the kernel's D4
+        # branch keeps Z = gamma * Z, so NaN runs are held against step(),
+        # the kernel one step at a time, which never meets a block edge.
+        one_step = step_matrix
+        if math.isnan(kick):
+            def one_step(p, x, n):
+                return step(p, x, n)[0]
+        rng = np.random.default_rng(7)
+        for at in (B, B + 1):
+            if at > steps:
+                continue
+            noise = rng.normal(0.0, 1.0, steps)
+            noise[at - 1] = kick
+            out_r = np.full(steps + 1, -7.0)
+            out_z = np.full(steps + 1, -7.0)
+            bad, rs, zs = reference_run(p0, (0.0, 0.0), noise.tolist(),
+                                        one_step)
+            # NaN passes the guard and rides on to the end; the rest stop.
+            assert bad == (-1 if math.isnan(kick) else at)
+            assert iterate(p0, 0.0, 0.0, noise, out_r, out_z) == bad
+            end = len(rs)
+            assert bits(*out_r[:end]) == bits(*rs)
+            assert bits(*out_z[:end]) == bits(*zs)
+            # Nothing is written past the state where the run stopped.
+            assert (out_r[end:] == -7.0).all() and (out_z[end:] == -7.0).all()
+
+    @pytest.mark.parametrize("container", [tuple, list])
+    def test_accepts_sequence_noise(self, p0, container):
+        noise = np.random.default_rng(8).normal(0.0, 1.0, B + 1)
+        want_r, want_z = np.empty(B + 2), np.empty(B + 2)
+        iterate(p0, -3.0, 2.0, noise, want_r, want_z)
+        out_r, out_z = [None] * (B + 2), [None] * (B + 2)
+        assert iterate(p0, -3.0, 2.0, container(noise.tolist()),
+                       out_r, out_z) == -1
+        assert bits(*out_r) == bits(*want_r) and bits(*out_z) == bits(*want_z)
+
+    def test_memory_stays_one_block(self, p0):
+        # Converting the whole noise array to a list at once would take
+        # about 32 bytes per step (6 MB here); one block takes about 0.13 MB.
+        steps = 200_000
+        noise = np.random.default_rng(9).normal(0.0, 1.0, steps)
+        out_r, out_z = np.empty(steps + 1), np.empty(steps + 1)
+        tracemalloc.start()
+        try:
+            assert iterate(p0, 0.0, 0.0, noise, out_r, out_z) == -1
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1_000_000
