@@ -8,11 +8,8 @@ scenario or diverged simulation), 4 (internal error).
 
 from __future__ import annotations
 
-import json
-import os
 import sys
 import time
-from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 from typing import Iterator
 
@@ -24,25 +21,13 @@ from .config import ConfigError, atomic_write_text, dump_json, fmt_float, load_j
 from .dynamics import Params, Region, breakpoints
 from .errors import GridlabError, InfeasibleScenario, SimulationDiverged
 from .lyapunov import drift_report, lyap_h, negative_drift_geometry
-from .montecarlo import SimConfig, SweepPoint, simulate, sweep
+from .montecarlo import SimConfig, simulate, sweep
 from .rng import ALGORITHM, point_seed, stream
 from .thermal import run_heat_pump_scenario, run_scenario_pair
 
 EXIT_CONFIG = 2
 EXIT_INFEASIBLE = 3
 EXIT_INTERNAL = 4
-
-
-def _threads(opt: int | None) -> int:
-    if opt is not None:
-        return max(1, opt)
-    env = os.environ.get("GRIDLAB_THREADS")
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError:
-            raise ConfigError(f"GRIDLAB_THREADS must be an integer, got {env!r}")
-    return 1
 
 
 def _run(fn):
@@ -204,21 +189,12 @@ def cmd_drift(config_path, out_dir, seed):
     _run(body)
 
 
-def _sweep_one(args) -> SweepPoint:
-    base, overrides, index, seed, steps, burn_in, n_seeds, ks_thr, slope_thr = args
-    rows = sweep(base, [overrides], steps, burn_in, n_seeds, seed,
-                 ks_threshold=ks_thr, slope_threshold=slope_thr)
-    row = rows[0]
-    # Re-attach the global grid index (sweep() numbered within its sublist).
-    return SweepPoint(index, row.overrides, row.params, row.result, row.error)
-
-
 @main.command("sweep")
 @click.option("--config", "config_path", required=True, type=click.Path())
 @click.option("--out", "out_dir", required=True, type=click.Path())
 @click.option("--seed", type=int, default=None)
-@click.option("--threads", type=int, default=None,
-              help="Worker processes; falls back to GRIDLAB_THREADS, then 1.")
+@click.option("--threads", type=int, default=1,
+              help="Worker processes (values below 1 count as 1).")
 def cmd_sweep(config_path, out_dir, seed, threads):
     """Stability verdict per grid point; verdicts.csv plus drift geometry."""
 
@@ -226,21 +202,12 @@ def cmd_sweep(config_path, out_dir, seed, threads):
         started = time.perf_counter()
         cfg = cfgmod.parse_sweep(load_json(config_path))
         _override_seed(cfg, seed)
-        n_workers = _threads(threads)
         base = cfg["params"]
-
-        # Per-point seeds depend only on (seed, index): worker count and
-        # scheduling cannot change any result.
-        tasks = [(base, ov, i, point_seed(cfg["seed"], i), cfg["steps"],
-                  cfg["burn_in"], cfg["n_seeds"], cfg["ks_threshold"],
-                  cfg["slope_threshold"])
-                 for i, ov in enumerate(cfg["grid"])]
-        if n_workers > 1 and len(tasks) > 1:
-            with ProcessPoolExecutor(max_workers=n_workers) as pool:
-                results = list(pool.map(_sweep_one, tasks))
-        else:
-            results = [_sweep_one(t) for t in tasks]
-        results.sort(key=lambda sp: sp.index)
+        results = sweep(base, cfg["grid"], cfg["steps"], cfg["burn_in"],
+                        cfg["n_seeds"], cfg["seed"],
+                        ks_threshold=cfg["ks_threshold"],
+                        slope_threshold=cfg["slope_threshold"],
+                        workers=threads)
 
         def fmt_or_blank(v):
             return fmt_float(v) if isinstance(v, (int, float)) else ""
@@ -248,27 +215,18 @@ def cmd_sweep(config_path, out_dir, seed, threads):
         rows = []
         geometry = {}
         for sp in results:
-            p = sp.params
+            p, res = sp.params, sp.result
             mu = p.mu if p else sp.overrides.get("mu", "")
             lam = p.lam if p else sp.overrides.get("lambda", "")
             rstar = p.r_star if p else sp.overrides.get("r_star", "")
-            if sp.error is not None or sp.result is None:
-                rows.append([fmt_or_blank(mu), fmt_or_blank(lam), fmt_or_blank(rstar),
-                             "error", "", "", str(cfg["n_seeds"])])
+            row = [fmt_or_blank(mu), fmt_or_blank(lam), fmt_or_blank(rstar)]
+            if res is None:
+                rows.append(row + ["error", "", "", "0"])
                 continue
-            res = sp.result
-            rows.append([fmt_or_blank(mu), fmt_or_blank(lam), fmt_or_blank(rstar),
-                         res.verdict, fmt_float(res.ks_distance),
-                         fmt_float(res.logz_slope), str(cfg["n_seeds"])])
-            if p is not None and p.mu > 0.0:
-                g = negative_drift_geometry(p)
-                geometry[str(sp.index)] = {
-                    "g1_coeffs": list(g.g1_coeffs),
-                    "v_plus": g.v_plus,
-                    "g4_coeffs": list(g.g4_coeffs),
-                    "ellipse": {"alpha": g.alpha, "beta": g.beta,
-                                "radius_const": g.radius_const},
-                }
+            rows.append(row + [res.verdict, fmt_float(res.ks_distance),
+                               fmt_float(res.logz_slope), str(res.seeds_used)])
+            if p.mu > 0.0:
+                geometry[str(sp.index)] = negative_drift_geometry(p).as_dict()
         out = Path(out_dir)
         _write_rows(out / "verdicts.csv",
                     ["mu", "lambda", "r_star", "verdict", "ks_distance",
@@ -341,15 +299,10 @@ def cmd_regions(config_path, out_dir):
         if p.mu > 0.0:
             g = negative_drift_geometry(p)
             vs = np.linspace(0.0, 2.0 * g.v_plus, 101)
-            doc["geometry"] = {
-                "g1_coeffs": list(g.g1_coeffs),
-                "g1_curve": [[float(v), float(g.g1(v))] for v in vs],
-                "v_plus": g.v_plus,
-                "g4_coeffs": list(g.g4_coeffs),
-                "g4_curve": [[float(v), float(g.g4(v))] for v in vs],
-                "ellipse": {"alpha": g.alpha, "beta": g.beta,
-                            "radius_const": g.radius_const},
-            }
+            doc["geometry"] = dict(
+                g.as_dict(),
+                g1_curve=[[float(v), float(g.g1(v))] for v in vs],
+                g4_curve=[[float(v), float(g.g4(v))] for v in vs])
         out = Path(out_dir)
         dump_json(out / "regions.json", doc)
         _manifest(out, "regions", {"params": _params_echo(p)},

@@ -24,6 +24,11 @@ _MISSING = object()
 # holds 24 bytes per step (noise, R and Z), so this is about 2.4 GB.
 MAX_DRAWS = 10**8
 
+# The most states a drift run may sample per region: each of its
+# 4 * per_region points is held as a tuple, a report row and a manifest
+# entry, about 1.2 KB in all, so this is about 4 * 5e5 * 1.2 KB = 2.4 GB.
+MAX_PER_REGION = 500_000
+
 
 def _is_number(v: Any) -> bool:
     """A finite JSON number (``json.load`` also accepts NaN and Infinity)."""
@@ -144,7 +149,7 @@ def parse_drift(doc: dict, path: str = "config") -> dict:
     out = {
         "params": params,
         "points": points,
-        "per_region": sec.take_int("per_region", 0),
+        "per_region": sec.take_int("per_region", 0, most=MAX_PER_REGION),
         # The Monte Carlo stderr uses ddof=1, so it needs two samples.
         "mc_samples": sec.take_int("mc_samples", 100_000, least=2,
                                    most=MAX_DRAWS),

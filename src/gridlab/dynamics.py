@@ -294,5 +294,7 @@ def step_matrix(p: Params, x: State, n) -> State:
     (a00, a01), (a10, a11) = piece.a
     b0, b1 = piece.b
     rp = ((a00 * r + a01 * z) + b0) + n
-    zp = (a10 * r + a11 * z) + b1
+    # A zero a10 drops its term, as the kernel does: 0.0 * r is NaN at an
+    # infinite or NaN reserve, and only a signed zero at a finite one.
+    zp = (a11 * z + b1) if a10 == 0.0 else (a10 * r + a11 * z) + b1
     return (rp, zp)

@@ -114,6 +114,12 @@ class NegativeDriftGeometry:
         c2, c1, c0 = self.g4_coeffs
         return c2 * v * v + c1 * v + c0
 
+    def as_dict(self) -> dict:
+        return {"g1_coeffs": list(self.g1_coeffs), "v_plus": self.v_plus,
+                "g4_coeffs": list(self.g4_coeffs),
+                "ellipse": {"alpha": self.alpha, "beta": self.beta,
+                            "radius_const": self.radius_const}}
+
     def inside_ellipse(self, r, z) -> bool:
         d = z - self.beta / self.alpha
         return 2.0 * r * r + self.alpha * d * d < self.radius_const

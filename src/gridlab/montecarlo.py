@@ -8,7 +8,9 @@ independent of how work is distributed across workers.
 from __future__ import annotations
 
 import math
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -300,6 +302,7 @@ class StabilityVerdict:
     logz_slope: float        # nan when no seed usable
     monotone_violations: int
     verdict: str             # stable-consistent | unstable-consistent | inconclusive
+    seeds_used: int          # growth seeds in the slope fit (n_seeds - excluded)
 
 
 @dataclass(frozen=True)
@@ -324,9 +327,12 @@ def _verdict(p: Params, seed: int, steps: int, burn_in: int, n_seeds: int,
     try:
         growth = growth_slope(p, growth_x0, t_hi * 2 // 5, t_hi, n_seeds, seed + 1)
         slope = growth.median_slope
+        seeds_used = n_seeds - growth.excluded
         diverged = False
     except SimulationDiverged:
+        # An overflowing probe counts as growing and excludes no seed.
         slope = float("inf")
+        seeds_used = n_seeds
         diverged = True
 
     violations = 0
@@ -348,35 +354,47 @@ def _verdict(p: Params, seed: int, steps: int, burn_in: int, n_seeds: int,
         verdict = "stable-consistent"
     else:
         verdict = "inconclusive"
-    return StabilityVerdict(p.regime.value, ks, slope, violations, verdict)
+    return StabilityVerdict(p.regime.value, ks, slope, violations, verdict,
+                            seeds_used)
+
+
+def _sweep_point(index: int, overrides: dict[str, float], base: Params,
+                 seed: int, **probe) -> SweepPoint:
+    """One grid point; a failure is recorded on the point, not raised."""
+    vals = dict(base.as_dict(), **overrides)
+    p = None
+    try:
+        p = validate_params(vals["lambda"], vals["mu"], vals["zeta"],
+                            vals["xi"], vals["r_star"], vals["sigma"])
+        res = _verdict(p, point_seed(seed, index), **probe)
+    except Exception as exc:
+        return SweepPoint(index, dict(overrides), p, None, str(exc))
+    return SweepPoint(index, dict(overrides), p, res)
 
 
 def sweep(base: Params, grid: list[dict[str, float]], steps: int,
           burn_in: int, n_seeds: int = 16, seed: int = 0,
           ks_threshold: float = KS_THRESHOLD,
           slope_threshold: float = SLOPE_THRESHOLD,
-          growth_x0: State = GROWTH_X0) -> list[SweepPoint]:
+          growth_x0: State = GROWTH_X0, workers: int = 1) -> list[SweepPoint]:
     """Evaluate a stability verdict at each grid point.
 
     grid is a list of parameter overrides (keys among lambda, mu, zeta,
     xi, r_star, sigma).  Each point gets a seed derived from (seed, index),
     so results do not depend on evaluation order or worker count.
     Per-point failures are recorded and the sweep continues.
+
+    With workers > 1 the points run in a pool of at most one process per
+    point; below 2, in this process.  Rows come back in grid order.  The
+    pool uses the platform's default start method, which forks on Linux:
+    a caller that runs threads of its own should keep workers=1.
     """
-    rows = []
-    for i, overrides in enumerate(grid):
-        vals = base.as_dict()
-        vals.update(overrides)
-        try:
-            p = validate_params(vals["lambda"], vals["mu"], vals["zeta"],
-                                vals["xi"], vals["r_star"], vals["sigma"])
-        except Exception as exc:
-            rows.append(SweepPoint(i, dict(overrides), None, None, str(exc)))
-            continue
-        try:
-            res = _verdict(p, point_seed(seed, i), steps, burn_in, n_seeds,
-                           ks_threshold, slope_threshold, growth_x0)
-            rows.append(SweepPoint(i, dict(overrides), p, res))
-        except Exception as exc:
-            rows.append(SweepPoint(i, dict(overrides), p, None, str(exc)))
-    return rows
+    point = partial(_sweep_point, base=base, seed=seed, steps=steps,
+                    burn_in=burn_in, n_seeds=n_seeds,
+                    ks_threshold=ks_threshold,
+                    slope_threshold=slope_threshold, growth_x0=growth_x0)
+    n_workers = min(workers, len(grid))
+    if n_workers < 2:
+        return list(map(point, range(len(grid)), grid))
+    with ProcessPoolExecutor(max_workers=n_workers) as pool:
+        return list(pool.map(point, range(len(grid)), grid))

@@ -11,9 +11,11 @@ import pytest
 from click.testing import CliRunner
 
 import gridlab.cli
+from gridlab import sweep
 from gridlab.cli import _CHUNK_ROWS, _trajectory_chunks, main
-from gridlab.config import (MAX_DRAWS, ConfigError, atomic_write_text,
-                            fmt_float, parse_simulate)
+from gridlab.config import (MAX_DRAWS, MAX_PER_REGION, ConfigError,
+                            atomic_write_text, fmt_float, parse_drift,
+                            parse_simulate, parse_sweep)
 
 P0 = {"lambda": 0.5, "mu": 0.1, "zeta": 1.0, "xi": 1.0, "r_star": 3.0,
       "sigma": 1.0}
@@ -242,12 +244,34 @@ class TestSweep:
         assert (outs[0] / "geometry.json").read_bytes() \
             == (outs[1] / "geometry.json").read_bytes()
 
-    def test_threads_env_fallback_invalid(self, runner, tmp_path):
-        cfg = self.sweep_config(tmp_path, [0.1])
-        res = runner.invoke(main, ["sweep", "--config", cfg,
-                                   "--out", str(tmp_path / "o")],
-                            env={"GRIDLAB_THREADS": "many"})
-        assert res.exit_code == 2
+    def test_rows_equal_library_sweep(self, runner, tmp_path):
+        doc = {"params": P0, "grid": {"mu": [-0.6, -0.1, 0.1, 0.9]},
+               "steps": 2_000, "burn_in": 200, "n_seeds": 3, "seed": 5}
+        cfg = parse_sweep(doc)
+        want = [["error", "", ""] if sp.result is None else
+                [sp.result.verdict, fmt_float(sp.result.ks_distance),
+                 fmt_float(sp.result.logz_slope)]
+                for sp in sweep(cfg["params"], cfg["grid"], cfg["steps"],
+                                cfg["burn_in"], cfg["n_seeds"], cfg["seed"])]
+        assert want[0][1] == "nan" and want[3][0] == "error"
+        # --threads below 1 counts as 1.
+        for threads in ("1", "2", "0"):
+            out = tmp_path / threads
+            res = runner.invoke(main, ["sweep", "--config",
+                                       write_config(tmp_path, doc),
+                                       "--out", str(out), "--threads", threads])
+            assert res.exit_code == 0, res.output
+            assert [r[3:6] for r in read_csv(out / "verdicts.csv")[1:]] == want
+
+    def test_seeds_used_column(self, runner, tmp_path):
+        # At lambda=0.5, mu=0.4 the backlog underflows to 0 inside the fit
+        # window on one of these four growth seeds (see test_sweep.py).
+        cfg = self.sweep_config(tmp_path, [0.4, 0.9], steps=2_000,
+                                burn_in=200, seed=0)
+        out = tmp_path / "out"
+        res = runner.invoke(main, ["sweep", "--config", cfg, "--out", str(out)])
+        assert res.exit_code == 0, res.output
+        assert [r[6] for r in read_csv(out / "verdicts.csv")[1:]] == ["3", "0"]
 
     def test_empty_grid_exit_2(self, runner, tmp_path):
         cfg = write_config(tmp_path, {"params": P0, "grid": {}})
@@ -360,6 +384,7 @@ DRIFT = {"params": P0, "mc_samples": 100}
     ("simulate", dict(SIM, steps=10**12)),
     ("sweep", dict(SWEEP, steps=10**12)),
     ("drift", dict(DRIFT, per_region=1, mc_samples=10**12)),
+    ("drift", dict(DRIFT, per_region=10**12)),
 ], ids=["steps-le-burn-in", "zero-steps", "zero-record-every",
         "negative-z0", "grid-string", "grid-numeric-string", "zero-seeds",
         "sweep-burn-in-ge-steps", "point-string", "point-null",
@@ -371,7 +396,8 @@ DRIFT = {"params": P0, "mc_samples": 100}
         "simulate-negative-seed", "sweep-negative-seed", "drift-negative-seed",
         "simulate-negative-seed-option", "sweep-negative-seed-option",
         "drift-negative-seed-option", "simulate-steps-over-limit",
-        "sweep-steps-over-limit", "drift-mc-samples-over-limit"])
+        "sweep-steps-over-limit", "drift-mc-samples-over-limit",
+        "drift-per-region-over-limit"])
 def test_invalid_config_exit_2_one_line(runner, tmp_path, command, doc):
     cfg = write_config(tmp_path, doc)
     res = runner.invoke(main, [*command.split(), "--config", cfg,
@@ -386,6 +412,11 @@ def test_draw_limit_is_inclusive_and_named():
     assert parse_simulate(dict(SIM, steps=MAX_DRAWS))["steps"] == MAX_DRAWS
     with pytest.raises(ConfigError, match=f"'steps' must be <= {MAX_DRAWS}$"):
         parse_simulate(dict(SIM, steps=MAX_DRAWS + 1))
+    doc = dict(DRIFT, per_region=MAX_PER_REGION)
+    assert parse_drift(doc)["per_region"] == MAX_PER_REGION
+    with pytest.raises(ConfigError,
+                       match=f"'per_region' must be <= {MAX_PER_REGION}$"):
+        parse_drift(dict(doc, per_region=MAX_PER_REGION + 1))
 
 
 def test_two_mc_samples_accepted(runner, tmp_path):

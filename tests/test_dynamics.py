@@ -225,6 +225,21 @@ class TestKernelMatchesMatrixTable:
                 assert bits(out_r[1], out_z[1]) == want
                 assert bits(*step(p, x, n)[0]) == want
 
+    @pytest.mark.parametrize("r", [math.nan, math.inf, -math.inf])
+    def test_one_step_bitwise_at_non_finite_reserve(self, r):
+        # The guard stops a run after an infinite state, but that state is
+        # still written; a NaN reserve passes the guard and steps as D4.
+        rng = np.random.default_rng(44)
+        for _ in range(100):
+            p = random_params(rng)
+            for z in [0.0, float(rng.uniform(0.0, 50.0))]:
+                n = float(rng.normal(0.0, p.sigma))
+                out_r, out_z = np.empty(2), np.empty(2)
+                iterate(p, r, z, [n], out_r, out_z)
+                want = bits(*step_matrix(p, (r, z), n))
+                assert bits(out_r[1], out_z[1]) == want
+                assert bits(*step(p, (r, z), n)[0]) == want
+
     def test_trajectory_bitwise(self):
         # A kernel run equals step_matrix applied one step at a time.
         rng = np.random.default_rng(42)

@@ -64,7 +64,7 @@ GOLDEN = {
         "geometry.json":
             "d46143dd278f30be5cf909e42faea7c6490d6f16beb61a3f8b966753f848d431",
         "verdicts.csv":
-            "ce1c08d0eb040a6e902e8914bbdc7987e5722ecdf2f9f613c9d37bdfbedf2db9",
+            "3b350072b4a4c2a3322f57cdaa119055d0a3707d7568e525701f7e114b97770c",
     },
 }
 
