@@ -3,6 +3,11 @@
 Every config document is a single JSON object.  Unknown keys are rejected
 at every level so that a typo in a parameter name fails loudly instead of
 silently falling back to a default.
+
+Each ``parse_<command>`` returns ``(config, echo)``.  The echo holds every
+key the parser took, as given or as defaulted, so it is itself a config
+document that parses to the same run.  A value the model types reject
+raises their ``ValueError``, which the CLI reports as a config error.
 """
 
 from __future__ import annotations
@@ -16,7 +21,8 @@ from typing import Any, Iterable
 
 from .dynamics import Params, validate_params
 from .errors import ConfigError
-from .thermal import Building, ThermalScenario
+from .montecarlo import SimConfig, check_horizon
+from .thermal import Building, ThermalScenario, check_heat_pump
 
 _MISSING = object()
 
@@ -47,20 +53,27 @@ def _pair(v: Any, where: str) -> tuple[float, float]:
 
 
 class _Section:
-    """One JSON object with take-or-fail key access."""
+    """One JSON object with take-or-fail key access.
+
+    ``echo`` records each key taken, with its value as given or its default.
+    """
 
     def __init__(self, data: Any, path: str):
         if not isinstance(data, dict):
             raise ConfigError(f"{path}: expected a JSON object")
         self._data = dict(data)
         self._path = path
+        self.echo: dict[str, Any] = {}
 
     def take(self, key: str, default: Any = _MISSING) -> Any:
         if key in self._data:
-            return self._data.pop(key)
-        if default is _MISSING:
+            v = self._data.pop(key)
+        elif default is _MISSING:
             raise ConfigError(f"{self._path}: missing required field '{key}'")
-        return default
+        else:
+            v = default
+        self.echo[key] = v
+        return v
 
     def take_number(self, key: str, default: Any = _MISSING) -> float:
         v = self.take(key, default)
@@ -84,12 +97,16 @@ class _Section:
         return v
 
     def section(self, key: str) -> "_Section":
-        return _Section(self.take(key), f"{self._path}.{key}")
+        sec = _Section(self.take(key), f"{self._path}.{key}")
+        self.echo[key] = sec.echo
+        return sec
 
-    def finish(self) -> None:
+    def finish(self) -> dict[str, Any]:
+        """Reject any key left untaken; return the echo."""
         if self._data:
             extra = ", ".join(sorted(self._data))
             raise ConfigError(f"{self._path}: unknown field(s): {extra}")
+        return self.echo
 
 
 def load_json(path: str | Path) -> dict:
@@ -116,27 +133,29 @@ def parse_params(sec: _Section) -> Params:
         sigma=p.take_number("sigma"),
     )
     p.finish()
-    try:
-        return validate_params(**vals)
-    except ValueError as exc:
-        raise ConfigError(str(exc))
+    return validate_params(**vals)
 
 
-def parse_simulate(doc: dict, path: str = "config") -> dict:
+def parse_regions(doc: dict, path: str = "config") -> tuple[Params, dict]:
     sec = _Section(doc, path)
-    out = {
-        "params": parse_params(sec),
-        "x0": _pair(sec.take("x0"), "field 'x0'"),
-        "steps": sec.take_int("steps", most=MAX_DRAWS),
-        "burn_in": sec.take_int("burn_in", 0),
-        "seed": sec.take_int("seed", 0, least=0),
-        "record_every": sec.take_int("record_every", 1),
-    }
-    sec.finish()
-    return out
+    return parse_params(sec), sec.finish()
 
 
-def parse_drift(doc: dict, path: str = "config") -> dict:
+def parse_simulate(doc: dict, path: str = "config") -> tuple[SimConfig, dict]:
+    sec = _Section(doc, path)
+    fields = dict(
+        params=parse_params(sec),
+        x0=_pair(sec.take("x0"), "field 'x0'"),
+        steps=sec.take_int("steps", most=MAX_DRAWS),
+        burn_in=sec.take_int("burn_in", 0),
+        seed=sec.take_int("seed", 0, least=0),
+        record_every=sec.take_int("record_every", 1),
+    )
+    echo = sec.finish()
+    return SimConfig(**fields), echo
+
+
+def parse_drift(doc: dict, path: str = "config") -> tuple[dict, dict]:
     sec = _Section(doc, path)
     params = parse_params(sec)
     points = sec.take("points", None)
@@ -155,13 +174,13 @@ def parse_drift(doc: dict, path: str = "config") -> dict:
                                    most=MAX_DRAWS),
         "seed": sec.take_int("seed", 0, least=0),
     }
-    sec.finish()
+    echo = sec.finish()
     if out["points"] is None and out["per_region"] <= 0:
         raise ConfigError(f"{path}: provide 'points' or a positive 'per_region'")
-    return out
+    return out, echo
 
 
-def parse_sweep(doc: dict, path: str = "config") -> dict:
+def parse_sweep(doc: dict, path: str = "config") -> tuple[dict, dict]:
     sec = _Section(doc, path)
     params = parse_params(sec)
     grid_sec = sec.section("grid")
@@ -192,23 +211,21 @@ def parse_sweep(doc: dict, path: str = "config") -> dict:
         "ks_threshold": sec.take_number("ks_threshold", 0.05),
         "slope_threshold": sec.take_number("slope_threshold", 0.03),
     }
-    sec.finish()
-    if not out["steps"] > out["burn_in"] >= 0:
-        raise ConfigError(f"{path}: need steps > burn_in >= 0")
-    return out
+    echo = sec.finish()
+    check_horizon(out["steps"], out["burn_in"])
+    return out, echo
 
 
-def parse_thermal(doc: dict, path: str = "scenario") -> tuple[Building, ThermalScenario]:
+def parse_thermal(doc: dict, path: str = "scenario"
+                  ) -> tuple[tuple[Building, ThermalScenario], dict]:
+    """The building and scenario; ``eps_prime`` selects the heat-pump variant."""
     sec = _Section(doc, path)
     bsec = sec.section("building")
-    try:
-        building = Building(
-            k_leak=bsec.take_number("k_leak"),
-            c_inertia=bsec.take_number("c_inertia"),
-            eps=bsec.take_number("eps"),
-        )
-    except ValueError as exc:
-        raise ConfigError(f"{path}.building: {exc}")
+    building = Building(
+        k_leak=bsec.take_number("k_leak"),
+        c_inertia=bsec.take_number("c_inertia"),
+        eps=bsec.take_number("eps"),
+    )
     bsec.finish()
     theta = sec.take("theta")
     demand = sec.take("demand")
@@ -227,12 +244,11 @@ def parse_thermal(doc: dict, path: str = "scenario") -> tuple[Building, ThermalS
         frustration=None if frustration is None else [float(v) for v in frustration],
         eps_prime=sec.take_number("eps_prime", None),
     )
-    sec.finish()
-    try:
-        scenario = ThermalScenario(**kwargs)
-    except ValueError as exc:
-        raise ConfigError(f"{path}: {exc}")
-    return building, scenario
+    echo = sec.finish()
+    scenario = ThermalScenario(**kwargs)
+    if scenario.eps_prime is not None:
+        check_heat_pump(building, scenario)
+    return (building, scenario), echo
 
 
 def fmt_float(x: float) -> str:

@@ -87,16 +87,9 @@ class Params:
     regime: Regime
 
     def as_dict(self) -> dict:
-        return {
-            "lambda": self.lam,
-            "mu": self.mu,
-            "zeta": self.zeta,
-            "xi": self.xi,
-            "r_star": self.r_star,
-            "sigma": self.sigma,
-            "gamma": self.gamma,
-            "regime": self.regime.value,
-        }
+        """The six constants under their config ``params`` keys."""
+        return {"lambda": self.lam, "mu": self.mu, "zeta": self.zeta,
+                "xi": self.xi, "r_star": self.r_star, "sigma": self.sigma}
 
 
 State = tuple[float, float]  # (r, z) with z >= 0

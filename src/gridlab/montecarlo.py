@@ -53,9 +53,15 @@ QUANTILES = (0.05, 0.25, 0.5, 0.75, 0.95)
 KS_THRESHOLD = 0.05
 SLOPE_THRESHOLD = 0.03
 
-# Default launch state for growth-rate probes: deep in the frustrated
-# region, where the unstable mode (eigenvalue 1 - mu of A1) is excited.
+# Launch state for growth-rate probes: deep in the frustrated region,
+# where the unstable mode (eigenvalue 1 - mu of A1) is excited.
 GROWTH_X0 = (-100.0, 50.0)
+
+
+def check_horizon(steps: int, burn_in: int) -> None:
+    """The horizon rule every chain run obeys: steps > burn_in >= 0."""
+    if not steps > burn_in >= 0:
+        raise ValueError("need steps > burn_in >= 0")
 
 
 @dataclass(frozen=True)
@@ -68,8 +74,7 @@ class SimConfig:
     record_every: int = 1
 
     def __post_init__(self):
-        if self.steps <= self.burn_in or self.burn_in < 0:
-            raise ValueError("need steps > burn_in >= 0")
+        check_horizon(self.steps, self.burn_in)
         if self.record_every < 1:
             raise ValueError("record_every must be >= 1")
         if self.x0[1] < 0.0:
@@ -235,6 +240,7 @@ def two_chain_convergence(p: Params, x0a: State, x0b: State, steps: int,
     Empirical proxy for total-variation convergence to a unique
     stationary law; meaningful for mu > 0 but runs for any parameters.
     """
+    check_horizon(steps, burn_in)
     ra, _ = _run_chain(p, x0a, steps, stream(seed, 0))
     # Identical initial conditions share the stream, so the distance is
     # exactly 0 (a determinism check); distinct ones get independent noise.
@@ -280,6 +286,8 @@ def hitting_probability(p: Params, x0: State,
 
     target is (r_min, r_max, z_min, z_max), boundaries inclusive.
     """
+    if n_seeds < 1:
+        raise ValueError("n_seeds must be >= 1")
     r_lo, r_hi, z_lo, z_hi = target
     hits = 0
     for k in range(n_seeds):
@@ -315,8 +323,7 @@ class SweepPoint:
 
 
 def _verdict(p: Params, seed: int, steps: int, burn_in: int, n_seeds: int,
-             ks_threshold: float, slope_threshold: float,
-             growth_x0: State) -> StabilityVerdict:
+             ks_threshold: float, slope_threshold: float) -> StabilityVerdict:
     try:
         ks = two_chain_convergence(p, (0.0, 0.0), (-50.0, 100.0),
                                    steps, burn_in, seed)
@@ -325,7 +332,7 @@ def _verdict(p: Params, seed: int, steps: int, burn_in: int, n_seeds: int,
 
     t_hi = min(500, steps)
     try:
-        growth = growth_slope(p, growth_x0, t_hi * 2 // 5, t_hi, n_seeds, seed + 1)
+        growth = growth_slope(p, GROWTH_X0, t_hi * 2 // 5, t_hi, n_seeds, seed + 1)
         slope = growth.median_slope
         seeds_used = n_seeds - growth.excluded
         diverged = False
@@ -376,23 +383,28 @@ def sweep(base: Params, grid: list[dict[str, float]], steps: int,
           burn_in: int, n_seeds: int = 16, seed: int = 0,
           ks_threshold: float = KS_THRESHOLD,
           slope_threshold: float = SLOPE_THRESHOLD,
-          growth_x0: State = GROWTH_X0, workers: int = 1) -> list[SweepPoint]:
+          workers: int = 1) -> list[SweepPoint]:
     """Evaluate a stability verdict at each grid point.
 
     grid is a list of parameter overrides (keys among lambda, mu, zeta,
     xi, r_star, sigma).  Each point gets a seed derived from (seed, index),
     so results do not depend on evaluation order or worker count.
-    Per-point failures are recorded and the sweep continues.
+    Per-point failures are recorded and the sweep continues; a horizon
+    that breaks :func:`check_horizon` or n_seeds < 1 raises ValueError
+    before any point runs.
 
     With workers > 1 the points run in a pool of at most one process per
     point; below 2, in this process.  Rows come back in grid order.  The
     pool uses the platform's default start method, which forks on Linux:
     a caller that runs threads of its own should keep workers=1.
     """
+    check_horizon(steps, burn_in)
+    if n_seeds < 1:
+        raise ValueError("n_seeds must be >= 1")
     point = partial(_sweep_point, base=base, seed=seed, steps=steps,
                     burn_in=burn_in, n_seeds=n_seeds,
                     ks_threshold=ks_threshold,
-                    slope_threshold=slope_threshold, growth_x0=growth_x0)
+                    slope_threshold=slope_threshold)
     n_workers = min(workers, len(grid))
     if n_workers < 2:
         return list(map(point, range(len(grid)), grid))

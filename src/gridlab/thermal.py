@@ -171,6 +171,13 @@ def run_heat_pump_scenario(b: Building, s: ThermalScenario) -> EvaporationLedger
     Only the fully frustrated case is supported; a scenario supplying a
     partial frustration schedule is rejected.
     """
+    check_heat_pump(b, s)
+    frustration = list(s.demand[:s.tau - 1])
+    return _ledger(b, s, frustration, s.eps_prime, extra_cop_term=True)
+
+
+def check_heat_pump(b: Building, s: ThermalScenario) -> None:
+    """Raise ValueError unless the heat-pump variant covers this scenario."""
     if s.eps_prime is None:
         raise ValueError("eps_prime must be set for the heat-pump variant")
     if not 0.0 < s.eps_prime <= b.eps:
@@ -180,8 +187,6 @@ def run_heat_pump_scenario(b: Building, s: ThermalScenario) -> EvaporationLedger
             if f != d:
                 raise ValueError(
                     "heat-pump variant requires full frustration F(t) == demand(t)")
-    frustration = list(s.demand[:s.tau - 1])
-    return _ledger(b, s, frustration, s.eps_prime, extra_cop_term=True)
 
 
 def affine_cop(b: Building, c: float, t_star_tau: float, t_prev: float) -> float:

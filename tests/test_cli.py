@@ -94,20 +94,6 @@ class TestSimulate:
         manifest = json.loads((out_b / "manifest.json").read_text())
         assert manifest["config"]["seed"] == 8
 
-    def test_manifest_echo_reparses_identically(self, runner, tmp_path):
-        cfg_doc = {"params": P0, "x0": [0.0, 0.0], "steps": 300, "seed": 3}
-        cfg = write_config(tmp_path, cfg_doc)
-        out_a = tmp_path / "a"
-        assert runner.invoke(main, ["simulate", "--config", cfg,
-                                    "--out", str(out_a)]).exit_code == 0
-        echoed = json.loads((out_a / "manifest.json").read_text())["config"]
-        cfg2 = write_config(tmp_path, echoed, "echo.json")
-        out_b = tmp_path / "b"
-        assert runner.invoke(main, ["simulate", "--config", cfg2,
-                                    "--out", str(out_b)]).exit_code == 0
-        assert (out_a / "trajectory.csv").read_bytes() \
-            == (out_b / "trajectory.csv").read_bytes()
-
     def test_missing_field_exit_2(self, runner, tmp_path):
         bad = {k: v for k, v in P0.items() if k != "sigma"}
         cfg = write_config(tmp_path, {"params": bad, "x0": [0, 0], "steps": 10})
@@ -247,7 +233,7 @@ class TestSweep:
     def test_rows_equal_library_sweep(self, runner, tmp_path):
         doc = {"params": P0, "grid": {"mu": [-0.6, -0.1, 0.1, 0.9]},
                "steps": 2_000, "burn_in": 200, "n_seeds": 3, "seed": 5}
-        cfg = parse_sweep(doc)
+        cfg, _ = parse_sweep(doc)
         want = [["error", "", ""] if sp.result is None else
                 [sp.result.verdict, fmt_float(sp.result.ks_distance),
                  fmt_float(sp.result.logz_slope)]
@@ -292,20 +278,14 @@ class TestThermal:
         assert ledger["identity_residual"] < 1e-9
 
     def test_heat_pump(self, runner, tmp_path):
+        # eps_prime alone selects the heat-pump variant.
         cfg = write_config(tmp_path, dict(B0_SCENARIO, eps_prime=2.0))
         out = tmp_path / "out"
-        res = runner.invoke(main, ["thermal", "--config", cfg,
-                                   "--out", str(out), "--mode", "heat-pump"])
+        res = runner.invoke(main, ["thermal", "--config", cfg, "--out", str(out)])
         assert res.exit_code == 0, res.output
         ledger = json.loads((out / "ledger.json").read_text())
+        assert ledger["mode"] == "heat-pump"
         assert ledger["delta_z"] == pytest.approx(1.065, rel=1e-9)
-
-    def test_heat_pump_without_eps_prime_exit_2(self, runner, tmp_path):
-        cfg = write_config(tmp_path, B0_SCENARIO)
-        res = runner.invoke(main, ["thermal", "--config", cfg,
-                                   "--out", str(tmp_path / "o"),
-                                   "--mode", "heat-pump"])
-        assert res.exit_code == 2
 
 
 class TestRegions:
@@ -373,6 +353,9 @@ DRIFT = {"params": P0, "mc_samples": 100}
     ("thermal", dict(B0_SCENARIO, t0_temp=NAN)),
     ("thermal", dict(B0_SCENARIO,
                      building=dict(B0_SCENARIO["building"], k_leak=INF))),
+    # The heat-pump variant needs 0 < eps_prime <= eps and full frustration.
+    ("thermal", dict(B0_SCENARIO, eps_prime=4.0)),
+    ("thermal", dict(B0_SCENARIO, eps_prime=2.0, frustration=[0.5, 0.5])),
     # A seed is non-negative, in the config and as --seed alike.
     ("simulate", dict(SIM, seed=-1)),
     ("sweep", dict(SWEEP, seed=-1)),
@@ -393,6 +376,7 @@ DRIFT = {"params": P0, "mc_samples": 100}
         "grid-nan", "grid-neg-inf", "ks-threshold-nan", "slope-threshold-inf",
         "point-nan", "point-neg-inf", "theta-nan", "demand-inf",
         "frustration-nan", "t0-temp-nan", "building-inf",
+        "eps-prime-above-eps", "heat-pump-partial-frustration",
         "simulate-negative-seed", "sweep-negative-seed", "drift-negative-seed",
         "simulate-negative-seed-option", "sweep-negative-seed-option",
         "drift-negative-seed-option", "simulate-steps-over-limit",
@@ -409,11 +393,11 @@ def test_invalid_config_exit_2_one_line(runner, tmp_path, command, doc):
 
 
 def test_draw_limit_is_inclusive_and_named():
-    assert parse_simulate(dict(SIM, steps=MAX_DRAWS))["steps"] == MAX_DRAWS
+    assert parse_simulate(dict(SIM, steps=MAX_DRAWS))[0].steps == MAX_DRAWS
     with pytest.raises(ConfigError, match=f"'steps' must be <= {MAX_DRAWS}$"):
         parse_simulate(dict(SIM, steps=MAX_DRAWS + 1))
     doc = dict(DRIFT, per_region=MAX_PER_REGION)
-    assert parse_drift(doc)["per_region"] == MAX_PER_REGION
+    assert parse_drift(doc)[0]["per_region"] == MAX_PER_REGION
     with pytest.raises(ConfigError,
                        match=f"'per_region' must be <= {MAX_PER_REGION}$"):
         parse_drift(dict(doc, per_region=MAX_PER_REGION + 1))

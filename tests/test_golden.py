@@ -17,6 +17,11 @@ from gridlab.cli import main
 P0 = {"lambda": 0.5, "mu": 0.1, "zeta": 1.0, "xi": 1.0, "r_star": 3.0,
       "sigma": 1.0}
 
+B0_SCENARIO = {
+    "building": {"k_leak": 1.0, "c_inertia": 9.0, "eps": 3.0},
+    "theta": [0.0, 0.0, 0.0], "demand": [1.0, 1.0, 1.0], "t0_temp": 3.0,
+    "tau": 3}
+
 # Explicit drift points include each breakpoint 0, r*-zeta and r*+xi.
 CASES = {
     "simulate": ("simulate", {
@@ -35,6 +40,8 @@ CASES = {
         "steps": 3000, "burn_in": 300, "n_seeds": 3, "seed": 2}),
     "regions": ("regions", {"params": P0}),
     "regions-negative-mu": ("regions", {"params": dict(P0, mu=-0.1)}),
+    "thermal": ("thermal", B0_SCENARIO),
+    "thermal-heat-pump": ("thermal", dict(B0_SCENARIO, eps_prime=2)),
 }
 
 GOLDEN = {
@@ -66,6 +73,14 @@ GOLDEN = {
         "verdicts.csv":
             "3b350072b4a4c2a3322f57cdaa119055d0a3707d7568e525701f7e114b97770c",
     },
+    "thermal": {
+        "ledger.json":
+            "3fe4ccae78b2bd4327148b0ce5158e670f1de30a13b461e9477b19304bd0c099",
+    },
+    "thermal-heat-pump": {
+        "ledger.json":
+            "bca8b4f30a5eedd92c09344339f3a78872d7554d430533d2977456e6c901dba3",
+    },
 }
 
 
@@ -74,17 +89,29 @@ def output_digests(out):
             for f in sorted(out.iterdir()) if f.name != "manifest.json"}
 
 
-def run_case(name, tmp_path):
-    command, doc = CASES[name]
-    cfg = tmp_path / "config.json"
+def run_command(command, doc, run_dir):
+    run_dir.mkdir()
+    cfg = run_dir / "config.json"
     cfg.write_text(json.dumps(doc))
-    out = tmp_path / "out"
+    out = run_dir / "out"
     res = CliRunner().invoke(main, [command, "--config", str(cfg),
                                     "--out", str(out)])
     assert res.exit_code == 0, res.output
-    return output_digests(out)
+    return out
 
 
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_golden_digests(name, tmp_path):
-    assert run_case(name, tmp_path) == GOLDEN[name]
+    command, doc = CASES[name]
+    assert output_digests(run_command(command, doc, tmp_path / "a")) \
+        == GOLDEN[name]
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_manifest_echo_reruns_identically(name, tmp_path):
+    """A manifest's ``config`` is itself a config that gives the same run."""
+    command, doc = CASES[name]
+    out = run_command(command, doc, tmp_path / "a")
+    echo = json.loads((out / "manifest.json").read_text())["config"]
+    assert output_digests(run_command(command, echo, tmp_path / "b")) \
+        == GOLDEN[name]

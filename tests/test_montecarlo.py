@@ -133,6 +133,12 @@ class TestTwoChainConvergence:
         d = two_chain_convergence(p0, (0.0, 0.0), (-5.0, 10.0), 5000, 500, seed=10)
         assert 0.0 <= d <= 1.0
 
+    @pytest.mark.parametrize("steps, burn_in", [(100, 100), (100, 200)])
+    def test_empty_or_one_sample_window_raises(self, p0, steps, burn_in):
+        with pytest.raises(ValueError, match="steps > burn_in >= 0"):
+            two_chain_convergence(p0, (0.0, 0.0), (1.0, 1.0), steps, burn_in,
+                                  seed=0)
+
 
 class TestKSStatistic:
     """The private KS distance against scipy.stats, bit for bit."""
@@ -215,6 +221,11 @@ class TestHittingProbability:
                                           (0.0, 6.0, 0.0, 10.0),
                                           horizon=2000, n_seeds=32, seed=14)
         assert est > 0.9
+
+    def test_zero_seeds_raises(self, p0):
+        with pytest.raises(ValueError, match="n_seeds must be >= 1"):
+            hitting_probability(p0, (0.0, 0.0), (0.0, 1.0, 0.0, 1.0),
+                                horizon=10, n_seeds=0)
 
     def test_unreachable_box(self, p0):
         est, stderr = hitting_probability(p0, (0.0, 0.0),

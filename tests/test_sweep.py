@@ -1,4 +1,6 @@
-"""The sweep's worker pool and its per-point seed accounting."""
+"""The sweep's argument checks, worker pool and per-point seed accounting."""
+
+import pytest
 
 import gridlab.montecarlo
 from gridlab import growth_slope, sweep, validate_params
@@ -6,6 +8,16 @@ from gridlab.montecarlo import GROWTH_X0
 from gridlab.rng import point_seed
 
 GRID = [{"mu": -0.6}, {"mu": -0.1}, {"mu": 0.1}, {"mu": 0.9}]
+
+
+@pytest.mark.parametrize("steps, burn_in, n_seeds", [
+    (100, 200, 2), (100, 100, 2), (100, -1, 2), (100, 10, 0)],
+    ids=["burn-in-over-steps", "burn-in-equals-steps", "negative-burn-in",
+         "zero-seeds"])
+def test_bad_horizon_or_seed_count_raises(p0, steps, burn_in, n_seeds):
+    # Per-point errors become rows; these must raise before any point runs.
+    with pytest.raises(ValueError, match="steps > burn_in >= 0|n_seeds"):
+        sweep(p0, GRID, steps=steps, burn_in=burn_in, n_seeds=n_seeds)
 
 
 def test_workers_do_not_change_rows(p0):
