@@ -6,10 +6,10 @@ backlogged demand.  On each of the four reserve intervals D1..D4, cut at
 with N a Gaussian noise draw supplied by the caller.
 
 Only this module knows the map, and it has two routes: the branch kernel
-``iterate``, which ``step`` and every Monte Carlo trajectory run, and the
-matrix table ``affine_piece``, which ``step_matrix`` and the drift routes
-evaluate.  Tests pin the two to each other bit for bit, breakpoints
-included.
+``iterate``, which ``step`` and every single-chain Monte Carlo run use,
+and the matrix table ``affine_piece``, which ``step_matrix``, the drift
+routes and the lockstep kernel ``iterate_columns`` evaluate.  Tests pin
+the routes to each other bit for bit, breakpoints included.
 """
 
 from __future__ import annotations
@@ -39,6 +39,7 @@ __all__ = [
     "frustrated_demand",
     "expressed_backlog",
     "iterate",
+    "iterate_columns",
     "step",
     "step_matrix",
     "affine_piece",
@@ -50,6 +51,11 @@ OVERFLOW_GUARD = 1e300
 
 # Noise steps that iterate converts to Python floats at a time.
 KERNEL_BLOCK = 4096
+
+# Chains that callers of iterate_columns advance at a time: enough to
+# spread numpy's per-call cost, few enough that one block's noise and
+# states (about 3 MB at 500 steps) leave peak RSS where it was.
+COLUMN_BLOCK = 256
 
 
 class Regime(str, enum.Enum):
@@ -253,6 +259,72 @@ def iterate(p: Params, r0: float, z0: float, noise, out_r, out_z) -> int:
             if abs(r) > guard or z > guard:
                 return t
     return -1
+
+
+def iterate_columns(ps, r0, z0, noise, out_r, out_z) -> np.ndarray:
+    """Run one chain per column in lockstep, column c with params ps[c].
+
+    noise has shape (steps, K) and out_r/out_z shape (steps + 1, K), with
+    K = len(ps); r0 and z0 are the start states, scalars or K values.
+    Column c gets the states that ``iterate(ps[c], r0[c], z0[c],
+    noise[:, c], ...)`` writes, and the returned array holds, per column,
+    what that call returns: -1, or the index of the first state beyond
+    OVERFLOW_GUARD.  (One exception: a Z of -0.0 outside D1 steps to +0.0
+    here, as in step_matrix, where iterate keeps -0.0.)  Past that index
+    a column steps on, with numpy's overflow and invalid warnings off, so
+    its later rows are no result.
+
+    Each step gathers every column's piece of :func:`affine_piece` by its
+    region and evaluates it as :func:`step_matrix` does.
+    """
+    k = len(ps)
+    out_r[0] = r0
+    out_z[0] = z0
+    if len(noise) == 0:
+        return np.full(k, -1)
+    # The table is built once per distinct Params (a sweep's seeds share
+    # them).  Row 4c + j holds column c's piece for the region with j of
+    # its breakpoints above the reserve: D4, D3, D2, D1 for j = 0..3.  A
+    # NaN reserve is above none of them and lands in D4, as in
+    # region_codes.
+    distinct: dict[Params, int] = {}
+    col = [distinct.setdefault(p, len(distinct)) for p in ps]
+    pieces = np.array([[(*piece.a[0], *piece.a[1], *piece.b)
+                        for piece in (affine_piece(p, region)
+                                      for region in reversed(_REGIONS))]
+                       for p in distinct])
+    table = pieces[col].reshape(4 * k, 6)
+    cuts = np.array([breakpoints(p) for p in distinct])[col].T.copy()
+    first_row = np.arange(0, 4 * k, 4)
+    above = np.empty((3, k), dtype=bool)
+    count = above.view(np.uint8)
+    j = np.empty(k, dtype=np.uint8)
+    rows = np.empty(k, dtype=np.intp)
+    term = np.empty(k)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for t in range(1, len(noise) + 1):
+            r, z, rp, zp = out_r[t - 1], out_z[t - 1], out_r[t], out_z[t]
+            np.greater(cuts, r, out=above)
+            np.add(count[0], count[1], out=j)
+            np.add(j, count[2], out=j)
+            np.add(first_row, j, out=rows)
+            a00, a01, a10, a11, b0, b1 = table.take(rows, axis=0).T
+            np.multiply(a00, r, out=rp)
+            np.multiply(a01, z, out=term)
+            rp += term
+            rp += b0
+            rp += noise[t - 1]
+            np.multiply(a11, z, out=zp)
+            # step_matrix drops a zero a10 term, which keeps Z finite past
+            # a NaN reserve.
+            np.multiply(a10, r, out=term)
+            np.add(term, zp, out=zp, where=a10 != 0.0)
+            zp += b1
+    beyond = out_r[1:] > OVERFLOW_GUARD  # |R| > guard without an abs() copy
+    beyond |= out_r[1:] < -OVERFLOW_GUARD
+    beyond |= out_z[1:] > OVERFLOW_GUARD
+    first = beyond.argmax(axis=0)
+    return np.where(beyond[first, np.arange(k)], first + 1, -1)
 
 
 def step(p: Params, x: State, n: float, t: int = 0) -> tuple[State, StepRecord]:

@@ -9,18 +9,21 @@ from __future__ import annotations
 
 import math
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import partial
+from itertools import islice
 
 import numpy as np
 
 from .dynamics import (
+    COLUMN_BLOCK,
     Params,
     Region,
     State,
     expressed_backlog,
     frustrated_demand,
     iterate,
+    iterate_columns,
     ramp_control,
     region_codes,
     step_matrix,
@@ -157,6 +160,8 @@ def monotone_violations(p: Params, x0: State, steps: int,
     Returns (violations, steps_simulated); the count covers the prefix up
     to the overflow guard if the chain diverges (expected for mu <= -lam).
     """
+    if steps < 0:
+        raise ValueError("steps must be >= 0")
     r, z, bad = _run_chain_raw(p, x0, steps, stream(seed))
     end = steps + 1 if bad < 0 else bad + 1
     viol = int(np.count_nonzero(np.diff(z[:end]) < 0.0))
@@ -256,26 +261,87 @@ class GrowthResult:
     excluded: int            # seeds with Z == 0 somewhere in the window
 
 
+def _check_growth(t_lo: int, t_hi: int, n_seeds: int) -> None:
+    """The growth probe's argument rule: n_seeds >= 1 and 0 <= t_lo < t_hi."""
+    if n_seeds < 1:
+        raise ValueError("n_seeds must be >= 1")
+    if t_lo < 0:
+        raise ValueError("t_lo must be >= 0")
+    if t_hi <= t_lo:
+        raise ValueError("t_hi must be > t_lo")
+
+
+def _growth_block(columns: list[tuple[Params, int, int]], x0: State, t_lo: int,
+                  t_hi: int) -> list[float | SimulationDiverged | None]:
+    """Run and fit one block of (params, seed, k) growth columns in lockstep.
+
+    Each column gets the slope of its fit, None when its backlog touches 0
+    in the window, or the SimulationDiverged of its guard step.  The
+    block's arrays are freed on return, before the next block draws.
+    """
+    noise = np.empty((t_hi, len(columns)))
+    for c, (p, seed, k) in enumerate(columns):
+        noise[:, c] = gaussian(stream(seed, k), t_hi, p.sigma)
+    out_r = np.empty((t_hi + 1, len(columns)))
+    out_z = np.empty((t_hi + 1, len(columns)))
+    guard = iterate_columns([p for p, _, _ in columns], x0[0], x0[1], noise,
+                            out_r, out_z)
+    # One contiguous row per column, the layout each fit had when every
+    # seed ran alone.
+    windows = out_z[t_lo:].T.copy()
+    touches_zero = (windows <= 0.0).any(axis=1)
+    ts = np.arange(t_lo, t_hi + 1)
+    fits: list[float | SimulationDiverged | None] = []
+    for c, bad in enumerate(guard.tolist()):
+        if bad >= 0:
+            fits.append(SimulationDiverged(bad, (out_r[bad, c], out_z[bad, c])))
+        elif touches_zero[c]:
+            fits.append(None)
+        else:
+            fits.append(float(np.polyfit(ts, np.log(windows[c]), 1)[0]))
+    return fits
+
+
+def _growth_probe(points: list[tuple[Params, int]], x0: State, t_lo: int,
+                  t_hi: int, n_seeds: int) -> list[GrowthResult | SimulationDiverged]:
+    """The growth probe of every (params, seed) point, in lockstep.
+
+    Seed k of a point draws its noise from ``stream(seed, k)``.  All
+    points' seeds run as columns of :func:`iterate_columns`,
+    ``COLUMN_BLOCK`` at a time, so no result depends on the block size
+    or on the other points.  A point's entry is its :class:`GrowthResult`,
+    or the :class:`SimulationDiverged` of its lowest seed that passed the
+    guard.
+    """
+    _check_growth(t_lo, t_hi, n_seeds)
+    columns = ((p, seed, k) for p, seed in points for k in range(n_seeds))
+    fits = []
+    while block := list(islice(columns, COLUMN_BLOCK)):
+        fits += _growth_block(block, x0, t_lo, t_hi)
+    results = []
+    for lo in range(0, len(fits), n_seeds):
+        seeds = fits[lo:lo + n_seeds]
+        diverged = [f for f in seeds if isinstance(f, SimulationDiverged)]
+        slopes = tuple(f for f in seeds if isinstance(f, float))
+        results.append(diverged[0] if diverged else GrowthResult(
+            float(np.median(slopes)) if slopes else float("nan"), slopes,
+            seeds.count(None)))
+    return results
+
+
 def growth_slope(p: Params, x0: State, t_lo: int, t_hi: int,
                  n_seeds: int, seed: int = 0) -> GrowthResult:
     """Median least-squares slope of log Z(t) over [t_lo, t_hi].
 
     Seeds whose backlog touches 0 inside the window (log undefined) are
-    excluded and counted.
+    excluded and counted.  Raises ValueError unless n_seeds >= 1 and
+    0 <= t_lo < t_hi, and :class:`SimulationDiverged` for the lowest seed
+    that passes the overflow guard.
     """
-    slopes = []
-    excluded = 0
-    ts = np.arange(t_lo, t_hi + 1)
-    for k in range(n_seeds):
-        _, z = _run_chain(p, x0, t_hi, stream(seed, k))
-        window = z[t_lo:t_hi + 1]
-        if np.any(window <= 0.0):
-            excluded += 1
-            continue
-        slope = np.polyfit(ts, np.log(window), 1)[0]
-        slopes.append(float(slope))
-    median = float(np.median(slopes)) if slopes else float("nan")
-    return GrowthResult(median, tuple(slopes), excluded)
+    [res] = _growth_probe([(p, seed)], x0, t_lo, t_hi, n_seeds)
+    if isinstance(res, SimulationDiverged):
+        raise res
+    return res
 
 
 def hitting_probability(p: Params, x0: State,
@@ -288,6 +354,8 @@ def hitting_probability(p: Params, x0: State,
     """
     if n_seeds < 1:
         raise ValueError("n_seeds must be >= 1")
+    if horizon < 0:
+        raise ValueError("horizon must be >= 0")
     r_lo, r_hi, z_lo, z_hi = target
     hits = 0
     for k in range(n_seeds):
@@ -322,31 +390,17 @@ class SweepPoint:
     error: str | None = None
 
 
-def _verdict(p: Params, seed: int, steps: int, burn_in: int, n_seeds: int,
+def _verdict(p: Params, ks: float, violations: int,
+             growth: GrowthResult | SimulationDiverged, n_seeds: int,
              ks_threshold: float, slope_threshold: float) -> StabilityVerdict:
-    try:
-        ks = two_chain_convergence(p, (0.0, 0.0), (-50.0, 100.0),
-                                   steps, burn_in, seed)
-    except SimulationDiverged:
-        ks = float("nan")
-
-    t_hi = min(500, steps)
-    try:
-        growth = growth_slope(p, GROWTH_X0, t_hi * 2 // 5, t_hi, n_seeds, seed + 1)
-        slope = growth.median_slope
-        seeds_used = n_seeds - growth.excluded
-        diverged = False
-    except SimulationDiverged:
+    diverged = isinstance(growth, SimulationDiverged)
+    if diverged:
         # An overflowing probe counts as growing and excludes no seed.
         slope = float("inf")
         seeds_used = n_seeds
-        diverged = True
-
-    violations = 0
-    if p.mu <= -p.lam:
-        # Z is monotone nondecreasing here; count violations as evidence.
-        violations, _ = monotone_violations(p, (0.0, 0.0), min(steps, 10_000),
-                                            seed + 2)
+    else:
+        slope = growth.median_slope
+        seeds_used = n_seeds - growth.excluded
 
     ks_ok = math.isfinite(ks) and ks < ks_threshold
     growing = diverged or (math.isfinite(slope) and slope > slope_threshold)
@@ -365,18 +419,37 @@ def _verdict(p: Params, seed: int, steps: int, burn_in: int, n_seeds: int,
                             seeds_used)
 
 
-def _sweep_point(index: int, overrides: dict[str, float], base: Params,
-                 seed: int, **probe) -> SweepPoint:
-    """One grid point; a failure is recorded on the point, not raised."""
+def _grid_point(index: int, overrides: dict[str, float],
+                base: Params) -> SweepPoint:
+    """A grid point with its validated params, or with the error instead."""
     vals = dict(base.as_dict(), **overrides)
-    p = None
     try:
         p = validate_params(vals["lambda"], vals["mu"], vals["zeta"],
                             vals["xi"], vals["r_star"], vals["sigma"])
-        res = _verdict(p, point_seed(seed, index), **probe)
     except Exception as exc:
-        return SweepPoint(index, dict(overrides), p, None, str(exc))
-    return SweepPoint(index, dict(overrides), p, res)
+        return SweepPoint(index, dict(overrides), None, None, str(exc))
+    return SweepPoint(index, dict(overrides), p, None)
+
+
+def _sweep_point(p: Params, seed: int, steps: int,
+                 burn_in: int) -> tuple[float, int] | str:
+    """A point's own legs: the two-chain KS distance (nan when a chain
+    diverged) and, for mu <= -lambda, the monotone-violation count.  A
+    failure comes back as its message, to be recorded on the point."""
+    try:
+        try:
+            ks = two_chain_convergence(p, (0.0, 0.0), (-50.0, 100.0),
+                                       steps, burn_in, seed)
+        except SimulationDiverged:
+            ks = float("nan")
+        violations = 0
+        if p.mu <= -p.lam:
+            # Z is monotone nondecreasing here; count violations as evidence.
+            violations, _ = monotone_violations(p, (0.0, 0.0),
+                                                min(steps, 10_000), seed + 2)
+    except Exception as exc:
+        return str(exc)
+    return ks, violations
 
 
 def sweep(base: Params, grid: list[dict[str, float]], steps: int,
@@ -393,20 +466,40 @@ def sweep(base: Params, grid: list[dict[str, float]], steps: int,
     that breaks :func:`check_horizon` or n_seeds < 1 raises ValueError
     before any point runs.
 
-    With workers > 1 the points run in a pool of at most one process per
-    point; below 2, in this process.  Rows come back in grid order.  The
-    pool uses the platform's default start method, which forks on Linux:
-    a caller that runs threads of its own should keep workers=1.
+    The growth probes of all points run in this process, in lockstep
+    (:func:`growth_slope` is the one-point case).  With workers > 1 each
+    point's own legs (:func:`_sweep_point`) run in a pool of at most one
+    process per valid point, submitted before the growth probe so that
+    the two overlap; below 2, in this process.  Rows come back in grid
+    order.  The pool uses the platform's default start method, which
+    forks on Linux: a caller that runs threads of its own should keep
+    workers=1.
     """
     check_horizon(steps, burn_in)
-    if n_seeds < 1:
-        raise ValueError("n_seeds must be >= 1")
-    point = partial(_sweep_point, base=base, seed=seed, steps=steps,
-                    burn_in=burn_in, n_seeds=n_seeds,
-                    ks_threshold=ks_threshold,
-                    slope_threshold=slope_threshold)
-    n_workers = min(workers, len(grid))
+    t_hi = min(500, steps)
+    t_lo = t_hi * 2 // 5
+    _check_growth(t_lo, t_hi, n_seeds)
+    rows = [_grid_point(i, overrides, base) for i, overrides in enumerate(grid)]
+    runs = [row for row in rows if row.error is None]
+    ps = [row.params for row in runs]
+    seeds = [point_seed(seed, row.index) for row in runs]
+    leg = partial(_sweep_point, steps=steps, burn_in=burn_in)
+    probe = partial(_growth_probe, [(p, s + 1) for p, s in zip(ps, seeds)],
+                    GROWTH_X0, t_lo, t_hi, n_seeds)
+    n_workers = min(workers, len(runs))
     if n_workers < 2:
-        return list(map(point, range(len(grid)), grid))
-    with ProcessPoolExecutor(max_workers=n_workers) as pool:
-        return list(pool.map(point, range(len(grid)), grid))
+        legs = list(map(leg, ps, seeds))
+        growth = probe()
+    else:
+        with ProcessPoolExecutor(max_workers=n_workers) as pool:
+            pending = pool.map(leg, ps, seeds)
+            growth = probe()
+            legs = list(pending)
+    for row, legs_i, growth_i in zip(runs, legs, growth):
+        if isinstance(legs_i, str):
+            rows[row.index] = replace(row, error=legs_i)
+        else:
+            rows[row.index] = replace(row, result=_verdict(
+                row.params, *legs_i, growth_i, n_seeds, ks_threshold,
+                slope_threshold))
+    return rows

@@ -1,5 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import settings
+
+# Property tests draw the same examples on every run, so tier-1 stays
+# deterministic and its runtime bounded.
+settings.register_profile("tier1", derandomize=True, max_examples=60,
+                          deadline=None, database=None)
+settings.load_profile("tier1")
 
 from gridlab import validate_params
 

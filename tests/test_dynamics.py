@@ -3,6 +3,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from gridlab import (
     ParamError,
@@ -20,6 +22,7 @@ from gridlab.dynamics import (
     OVERFLOW_GUARD,
     breakpoints,
     iterate,
+    iterate_columns,
     region_codes,
 )
 from conftest import random_params
@@ -355,3 +358,94 @@ class TestKernelBlocks:
         finally:
             tracemalloc.stop()
         assert peak < 1_000_000
+
+
+def run_columns(ps, r0, z0, noise):
+    """iterate_columns on fresh outputs; checks each column against iterate.
+
+    Returns the guard indices.  Rows past a column's guard index are not
+    part of its result, so only the rows up to it are compared.
+    """
+    steps, k = noise.shape
+    out_r, out_z = np.empty((steps + 1, k)), np.empty((steps + 1, k))
+    guard = iterate_columns(ps, r0, z0, noise, out_r, out_z)
+    assert guard.shape == (k,)
+    for c, p in enumerate(ps):
+        want_r, want_z = np.empty(steps + 1), np.empty(steps + 1)
+        bad = iterate(p, r0[c], z0[c], noise[:, c], want_r, want_z)
+        assert guard[c] == bad, c
+        end = steps + 1 if bad < 0 else bad + 1
+        assert bits(*out_r[:end, c]) == bits(*want_r[:end]), c
+        assert bits(*out_z[:end, c]) == bits(*want_z[:end]), c
+    return guard
+
+
+class TestColumnKernel:
+    """iterate_columns equals iterate bit for bit, column by column."""
+
+    def test_edge_states_and_mixed_params(self):
+        # Every column has its own params, among them mu <= -lambda, where
+        # lambda * (lambda + mu) < 0; the states sit on each breakpoint, one
+        # ulp either side, and at z = 0.
+        rng = np.random.default_rng(51)
+        ps, r0, z0 = [], [], []
+        for mu_sign in ("positive", "negative", None):
+            for _ in range(3):
+                p = random_params(rng, mu_sign=mu_sign)
+                for r, z in edge_states(rng, p)[::3]:
+                    ps.append(p)
+                    r0.append(r)
+                    z0.append(z)
+        for lam, mu in ((0.5, -0.6), (0.3, -0.85)):
+            p = validate_params(lam, mu, 1.0, 1.0, 3.0, 1.0)
+            assert p.lam * (p.lam + p.mu) < 0.0
+            for r in (*breakpoints(p), -100.0):
+                ps.append(p)
+                r0.append(r)
+                z0.append(0.0)
+        noise = rng.normal(0.0, 1.0, (60, len(ps)))
+        run_columns(ps, r0, z0, noise)
+
+    def test_nan_reserve_runs_on_as_d4(self, p0):
+        # A NaN reserve never meets the guard, and Z keeps gamma * Z.
+        noise = np.random.default_rng(52).normal(0.0, 1.0, (40, 3))
+        guard = run_columns([p0] * 3, [math.nan, -2.0, 4.0],
+                            [5.0, 1.0, 0.0], noise)
+        assert guard.tolist() == [-1, -1, -1]
+
+    def test_one_column_passes_the_guard_while_others_run_on(self, p0):
+        noise = np.random.default_rng(53).normal(0.0, 1.0, (30, 5))
+        noise[4, 1] = 1e301     # column 1 passes the guard at step 5
+        noise[9, 2] = math.inf  # column 2 at step 10
+        noise[14, 3] = -1e301   # column 3 below -guard at step 15
+        guard = run_columns([p0] * 5, [0.0] * 5, [0.0] * 5, noise)
+        assert guard.tolist() == [-1, 5, 10, 15, -1]
+
+    def test_zero_steps_writes_the_start(self, p0):
+        out_r, out_z = np.empty((1, 2)), np.empty((1, 2))
+        guard = iterate_columns([p0, p0], [1.0, 2.0], 3.0,
+                                np.empty((0, 2)), out_r, out_z)
+        assert guard.tolist() == [-1, -1]
+        assert out_r.tolist() == [[1.0, 2.0]] and out_z.tolist() == [[3.0, 3.0]]
+
+    @given(st.data())
+    def test_random_finite_states_and_params(self, data):
+        finite = dict(allow_nan=False, allow_infinity=False)
+        k = data.draw(st.integers(1, 6), label="columns")
+        steps = data.draw(st.integers(1, 40), label="steps")
+        ps, r0, z0 = [], [], []
+        for _ in range(k):
+            lam = data.draw(st.floats(0.01, 0.99))
+            mu = data.draw(st.floats(-3.0, 0.999 - lam))
+            zeta = data.draw(st.floats(0.01, 10.0))
+            xi = data.draw(st.floats(0.01, 10.0))
+            r_star = zeta + data.draw(st.floats(0.01, 10.0))
+            ps.append(validate_params(lam, mu, zeta, xi, r_star, 1.0))
+            r0.append(data.draw(st.floats(-1e6, 1e6, **finite)))
+            # min_value=0.0 draws no -0.0, where the routes differ in the
+            # sign of a zero Z (see iterate_columns).
+            z0.append(data.draw(st.floats(0.0, 1e6, **finite)))
+        noise = np.array(data.draw(st.lists(
+            st.floats(-50.0, 50.0, **finite), min_size=steps * k,
+            max_size=steps * k))).reshape(steps, k)
+        run_columns(ps, r0, z0, noise)

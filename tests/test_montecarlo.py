@@ -96,6 +96,10 @@ class TestMonotoneViolations:
         assert steps == 10_000
         assert viol > 0
 
+    def test_negative_steps_raises(self, p0):
+        with pytest.raises(ValueError, match="steps must be >= 0"):
+            monotone_violations(p0, (0.0, 0.0), -3, seed=3)
+
 
 class TestEmpiricalDrift:
     def test_matches_exact_within_stderr(self, p0):
@@ -186,7 +190,59 @@ class TestKSStatistic:
                                      5000, 500, seed).hex() == want.hex()
 
 
+def growth_seed_by_seed(p, x0, t_lo, t_hi, n_seeds, seed):
+    """The growth probe one seed at a time: _run_chain, then one fit."""
+    slopes, excluded = [], 0
+    for k in range(n_seeds):
+        _, z = _run_chain(p, x0, t_hi, stream(seed, k))
+        window = z[t_lo:t_hi + 1]
+        if np.any(window <= 0.0):
+            excluded += 1
+            continue
+        slopes.append(float(np.polyfit(np.arange(t_lo, t_hi + 1),
+                                       np.log(window), 1)[0]))
+    return slopes, excluded
+
+
 class TestGrowthSlope:
+    @pytest.mark.parametrize("lam, mu, t_lo, t_hi, n_seeds, seed", [
+        (0.5, -0.1, 200, 500, 8, 11),
+        (0.5, 0.4, 200, 500, 8, point_seed(0, 0) + 1),  # excludes seeds
+        (0.3, -0.7, 0, 1, 3, 5),
+    ])
+    def test_equals_seed_by_seed_fits(self, lam, mu, t_lo, t_hi, n_seeds, seed):
+        p = validate_params(lam, mu, 1.0, 1.0, 3.0, 1.0)
+        slopes, excluded = growth_seed_by_seed(p, GROWTH_X0, t_lo, t_hi,
+                                               n_seeds, seed)
+        res = growth_slope(p, GROWTH_X0, t_lo, t_hi, n_seeds, seed)
+        assert [s.hex() for s in res.slopes] == [s.hex() for s in slopes]
+        assert res.excluded == excluded
+        assert res.median_slope.hex() == float(np.median(slopes)).hex()
+
+    def test_lowest_diverging_seed_is_raised(self):
+        # Seed 0 stays under the guard up to step 990; seeds 1-3 pass it
+        # at step 990, so the error is seed 1's.
+        p = validate_params(0.5, -1.0, 1.0, 1.0, 3.0, 30.0)
+        with pytest.raises(SimulationDiverged) as want:
+            growth_seed_by_seed(p, GROWTH_X0, 400, 990, 4, 46)
+        with pytest.raises(SimulationDiverged) as got:
+            growth_slope(p, GROWTH_X0, 400, 990, 4, 46)
+        _run_chain(p, GROWTH_X0, 990, stream(46, 0))  # raises if seed 0 did
+        assert got.value.step == want.value.step == 990
+        assert [v.hex() for v in got.value.state] \
+            == [v.hex() for v in want.value.state]
+        assert str(got.value) == str(want.value)
+
+    @pytest.mark.parametrize("t_lo, t_hi, n_seeds, name", [
+        (200, 500, 0, "n_seeds"),
+        (-1, 500, 2, "t_lo"),
+        (300, 200, 2, "t_hi"),
+        (300, 300, 2, "t_hi"),
+    ], ids=["zero-seeds", "negative-t-lo", "t-lo-above-t-hi", "t-lo-equals-t-hi"])
+    def test_bad_arguments_raise(self, p0, t_lo, t_hi, n_seeds, name):
+        with pytest.raises(ValueError, match=f"^{name} must be"):
+            growth_slope(p0, GROWTH_X0, t_lo, t_hi, n_seeds, seed=1)
+
     def test_mild_negative_mu_grows_at_log_rate(self):
         p = validate_params(0.5, -0.1, 1.0, 1.0, 3.0, 1.0)
         res = growth_slope(p, GROWTH_X0, 200, 500, n_seeds=16, seed=11)
@@ -226,6 +282,11 @@ class TestHittingProbability:
         with pytest.raises(ValueError, match="n_seeds must be >= 1"):
             hitting_probability(p0, (0.0, 0.0), (0.0, 1.0, 0.0, 1.0),
                                 horizon=10, n_seeds=0)
+
+    def test_negative_horizon_raises(self, p0):
+        with pytest.raises(ValueError, match="horizon must be >= 0"):
+            hitting_probability(p0, (0.0, 0.0), (0.0, 1.0, 0.0, 1.0),
+                                horizon=-1, n_seeds=4)
 
     def test_unreachable_box(self, p0):
         est, stderr = hitting_probability(p0, (0.0, 0.0),

@@ -1,10 +1,14 @@
-"""The sweep's argument checks, worker pool and per-point seed accounting."""
+"""The sweep's argument checks, worker pool, lockstep growth probe and
+per-point seed accounting."""
+
+import tracemalloc
 
 import pytest
 
 import gridlab.montecarlo
 from gridlab import growth_slope, sweep, validate_params
-from gridlab.montecarlo import GROWTH_X0
+from gridlab.dynamics import COLUMN_BLOCK
+from gridlab.montecarlo import GROWTH_X0, _growth_probe
 from gridlab.rng import point_seed
 
 GRID = [{"mu": -0.6}, {"mu": -0.1}, {"mu": 0.1}, {"mu": 0.9}]
@@ -20,12 +24,39 @@ def test_bad_horizon_or_seed_count_raises(p0, steps, burn_in, n_seeds):
         sweep(p0, GRID, steps=steps, burn_in=burn_in, n_seeds=n_seeds)
 
 
-def test_workers_do_not_change_rows(p0):
-    # repr, because the mu <= -lambda row holds a NaN KS distance.
-    rows = [repr(sweep(p0, GRID, steps=2_000, burn_in=200, n_seeds=3, seed=7,
-                       workers=w)) for w in (1, 2)]
-    assert "nan" in rows[0]
-    assert rows[0] == rows[1]
+def test_workers_do_not_change_rows(p0, monkeypatch):
+    # repr, because the mu <= -lambda row holds a NaN KS distance.  Nor
+    # does the lockstep block size: with three seeds a point, blocks of 7
+    # columns cut points apart.
+    kwargs = dict(steps=2_000, burn_in=200, n_seeds=3, seed=7)
+    want = repr(sweep(p0, GRID, **kwargs))
+    assert "nan" in want
+    for block in (1, 7, COLUMN_BLOCK):
+        monkeypatch.setattr(gridlab.montecarlo, "COLUMN_BLOCK", block)
+        for workers in (1, 2):
+            assert repr(sweep(p0, GRID, workers=workers, **kwargs)) == want
+
+
+def growth_peak_bytes(points, n_seeds):
+    tracemalloc.start()
+    try:
+        _growth_probe(points, GROWTH_X0, 200, 500, n_seeds)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_growth_memory_stays_one_block(p0):
+    # One block of 256 columns over 500 steps holds its noise, both state
+    # arrays and the fit windows: about 3.8 MB.  Four times the columns,
+    # as more seeds or as more points, add only their slopes (about 40
+    # bytes a column), not another block.
+    bound = 4_500_000
+    one = growth_peak_bytes([(p0, 1)], COLUMN_BLOCK)
+    more_seeds = growth_peak_bytes([(p0, 1)], 4 * COLUMN_BLOCK)
+    more_points = growth_peak_bytes([(p0, s) for s in range(4)], COLUMN_BLOCK)
+    assert one < bound and more_seeds < bound and more_points < bound
+    assert max(more_seeds, more_points) < one + 100_000
 
 
 class FakePool:
