@@ -27,7 +27,8 @@ from .thermal import Building, ThermalScenario, check_heat_pump
 _MISSING = object()
 
 # The most steps one chain, or draws one drift estimate, may take: a chain
-# holds 24 bytes per step (noise, R and Z), so this is about 2.4 GB.
+# holds 16 bytes per step (R and Z; its noise is drawn a block at a time),
+# so this is about 1.6 GB.
 MAX_DRAWS = 10**8
 
 # The most states a drift run may sample per region: each of its

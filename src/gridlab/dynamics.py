@@ -216,16 +216,27 @@ def iterate(p: Params, r0: float, z0: float, noise, out_r, out_z) -> int:
     """Write the states visited from (r0, z0) under the noise into out_r/out_z.
 
     Returns -1, or the index of the first state beyond OVERFLOW_GUARD, where
-    the run stops.  Each branch adds in the order of :func:`step_matrix`.
+    the run stops: nothing past that index is written.  Each branch adds in
+    the order of :func:`step_matrix`.  out_z[0] keeps z0 as given, but the
+    run starts from z0 + 0.0, so a backlog of -0.0 steps on as +0.0, as in
+    step_matrix.
 
     noise may be any sequence of floats; ``step`` passes a 1-tuple.
 
-    The loop runs on Python floats, converting the noise ``KERNEL_BLOCK``
-    steps at a time.  Arithmetic on numpy scalars costs about twice as much
-    per step, and converting the whole array at once would hold about 32
-    bytes per step in Python objects.  Python floats and numpy float64 are
-    both IEEE binary64 with round-to-nearest and no fused multiply-add, so
-    every state has the bits that numpy arithmetic gives.
+    The loop runs on Python floats, ``KERNEL_BLOCK`` steps at a time.
+    Arithmetic on numpy scalars costs about twice as much per step, and
+    converting the whole noise array at once would hold about 32 bytes per
+    step in Python objects.  Each block's states go to two Python lists
+    through ``block_r.append(r)``, a call form the interpreter specialises
+    (a bound ``append`` held in a local is not), where one item store per
+    step into the outputs costs more; each list becomes an array once, and
+    one slice store writes it.  The first guard step is then found by one
+    vectorised scan per block (three array operations) instead of an
+    ``abs()`` call and two comparisons per step.  States the loop computes
+    past the guard inside its block are dropped: Python float ``+`` and
+    ``*`` give inf or NaN there without raising.  Python floats and numpy
+    float64 are both IEEE binary64 with round-to-nearest and no fused
+    multiply-add, so every state has the bits that numpy arithmetic gives.
     """
     lam, zeta, xi, gamma = p.lam, p.zeta, p.xi, p.gamma
     llm = lam * (lam + p.mu)
@@ -238,26 +249,35 @@ def iterate(p: Params, r0: float, z0: float, noise, out_r, out_z) -> int:
     z = float(z0)
     out_r[0] = r
     out_z[0] = z
+    z += 0.0
     for lo in range(0, len(noise), KERNEL_BLOCK):
-        for t, n in enumerate(noise[lo:lo + KERNEL_BLOCK].tolist(), lo + 1):
-            if r < b1:
-                rp = ((one_lam * r + llm * z) + zeta) + n
-                zp = -r + gamma * z
-            elif r < b2:
-                rp = ((r + llm * z) + zeta) + n
-                zp = gamma * z
+        block_r = []
+        block_z = []
+        for n in noise[lo:lo + KERNEL_BLOCK].tolist():
+            # A NaN reserve fails every test and steps as D4.
+            if r < b2:
+                if r < b1:
+                    r, z = ((one_lam * r + llm * z) + zeta) + n, -r + gamma * z
+                else:
+                    r, z = ((r + llm * z) + zeta) + n, gamma * z
             elif r < b3:
-                rp = (llm * z + rs) + n
-                zp = gamma * z
+                r, z = (llm * z + rs) + n, gamma * z
             else:
-                rp = ((r + llm * z) + (-xi)) + n
-                zp = gamma * z
-            r = rp
-            z = zp
-            out_r[t] = r
-            out_z[t] = z
-            if abs(r) > guard or z > guard:
-                return t
+                r, z = ((r + llm * z) + (-xi)) + n, gamma * z
+            block_r.append(r)
+            block_z.append(z)
+        states_r = np.fromiter(block_r, np.float64, len(block_r))
+        states_z = np.fromiter(block_z, np.float64, len(block_z))
+        # fmax skips a NaN operand, so this is |R| > guard or Z > guard at
+        # every step, NaN included.
+        beyond = np.fmax(np.abs(states_r), states_z) > guard
+        first = int(beyond.argmax())
+        if beyond[first]:
+            out_r[lo + 1:lo + first + 2] = states_r[:first + 1]
+            out_z[lo + 1:lo + first + 2] = states_z[:first + 1]
+            return lo + first + 1
+        out_r[lo + 1:lo + len(block_r) + 1] = states_r
+        out_z[lo + 1:lo + len(block_r) + 1] = states_z
     return -1
 
 
@@ -269,10 +289,8 @@ def iterate_columns(ps, r0, z0, noise, out_r, out_z) -> np.ndarray:
     Column c gets the states that ``iterate(ps[c], r0[c], z0[c],
     noise[:, c], ...)`` writes, and the returned array holds, per column,
     what that call returns: -1, or the index of the first state beyond
-    OVERFLOW_GUARD.  (One exception: a Z of -0.0 outside D1 steps to +0.0
-    here, as in step_matrix, where iterate keeps -0.0.)  Past that index
-    a column steps on, with numpy's overflow and invalid warnings off, so
-    its later rows are no result.
+    OVERFLOW_GUARD.  Past that index a column steps on, with numpy's
+    overflow and invalid warnings off, so its later rows are no result.
 
     Each step gathers every column's piece of :func:`affine_piece` by its
     region and evaluates it as :func:`step_matrix` does.
@@ -331,22 +349,34 @@ def step(p: Params, x: State, n: float, t: int = 0) -> tuple[State, StepRecord]:
     """One transition of the chain with an explicit noise draw.
 
     Pure: all randomness is the caller's responsibility.  The update is
-    one step of :func:`iterate`.
+    one step of :func:`iterate`, and the next state is a pair of Python
+    floats.  The record's observables use scalar forms of
+    :func:`expressed_backlog`, :func:`frustrated_demand` and
+    :func:`ramp_control` with the bits of those ufuncs, signed zeros and
+    NaN included.
     """
     r, z = x
-    out_r = [r, r]
-    out_z = [z, z]
+    out_r = np.empty(2)
+    out_z = np.empty(2)
     iterate(p, r, z, (n,), out_r, out_z)
+    # np.maximum(-r, 0.0) returns its second argument on a tie, so a zero
+    # reserve gives +0.0; NaN propagates.
+    f = 0.0 if -r <= 0.0 else -r
+    h = p.r_star - r
+    if h < -p.xi:
+        h = -p.xi
+    elif h > p.zeta:
+        h = p.zeta
     record = StepRecord(
         t=t,
         state=(r, z),
         region=classify_region(p, x),
         noise=n,
-        b_expr=expressed_backlog(p, z),
-        f_frustrated=frustrated_demand(r),
-        h_control=ramp_control(p, r),
+        b_expr=p.lam * z,
+        f_frustrated=f,
+        h_control=h,
     )
-    return (out_r[1], out_z[1]), record
+    return (float(out_r[1]), float(out_z[1])), record
 
 
 def step_matrix(p: Params, x: State, n) -> State:

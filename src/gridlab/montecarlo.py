@@ -17,6 +17,7 @@ import numpy as np
 
 from .dynamics import (
     COLUMN_BLOCK,
+    KERNEL_BLOCK,
     Params,
     Region,
     State,
@@ -137,12 +138,22 @@ def _run_chain_raw(p: Params, x0: State, steps: int,
                    rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray, int]:
     """Run the chain; returns (r, z, diverged_at) with diverged_at == -1
     when the overflow guard never fired.  On divergence the arrays are
-    valid up to and including index diverged_at."""
-    noise = gaussian(rng, steps, p.sigma)
+    valid up to and including index diverged_at.
+
+    The noise is drawn ``KERNEL_BLOCK`` values at a time, which gives the
+    bits of one whole-horizon draw, so no noise array for the whole
+    horizon is held and a diverged chain draws nothing past its block.
+    """
     out_r = np.empty(steps + 1)
     out_z = np.empty(steps + 1)
-    bad = iterate(p, x0[0], x0[1], noise, out_r, out_z)
-    return out_r, out_z, bad
+    out_r[0], out_z[0] = x0
+    for lo in range(0, steps, KERNEL_BLOCK):
+        hi = min(lo + KERNEL_BLOCK, steps)
+        bad = iterate(p, out_r[lo], out_z[lo], gaussian(rng, hi - lo, p.sigma),
+                      out_r[lo:hi + 1], out_z[lo:hi + 1])
+        if bad >= 0:
+            return out_r, out_z, lo + bad
+    return out_r, out_z, -1
 
 
 def _run_chain(p: Params, x0: State, steps: int,

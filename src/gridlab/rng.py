@@ -29,8 +29,16 @@ def point_seed(seed: int, index: int) -> int:
 
 
 def gaussian(rng: np.random.Generator, size: int, sigma: float) -> np.ndarray:
-    """N(0, sigma^2) draws via the inverse CDF, strictly inside (0, 1)."""
-    u = (rng.integers(0, 1 << 53, size=size).astype(np.float64) + 0.5) / _TWO53
+    """N(0, sigma^2) draws via the inverse CDF, strictly inside (0, 1).
+
+    The uniform map, ``ndtri`` and the scaling run in place on one array.
+    """
+    k = rng.integers(0, 1 << 53, size=size)
     if sigma == 0.0:
         return np.zeros(size)
-    return ndtri(u) * sigma
+    u = k.astype(np.float64)
+    u += 0.5
+    u /= _TWO53
+    ndtri(u, out=u)
+    u *= sigma
+    return u

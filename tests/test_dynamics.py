@@ -21,6 +21,8 @@ from gridlab.dynamics import (
     KERNEL_BLOCK,
     OVERFLOW_GUARD,
     breakpoints,
+    expressed_backlog,
+    frustrated_demand,
     iterate,
     iterate_columns,
     region_codes,
@@ -141,6 +143,28 @@ class TestStep:
         assert rec.f_frustrated == 2.0
         assert rec.h_control == 1.0
 
+    @pytest.mark.parametrize("x", [(-1.0, 2.0), (2.5, 0.0), (9.0, 1.0)])
+    def test_next_state_is_python_floats(self, p0, x):
+        for start in (x, (np.float64(x[0]), np.float64(x[1]))):
+            (r, z), _ = step(p0, start, 0.25)
+            assert type(r) is float and type(z) is float
+
+    def test_record_observables_have_the_array_bits(self, p0):
+        # The record's scalar formulas against the ufuncs on arrays, at
+        # signed zeros, NaN, infinities and on each breakpoint.
+        rs = [0.0, -0.0, math.nan, math.inf, -math.inf, *breakpoints(p0),
+              p0.r_star, -2.0, 9.0]
+        zs = [0.0, -0.0, math.nan, math.inf, 2.0]
+        for r in rs:
+            for z in zs:
+                _, rec = step(p0, (r, z), 0.5)
+                fields = (rec.b_expr, rec.f_frustrated, rec.h_control)
+                assert all(type(v) is float for v in fields)
+                want = (expressed_backlog(p0, np.array([z]))[0],
+                        frustrated_demand(np.array([r]))[0],
+                        ramp_control(p0, np.array([r]))[0])
+                assert bits(*fields) == bits(*want), (r, z)
+
     def test_scalar_matrix_agreement(self):
         rng = np.random.default_rng(4)
         for _ in range(200):
@@ -211,7 +235,7 @@ def edge_states(rng, p):
     for b in breakpoints(p):
         rs += [b, math.nextafter(b, -math.inf), math.nextafter(b, math.inf)]
     rs += rng.uniform(-50.0, p.r_star + p.xi + 50.0, 20).tolist()
-    zs = [0.0, *rng.uniform(0.0, 50.0, 3).tolist()]
+    zs = [0.0, -0.0, *rng.uniform(0.0, 50.0, 3).tolist()]
     return [(r, z) for r in rs for z in zs]
 
 
@@ -227,6 +251,18 @@ class TestKernelMatchesMatrixTable:
                 want = bits(*step_matrix(p, x, n))
                 assert bits(out_r[1], out_z[1]) == want
                 assert bits(*step(p, x, n)[0]) == want
+
+    def test_zero_backlog_sign(self, p0):
+        # A backlog of -0.0 is kept as given at index 0 and steps on as
+        # +0.0 on every route.
+        for r in (-2.0, 1.0, 2.5, 9.0):
+            out_r, out_z = np.empty(3), np.empty(3)
+            iterate(p0, r, -0.0, [0.0, 0.0], out_r, out_z)
+            x1 = step_matrix(p0, (r, -0.0), 0.0)
+            x2 = step_matrix(p0, x1, 0.0)
+            assert bits(*out_r) == bits(r, x1[0], x2[0])
+            assert bits(*out_z) == bits(-0.0, x1[1], x2[1])
+            assert bits(*step(p0, (r, -0.0), 0.0)[0]) == bits(*x1)
 
     @pytest.mark.parametrize("r", [math.nan, math.inf, -math.inf])
     def test_one_step_bitwise_at_non_finite_reserve(self, r):
@@ -272,11 +308,11 @@ class TestKernelMatchesMatrixTable:
             assert classify_region(p, (math.nan, 0.0)) is Region.D4
 
 
-def reference_run(p, x, noise, one_step=step_matrix):
-    """iterate's contract, one one_step(p, x, n) call per step."""
+def reference_run(p, x, noise):
+    """iterate's contract, one step_matrix(p, x, n) call per step."""
     rs, zs = [x[0]], [x[1]]
     for t, n in enumerate(noise, start=1):
-        x = one_step(p, x, n)
+        x = step_matrix(p, x, n)
         rs.append(x[0])
         zs.append(x[1])
         if abs(x[0]) > OVERFLOW_GUARD or x[1] > OVERFLOW_GUARD:
@@ -305,30 +341,35 @@ class TestKernelBlocks:
             assert bits(*out_r) == bits(*rs) and bits(*out_z) == bits(*zs)
 
     @pytest.mark.parametrize("steps", [B, B + 1, 2 * B + 1])
-    @pytest.mark.parametrize("kick", [1e301, -1e301, math.inf, math.nan])
-    def test_guard_and_nan_at_block_edges(self, p0, steps, kick):
-        # The kick lands on step B, the last of the first block, or on
-        # step B + 1, the first of the second.  Past a NaN reserve the
-        # matrix form makes Z NaN too (0.0 * NaN), while the kernel's D4
-        # branch keeps Z = gamma * Z, so NaN runs are held against step(),
-        # the kernel one step at a time, which never meets a block edge.
-        one_step = step_matrix
-        if math.isnan(kick):
-            def one_step(p, x, n):
-                return step(p, x, n)[0]
+    @pytest.mark.parametrize("kick, offset", [
+        ((1e301,), 0),
+        ((-1e301,), 0),
+        ((math.inf,), 0),
+        ((math.nan,), None),
+        # R back under the guard as Z passes it, two steps on.
+        ((-1e299, -8.4e299, 1.455e300), 2),
+        # Beyond, back under, beyond again: the first guard state wins.
+        ((1e301, -1e301, 0.0, 1e301), 0),
+    ], ids=["1e+301", "-1e+301", "inf", "nan", "z-alone", "first-of-two"])
+    def test_guard_and_nan_at_block_edges(self, p0, steps, kick, offset):
+        # The kick's noise starts on step `at`: step 1, mid-block, step B
+        # (the last of the first block) or step B + 1 (the first of the
+        # second).  The run must stop at the reference's guard step,
+        # `offset` steps after `at`, or never for NaN, which passes the
+        # guard and rides on to the end as D4.
         rng = np.random.default_rng(7)
-        for at in (B, B + 1):
-            if at > steps:
+        for at in (1, B // 2, B, B + 1):
+            if at + len(kick) - 1 > steps:
                 continue
             noise = rng.normal(0.0, 1.0, steps)
-            noise[at - 1] = kick
+            noise[at - 1:at - 1 + len(kick)] = kick
             out_r = np.full(steps + 1, -7.0)
             out_z = np.full(steps + 1, -7.0)
-            bad, rs, zs = reference_run(p0, (0.0, 0.0), noise.tolist(),
-                                        one_step)
-            # NaN passes the guard and rides on to the end; the rest stop.
-            assert bad == (-1 if math.isnan(kick) else at)
+            bad, rs, zs = reference_run(p0, (0.0, 0.0), noise.tolist())
+            assert bad == (-1 if offset is None else at + offset)
             assert iterate(p0, 0.0, 0.0, noise, out_r, out_z) == bad
+            if kick[0] == -1e299:
+                assert abs(rs[bad]) < OVERFLOW_GUARD < zs[bad]
             end = len(rs)
             assert bits(*out_r[:end]) == bits(*rs)
             assert bits(*out_z[:end]) == bits(*zs)
@@ -442,9 +483,8 @@ class TestColumnKernel:
             r_star = zeta + data.draw(st.floats(0.01, 10.0))
             ps.append(validate_params(lam, mu, zeta, xi, r_star, 1.0))
             r0.append(data.draw(st.floats(-1e6, 1e6, **finite)))
-            # min_value=0.0 draws no -0.0, where the routes differ in the
-            # sign of a zero Z (see iterate_columns).
-            z0.append(data.draw(st.floats(0.0, 1e6, **finite)))
+            # min_value=-0.0 draws -0.0 as well as +0.0.
+            z0.append(data.draw(st.floats(-0.0, 1e6, **finite)))
         noise = np.array(data.draw(st.lists(
             st.floats(-50.0, 50.0, **finite), min_size=steps * k,
             max_size=steps * k))).reshape(steps, k)

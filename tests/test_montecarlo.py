@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -16,8 +17,10 @@ from gridlab import (
     two_chain_convergence,
     validate_params,
 )
-from gridlab.montecarlo import GROWTH_X0, _ks_statistic, _run_chain
-from gridlab.rng import point_seed, stream
+from gridlab import montecarlo
+from gridlab.dynamics import KERNEL_BLOCK, iterate
+from gridlab.montecarlo import GROWTH_X0, _ks_statistic, _run_chain, _run_chain_raw
+from gridlab.rng import gaussian, point_seed, stream
 from conftest import random_params
 
 
@@ -31,6 +34,54 @@ class TestSimConfig:
             SimConfig(p0, (0.0, 0.0), steps=10, record_every=0)
         with pytest.raises(ValueError):
             SimConfig(p0, (0.0, -1.0), steps=10)
+
+
+B = KERNEL_BLOCK
+
+
+class TestRunChainBlocks:
+    """_run_chain_raw draws its noise one kernel block at a time."""
+
+    @pytest.mark.parametrize("steps", [B - 1, B, B + 1, 2 * B + 1])
+    def test_blocks_equal_one_draw(self, p0, steps, monkeypatch):
+        blocks = []
+
+        def recording(rng, size, sigma):
+            blocks.append(gaussian(rng, size, sigma))
+            return blocks[-1]
+
+        monkeypatch.setattr(montecarlo, "gaussian", recording)
+        r, z, bad = _run_chain_raw(p0, (-3.0, 2.0), steps, stream(21, 4))
+        noise = gaussian(stream(21, 4), steps, p0.sigma)
+        assert max(b.size for b in blocks) <= B
+        assert np.concatenate(blocks).view(np.uint64).tolist() \
+            == noise.view(np.uint64).tolist()
+        want_r, want_z = np.empty(steps + 1), np.empty(steps + 1)
+        assert bad == iterate(p0, -3.0, 2.0, noise, want_r, want_z) == -1
+        assert r.view(np.uint64).tolist() == want_r.view(np.uint64).tolist()
+        assert z.view(np.uint64).tolist() == want_z.view(np.uint64).tolist()
+
+    def test_guard_in_first_block_draws_one_block(self):
+        # gamma = 1.5, so Z passes the guard within a few steps.
+        p = validate_params(0.5, -1.0, 1.0, 1.0, 3.0, 1.0)
+        rng = stream(22)
+        _, _, bad = _run_chain_raw(p, (0.0, 1e299), 3 * B, rng)
+        assert 0 < bad < B
+        ref = stream(22)
+        gaussian(ref, B, p.sigma)
+        assert repr(rng.bit_generator.state) == repr(ref.bit_generator.state)
+
+    def test_memory_is_outputs_plus_one_block(self, p0):
+        # The two output arrays plus one block's noise, lists and arrays;
+        # a noise array for the whole horizon (1.6 MB here) breaks it.
+        steps = 200_000
+        tracemalloc.start()
+        try:
+            _run_chain_raw(p0, (0.0, 0.0), steps, stream(23))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * 8 * (steps + 1) + 256 * B
 
 
 class TestSimulate:
