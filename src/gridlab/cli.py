@@ -8,8 +8,14 @@ scenario or diverged simulation), 4 (internal error).
 
 from __future__ import annotations
 
+import os
+import signal
 import sys
+import tempfile
 import time
+import warnings
+from contextlib import closing
+from functools import partial
 from pathlib import Path
 from typing import Iterator
 
@@ -40,14 +46,99 @@ def _write_rows(path: Path, header: list[str], rows: list[list[str]]) -> None:
 # One trajectory.csv row; '%.17g' gives the bytes of fmt_float.
 _TRAJECTORY_ROW = "%d,%.17g,%.17g,%s,%.17g,%.17g,%.17g,%.17g\n"
 _CHUNK_ROWS = 8192
+# Characters read back from a part's file at a time: no more than one
+# chunk's text, since a row has at least 17 characters.
+_READ_CHARS = 1 << 17
 
 
-def _trajectory_chunks(columns: list[np.ndarray]) -> Iterator[str]:
-    """trajectory.csv text: the header, then ``_CHUNK_ROWS`` rows at a time."""
-    yield "t,R,Z,region,B,F,H_control,H_lyap\n"
-    for lo in range(0, len(columns[0]), _CHUNK_ROWS):
-        rows = zip(*[c[lo:lo + _CHUNK_ROWS].tolist() for c in columns])
+def _rows(columns: list[np.ndarray], lo: int, hi: int) -> Iterator[str]:
+    """trajectory.csv rows lo..hi-1, ``_CHUNK_ROWS`` rows at a time."""
+    for a in range(lo, hi, _CHUNK_ROWS):
+        rows = zip(*[c[a:min(a + _CHUNK_ROWS, hi)].tolist() for c in columns])
         yield "".join([_TRAJECTORY_ROW % row for row in rows])
+
+
+def _part_count(rows: int) -> int:
+    """Parts to format ``rows`` rows in: one per usable CPU, each of at
+    least ``_CHUNK_ROWS`` rows, and one where the platform cannot fork."""
+    if not (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")):
+        return 1
+    return max(1, min(len(os.sched_getaffinity(0)), rows // _CHUNK_ROWS))
+
+
+def _fork_part(columns: list[np.ndarray], lo: int, hi: int, fh) -> int | None:
+    """Fork a child that writes rows lo..hi-1 to ``fh`` and exits.
+
+    Returns the child's pid, or None if ``os.fork`` fails.  The child ends
+    only through ``os._exit``: status 0 once its rows are flushed, 1 on any
+    exception, with no traceback and none of the parent's clean-up.
+    """
+    try:
+        with warnings.catch_warnings():
+            # Python 3.12+ warns, after the child exists, on forking a
+            # process that has threads (here numpy's idle BLAS pool); the
+            # child formats Python floats and touches nothing they own.
+            warnings.simplefilter("ignore", DeprecationWarning)
+            pid = os.fork()
+    except OSError:
+        return None
+    if pid == 0:
+        code = 1
+        try:
+            fh.writelines(_rows(columns, lo, hi))
+            fh.flush()
+            code = 0
+        finally:
+            os._exit(code)
+    return pid
+
+
+def _trajectory_chunks(columns: list[np.ndarray], directory: Path) -> Iterator[str]:
+    """trajectory.csv text: the header, then at most ``_CHUNK_ROWS`` rows at
+    a time.
+
+    The rows are cut on chunk boundaries into ``_part_count`` ranges.  One
+    forked child per range after the first formats it into an anonymous
+    file in ``directory``, while this process yields the header and the
+    first range; then each child is waited for in order and its file read
+    back.  A range whose fork fails is formatted here.  The text is the same
+    for every part count.  Every child is reaped however the generator ends
+    (close it to end it early), and a child that fails raises GridlabError.
+    """
+    n = len(columns[0])
+    parts = _part_count(n)
+    chunks = -(-n // _CHUNK_ROWS)
+    cuts = [i * chunks // parts * _CHUNK_ROWS for i in range(parts)] + [n]
+    ranges = []  # (lo, hi, pid); pid is None where this process formats it
+    pending = {}  # pid -> file of each child not yet reaped
+    try:
+        for lo, hi in zip(cuts[1:], cuts[2:]):
+            fh = tempfile.TemporaryFile("w+", encoding="ascii", dir=directory)
+            pid = _fork_part(columns, lo, hi, fh)
+            if pid is None:
+                fh.close()
+            else:
+                pending[pid] = fh
+            ranges.append((lo, hi, pid))
+        yield "t,R,Z,region,B,F,H_control,H_lyap\n"
+        yield from _rows(columns, 0, cuts[1])
+        for lo, hi, pid in ranges:
+            if pid is None:
+                yield from _rows(columns, lo, hi)
+                continue
+            status = os.waitpid(pid, 0)[1]
+            with pending.pop(pid) as fh:
+                code = os.waitstatus_to_exitcode(status)
+                if code != 0:
+                    raise GridlabError(f"formatting trajectory.csv rows {lo}-{hi - 1} "
+                                       f"failed in a child process (exit status {code})")
+                fh.seek(0)
+                yield from iter(partial(fh.read, _READ_CHARS), "")
+    finally:
+        for pid, fh in pending.items():
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+            fh.close()
 
 
 @click.group()
@@ -123,7 +214,8 @@ def cmd_simulate(sim: SimConfig, out: Path) -> list[str]:
     columns = [traj.t, traj.r, traj.z, traj.region, traj.b_expr,
                traj.f_frustrated, traj.h_control,
                lyap_h(sim.params, (traj.r, traj.z))]
-    atomic_write_text(out / "trajectory.csv", _trajectory_chunks(columns))
+    with closing(_trajectory_chunks(columns, out)) as chunks:
+        atomic_write_text(out / "trajectory.csv", chunks)
     dump_json(out / "stats.json", stats.as_dict())
     return ["trajectory.csv", "stats.json"]
 

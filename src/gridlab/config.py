@@ -26,9 +26,11 @@ from .thermal import Building, ThermalScenario, check_heat_pump
 
 _MISSING = object()
 
-# The most steps one chain, or draws one drift estimate, may take: a chain
+# The most steps one chain, or draws one drift estimate, may take.  A chain
 # holds 16 bytes per step (R and Z; its noise is drawn a block at a time),
-# so this is about 1.6 GB.
+# so one at the cap needs about 1.6 GB.  A drift point holds about 48
+# bytes per draw (the noise, the stepped states and the lyap_h
+# temporaries), so one at the cap needs about 4.8 GB.
 MAX_DRAWS = 10**8
 
 # The most states a drift run may sample per region: each of its

@@ -6,10 +6,10 @@ backlogged demand.  On each of the four reserve intervals D1..D4, cut at
 with N a Gaussian noise draw supplied by the caller.
 
 Only this module knows the map, and it has two routes: the branch kernel
-``iterate``, which ``step`` and every single-chain Monte Carlo run use,
-and the matrix table ``affine_piece``, which ``step_matrix``, the drift
-routes and the lockstep kernel ``iterate_columns`` evaluate.  Tests pin
-the routes to each other bit for bit, breakpoints included.
+``iterate``, which every single-chain Monte Carlo run uses, and the
+matrix table ``affine_piece``, which ``step_matrix`` (and so ``step``),
+the drift routes and the lockstep kernel ``iterate_columns`` evaluate.
+Tests pin the routes to each other bit for bit, breakpoints included.
 """
 
 from __future__ import annotations
@@ -221,7 +221,7 @@ def iterate(p: Params, r0: float, z0: float, noise, out_r, out_z) -> int:
     run starts from z0 + 0.0, so a backlog of -0.0 steps on as +0.0, as in
     step_matrix.
 
-    noise may be any sequence of floats; ``step`` passes a 1-tuple.
+    noise may be any sequence of floats.
 
     The loop runs on Python floats, ``KERNEL_BLOCK`` steps at a time.
     Arithmetic on numpy scalars costs about twice as much per step, and
@@ -349,16 +349,15 @@ def step(p: Params, x: State, n: float, t: int = 0) -> tuple[State, StepRecord]:
     """One transition of the chain with an explicit noise draw.
 
     Pure: all randomness is the caller's responsibility.  The update is
-    one step of :func:`iterate`, and the next state is a pair of Python
-    floats.  The record's observables use scalar forms of
+    :func:`step_matrix`, which tests pin bit for bit to one step of
+    :func:`iterate` without its per-block array work, and the next state
+    is a pair of Python floats.  The record's observables use scalar forms of
     :func:`expressed_backlog`, :func:`frustrated_demand` and
     :func:`ramp_control` with the bits of those ufuncs, signed zeros and
     NaN included.
     """
     r, z = x
-    out_r = np.empty(2)
-    out_z = np.empty(2)
-    iterate(p, r, z, (n,), out_r, out_z)
+    r1, z1 = step_matrix(p, x, n)
     # np.maximum(-r, 0.0) returns its second argument on a tie, so a zero
     # reserve gives +0.0; NaN propagates.
     f = 0.0 if -r <= 0.0 else -r
@@ -376,7 +375,7 @@ def step(p: Params, x: State, n: float, t: int = 0) -> tuple[State, StepRecord]:
         f_frustrated=f,
         h_control=h,
     )
-    return (float(out_r[1]), float(out_z[1])), record
+    return (float(r1), float(z1)), record
 
 
 def step_matrix(p: Params, x: State, n) -> State:

@@ -15,6 +15,7 @@ from scipy.special import ndtri
 ALGORITHM = "philox4x64 + inverse-cdf gaussian"
 
 _TWO53 = float(1 << 53)
+_BELOW_ONE = 1.0 - 2.0 ** -53
 
 
 def stream(seed: int, *indices: int) -> np.random.Generator:
@@ -29,9 +30,15 @@ def point_seed(seed: int, index: int) -> int:
 
 
 def gaussian(rng: np.random.Generator, size: int, sigma: float) -> np.ndarray:
-    """N(0, sigma^2) draws via the inverse CDF, strictly inside (0, 1).
+    """N(0, sigma^2) draws via the inverse CDF of uniforms strictly inside (0, 1).
 
-    The uniform map, ``ndtri`` and the scaling run in place on one array.
+    Each uniform is u = (k + 0.5) / 2^53 for an integer k drawn from
+    [0, 2^53), rounded to the nearest double.  For k >= 2^52 the sum
+    k + 0.5 is a tie and rounds to the even neighbour, so u is k / 2^53 or
+    (k + 1) / 2^53 there; only k = 2^53 - 1 would round to 1.0, where
+    ``ndtri`` is +inf, and its u is clamped to 1 - 2^-53, a value no other
+    k gives.  The uniform map, ``ndtri`` and the scaling run in place on
+    one array.
     """
     k = rng.integers(0, 1 << 53, size=size)
     if sigma == 0.0:
@@ -39,6 +46,7 @@ def gaussian(rng: np.random.Generator, size: int, sigma: float) -> np.ndarray:
     u = k.astype(np.float64)
     u += 0.5
     u /= _TWO53
+    np.minimum(u, _BELOW_ONE, out=u)
     ndtri(u, out=u)
     u *= sigma
     return u

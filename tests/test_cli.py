@@ -449,7 +449,7 @@ def test_trajectory_chunks_match_csv_writer(tmp_path, n_rows):
     regions = np.array(["D1", "D2", "D3", "D4"])[rng.integers(0, 4, n_rows)]
     columns = [np.arange(n_rows) * 7, floats[0], floats[1], regions, *floats[2:]]
     path = tmp_path / "trajectory.csv"
-    atomic_write_text(path, _trajectory_chunks(columns))
+    atomic_write_text(path, _trajectory_chunks(columns, tmp_path))
     assert path.read_bytes() == reference_trajectory_csv(columns).encode()
 
 
@@ -462,3 +462,116 @@ def test_import_leaves_scipy_stats_out():
         capture_output=True, text=True, env=env, timeout=60)
     assert res.returncode == 0, res.stderr
     assert res.stdout.strip() == "False"
+
+
+class TestTrajectoryParts:
+    """trajectory.csv formatted in forked parts, one per usable CPU."""
+
+    @pytest.fixture(autouse=True)
+    def no_child_left(self):
+        yield
+        # Every forked part has been reaped: no zombie, no live child.
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    @staticmethod
+    def use_cpus(monkeypatch, n):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)))
+
+    @staticmethod
+    def count_forks(monkeypatch):
+        """Patch os.fork with a wrapper; returns the list of child pids."""
+        real_fork, pids = os.fork, []
+
+        def fork():
+            pid = real_fork()
+            if pid:
+                pids.append(pid)
+            return pid
+
+        monkeypatch.setattr(os, "fork", fork)
+        return pids
+
+    def simulate(self, runner, tmp_path, rows, record_every=1, name="out"):
+        cfg = write_config(tmp_path, {
+            "params": P0, "x0": [0.0, 0.0], "steps": (rows - 1) * record_every,
+            "seed": 5, "record_every": record_every})
+        out = tmp_path / name
+        res = runner.invoke(main, ["simulate", "--config", cfg, "--out", str(out)])
+        return res, out
+
+    @pytest.mark.parametrize("record_every", [1, 3])
+    def test_bytes_do_not_depend_on_cpu_count(self, runner, tmp_path, monkeypatch,
+                                              record_every):
+        rows = 3 * _CHUNK_ROWS + 5
+        pids = self.count_forks(monkeypatch)
+        texts, forks = [], []
+        for cpus in (1, 2, 3, 4):
+            self.use_cpus(monkeypatch, cpus)
+            res, out = self.simulate(runner, tmp_path, rows, record_every,
+                                     name=f"cpus{cpus}")
+            assert res.exit_code == 0, res.output
+            texts.append((out / "trajectory.csv").read_bytes())
+            forks.append(len(pids))
+            assert sorted(p.name for p in out.iterdir()) == [
+                "manifest.json", "stats.json", "trajectory.csv"]
+        assert texts[0].count(b"\n") == rows + 1
+        assert texts[1:] == texts[:1] * 3
+        # One child per part after the first; three chunks make three parts.
+        assert forks == [0, 1, 3, 5]
+
+    def test_fewer_than_two_chunks_never_fork(self, runner, tmp_path, monkeypatch):
+        self.use_cpus(monkeypatch, 4)
+        pids = self.count_forks(monkeypatch)
+        res, _ = self.simulate(runner, tmp_path, 2 * _CHUNK_ROWS - 1, name="short")
+        assert res.exit_code == 0, res.output
+        assert pids == []
+        res, _ = self.simulate(runner, tmp_path, 2 * _CHUNK_ROWS, name="two")
+        assert res.exit_code == 0, res.output
+        assert len(pids) == 1
+
+    def test_failed_fork_formats_here(self, runner, tmp_path, monkeypatch):
+        rows = 3 * _CHUNK_ROWS + 5
+        self.use_cpus(monkeypatch, 1)
+        res, out = self.simulate(runner, tmp_path, rows, name="one")
+        assert res.exit_code == 0, res.output
+        want = (out / "trajectory.csv").read_bytes()
+
+        def fork():
+            raise OSError(11, "Resource temporarily unavailable")
+
+        self.use_cpus(monkeypatch, 4)
+        monkeypatch.setattr(os, "fork", fork)
+        res, out = self.simulate(runner, tmp_path, rows, name="no-fork")
+        assert res.exit_code == 0, res.output
+        assert (out / "trajectory.csv").read_bytes() == want
+
+    def test_failed_part_exit_4_one_line(self, runner, tmp_path, monkeypatch):
+        parent, real_rows = os.getpid(), gridlab.cli._rows
+
+        def rows(columns, lo, hi):
+            if os.getpid() != parent:
+                raise RuntimeError("formatting failed")
+            return real_rows(columns, lo, hi)
+
+        monkeypatch.setattr(gridlab.cli, "_rows", rows)
+        self.use_cpus(monkeypatch, 4)
+        res, out = self.simulate(runner, tmp_path, 3 * _CHUNK_ROWS + 5)
+        assert res.exit_code == 4
+        assert res.stdout == ""
+        assert res.stderr.startswith(
+            f"error: formatting trajectory.csv rows {_CHUNK_ROWS}-{2 * _CHUNK_ROWS - 1} ")
+        assert res.stderr.count("\n") == 1
+        assert list(out.iterdir()) == []
+
+    def test_closing_early_reaps_every_part(self, tmp_path, monkeypatch):
+        self.use_cpus(monkeypatch, 4)
+        pids = self.count_forks(monkeypatch)
+        n = 4 * _CHUNK_ROWS
+        columns = [np.arange(n), np.zeros(n), np.zeros(n),
+                   np.full(n, "D2"), *[np.zeros(n)] * 4]
+        chunks = _trajectory_chunks(columns, tmp_path)
+        assert next(chunks).startswith("t,R,Z,")
+        chunks.close()
+        assert len(pids) == 3
+        assert list(tmp_path.iterdir()) == []

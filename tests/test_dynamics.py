@@ -279,6 +279,25 @@ class TestKernelMatchesMatrixTable:
                 assert bits(out_r[1], out_z[1]) == want
                 assert bits(*step(p, (r, z), n)[0]) == want
 
+    def test_step_is_one_iterate_step(self):
+        # step takes the matrix route; it must still give iterate's bits at
+        # and just below each breakpoint, at a signed zero backlog, and at
+        # a non-finite reserve.
+        rng = np.random.default_rng(45)
+        for _ in range(50):
+            p = random_params(rng)
+            cuts = breakpoints(p)
+            reserves = [*cuts, *[math.nextafter(b, -math.inf) for b in cuts],
+                        math.nan, math.inf, -math.inf]
+            for r in reserves:
+                for z in (0.0, -0.0, float(rng.uniform(0.0, 50.0))):
+                    n = float(rng.normal(0.0, p.sigma))
+                    out_r, out_z = np.empty(2), np.empty(2)
+                    iterate(p, r, z, [n], out_r, out_z)
+                    (r1, z1), _ = step(p, (r, z), n)
+                    assert type(r1) is float and type(z1) is float
+                    assert bits(r1, z1) == bits(out_r[1], out_z[1])
+
     def test_trajectory_bitwise(self):
         # A kernel run equals step_matrix applied one step at a time.
         rng = np.random.default_rng(42)

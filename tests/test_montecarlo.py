@@ -3,6 +3,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from scipy.special import ndtri
 
 from gridlab import (
     SimConfig,
@@ -71,17 +72,51 @@ class TestRunChainBlocks:
         gaussian(ref, B, p.sigma)
         assert repr(rng.bit_generator.state) == repr(ref.bit_generator.state)
 
-    def test_memory_is_outputs_plus_one_block(self, p0):
-        # The two output arrays plus one block's noise, lists and arrays;
-        # a noise array for the whole horizon (1.6 MB here) breaks it.
-        steps = 200_000
-        tracemalloc.start()
-        try:
-            _run_chain_raw(p0, (0.0, 0.0), steps, stream(23))
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert peak < 2 * 8 * (steps + 1) + 256 * B
+
+def test_max_draws_memory_figures(p0):
+    # The figures behind config.MAX_DRAWS and README.  A chain holds its
+    # two output arrays, 16 bytes per step, plus one block's noise, lists
+    # and arrays (about 1.6 GB at the cap); a noise array for the whole
+    # horizon (1.6 MB here) breaks the bound.  A drift point holds at most
+    # 50 bytes per draw (about 4.8 GB at the cap).
+    steps = draws = 200_000
+    tracemalloc.start()
+    try:
+        _run_chain_raw(p0, (0.0, 0.0), steps, stream(23))
+        _, chain_peak = tracemalloc.get_traced_memory()
+        tracemalloc.reset_peak()
+        empirical_drift(p0, (-2.0, 3.0), draws, 1)
+        _, drift_peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert chain_peak <= 16 * (steps + 1) + 128 * B
+    assert drift_peak <= 50 * draws
+
+
+class TestGaussian:
+    class Integers:
+        """A generator stub whose integers() returns fixed values."""
+
+        def __init__(self, values):
+            self.values = values
+
+        def integers(self, lo, hi, size):
+            assert (lo, hi, size) == (0, 1 << 53, len(self.values))
+            return np.array(self.values, dtype=np.int64)
+
+    @pytest.mark.parametrize("sigma", [1.0, 2.5])
+    def test_top_integer_is_clamped_below_one(self, sigma):
+        ks = [2**53 - 1, 2**53 - 2, 2**52 + 1, 0]
+        got = gaussian(self.Integers(ks), len(ks), sigma)
+        assert np.isfinite(got).all()
+        # The top draw is the quantile of 1 - 2^-53; the others keep the
+        # bits of the unclamped map, ties at k >= 2^52 rounded to even.
+        u = (np.array(ks, dtype=np.float64) + 0.5) / 2.0 ** 53
+        assert u[0] == 1.0 and u[1] == 1.0 - 2.0 ** -52 and u[2] == 0.5 + 2.0 ** -52
+        u[0] = 1.0 - 2.0 ** -53
+        want = ndtri(u) * sigma
+        assert got.view(np.uint64).tolist() == want.view(np.uint64).tolist()
+        assert got[0] > got[1]
 
 
 class TestSimulate:
