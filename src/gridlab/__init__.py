@@ -32,6 +32,7 @@ from .lyapunov import (
     drift_exact,
     drift_paper,
     drift_report,
+    empirical_drift,
     from_y1,
     in_c_union,
     log_drift_numeric,
@@ -51,7 +52,6 @@ from .montecarlo import (
     SweepPoint,
     Trajectory,
     TrajectoryStats,
-    empirical_drift,
     growth_slope,
     hitting_probability,
     monotone_violations,

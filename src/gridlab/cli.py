@@ -266,10 +266,7 @@ def cmd_drift(cfg: dict, out: Path) -> list[str]:
 def cmd_sweep(cfg: dict, out: Path, threads: int) -> list[str]:
     """Stability verdict per grid point; verdicts.csv plus drift geometry."""
     results = sweep(cfg["params"], cfg["grid"], cfg["steps"], cfg["burn_in"],
-                    cfg["n_seeds"], cfg["seed"],
-                    ks_threshold=cfg["ks_threshold"],
-                    slope_threshold=cfg["slope_threshold"],
-                    workers=threads)
+                    cfg["n_seeds"], cfg["seed"], workers=threads)
 
     def fmt_or_blank(v):
         return fmt_float(v) if isinstance(v, (int, float)) else ""

@@ -12,6 +12,7 @@ raises their ``ValueError``, which the CLI reports as a config error.
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 import os
@@ -26,17 +27,32 @@ from .thermal import Building, ThermalScenario, check_heat_pump
 
 _MISSING = object()
 
-# The most steps one chain, or draws one drift estimate, may take.  A chain
-# holds 16 bytes per step (R and Z; its noise is drawn a block at a time),
-# so one at the cap needs about 1.6 GB.  A drift point holds about 48
-# bytes per draw (the noise, the stepped states and the lyap_h
-# temporaries), so one at the cap needs about 4.8 GB.
+# The most steps one chain, or draws one drift estimate, may take.  The
+# chain kernel holds 16 bytes per step (R and Z; its noise is drawn a
+# block at a time), but `simulate` with every step recorded peaks at 88
+# bytes per step (the chain, the trajectory columns and their
+# temporaries; 32 with record_every=10), so one at the cap needs about
+# 8.8 GB.  A drift point holds about 48 bytes per draw (the noise, the
+# stepped states and the lyap_h temporaries), so one at the cap needs
+# about 4.8 GB.
 MAX_DRAWS = 10**8
 
 # The most states a drift run may sample per region: each of its
 # 4 * per_region points is held as a tuple, a report row and a manifest
 # entry, about 1.2 KB in all, so this is about 4 * 5e5 * 1.2 KB = 2.4 GB.
 MAX_PER_REGION = 500_000
+
+# The most points a sweep grid may have, counted as the product of its
+# axis lengths before the grid is built.  A library sweep holds about
+# 1.4 KB per point and `gridlab sweep` peaks near 2.7 KB per point (its
+# rows and drift geometry), so a grid at the cap needs about 0.15 GB, or
+# 0.27 GB from the CLI.
+MAX_GRID_POINTS = 10**5
+
+# The most growth-probe columns (grid points x n_seeds) a sweep may run:
+# each keeps about 40 bytes (its slope and fit entry), so about 0.4 GB at
+# the cap.
+MAX_GROWTH_COLUMNS = 10**7
 
 
 def _is_number(v: Any) -> bool:
@@ -98,6 +114,15 @@ class _Section:
         if most is not None and v > most:
             raise ConfigError(f"{self._path}: field '{key}' must be <= {most}")
         return v
+
+    def take_numbers(self, key: str, default: Any = _MISSING) -> list[float]:
+        v = self.take(key, default)
+        if v is default and default is not _MISSING:
+            return v
+        if not (isinstance(v, list) and v and all(map(_is_number, v))):
+            raise ConfigError(
+                f"{self._path}.{key}: must be a non-empty list of finite numbers")
+        return [float(x) for x in v]
 
     def section(self, key: str) -> "_Section":
         sec = _Section(self.take(key), f"{self._path}.{key}")
@@ -168,6 +193,10 @@ def parse_drift(doc: dict, path: str = "config") -> tuple[dict, dict]:
                 f"{path}: 'points' must be a non-empty list of [r, z] pairs")
         points = [_pair(pt, f"{path}: points[{i}]")
                   for i, pt in enumerate(points)]
+        for i, (_, z) in enumerate(points):
+            # SimConfig's rule for x0: states lie in R x R+ (-0.0 included).
+            if z < 0.0:
+                raise ConfigError(f"{path}: points[{i}]: backlog z must be >= 0")
     out = {
         "params": params,
         "points": points,
@@ -187,35 +216,30 @@ def parse_sweep(doc: dict, path: str = "config") -> tuple[dict, dict]:
     sec = _Section(doc, path)
     params = parse_params(sec)
     grid_sec = sec.section("grid")
-    axes = {}
-    for name in ("mu", "lambda", "r_star"):
-        vals = grid_sec.take(name, None)
-        if vals is None:
-            continue
-        if not (isinstance(vals, list) and vals and all(map(_is_number, vals))):
-            raise ConfigError(
-                f"{path}.grid.{name}: must be a non-empty list of finite numbers")
-        axes[name] = [float(v) for v in vals]
+    axes = {name: vals for name in ("mu", "lambda", "r_star")
+            if (vals := grid_sec.take_numbers(name, None)) is not None}
     grid_sec.finish()
     if not axes:
         raise ConfigError(f"{path}.grid: must name at least one axis")
-    # Cartesian product in a fixed axis order keeps row indices stable.
-    points: list[dict[str, float]] = [{}]
-    for name in ("mu", "lambda", "r_star"):
-        if name in axes:
-            points = [dict(pt, **{name: v}) for pt in points for v in axes[name]]
+    n_points = math.prod(map(len, axes.values()))
+    if n_points > MAX_GRID_POINTS:
+        raise ConfigError(f"{path}.grid: {n_points} points is more than "
+                          f"{MAX_GRID_POINTS}")
     out = {
         "params": params,
-        "grid": points,
         "steps": sec.take_int("steps", 100_000, most=MAX_DRAWS),
         "burn_in": sec.take_int("burn_in", 10_000),
         "n_seeds": sec.take_int("n_seeds", 16, least=1),
         "seed": sec.take_int("seed", 0, least=0),
-        "ks_threshold": sec.take_number("ks_threshold", 0.05),
-        "slope_threshold": sec.take_number("slope_threshold", 0.03),
     }
     echo = sec.finish()
     check_horizon(out["steps"], out["burn_in"])
+    if n_points * out["n_seeds"] > MAX_GROWTH_COLUMNS:
+        raise ConfigError(f"{path}: {n_points} points x {out['n_seeds']} seeds "
+                          f"is more than {MAX_GROWTH_COLUMNS} growth columns")
+    # Cartesian product in a fixed axis order keeps row indices stable.
+    out["grid"] = [dict(zip(axes, vals))
+                   for vals in itertools.product(*axes.values())]
     return out, echo
 
 
@@ -230,21 +254,12 @@ def parse_thermal(doc: dict, path: str = "scenario"
         eps=bsec.take_number("eps"),
     )
     bsec.finish()
-    theta = sec.take("theta")
-    demand = sec.take("demand")
-    for name, series in (("theta", theta), ("demand", demand)):
-        if not isinstance(series, list) or not all(map(_is_number, series)):
-            raise ConfigError(f"{path}.{name}: must be a list of finite numbers")
-    frustration = sec.take("frustration", None)
-    if frustration is not None and not (
-            isinstance(frustration, list) and all(map(_is_number, frustration))):
-        raise ConfigError(f"{path}.frustration: must be a list of finite numbers")
     kwargs = dict(
-        theta=[float(v) for v in theta],
-        demand=[float(v) for v in demand],
+        theta=sec.take_numbers("theta"),
+        demand=sec.take_numbers("demand"),
         t0_temp=sec.take_number("t0_temp"),
         tau=sec.take_int("tau"),
-        frustration=None if frustration is None else [float(v) for v in frustration],
+        frustration=sec.take_numbers("frustration", None),
         eps_prime=sec.take_number("eps_prime", None),
     )
     echo = sec.finish()

@@ -8,7 +8,7 @@ computes the drift three independent ways:
 * ``drift_paper``      -- the region-wise expressions written in the
                           eigenbasis of each affine piece (exact in D1 and
                           D2, upper bounds in D3 and D4);
-* ``montecarlo.empirical_drift`` -- sampling (lives in the sibling module).
+* ``empirical_drift``  -- Monte Carlo sampling of one step.
 
 It also exposes the geometry of the sets C1..C4 where the drift may exceed
 -1, and the logarithmic function used to certify instability for
@@ -41,6 +41,7 @@ __all__ = [
     "w2",
     "drift_exact",
     "drift_paper",
+    "empirical_drift",
     "negative_drift_geometry",
     "in_c_union",
     "log_lyap",
@@ -49,6 +50,13 @@ __all__ = [
 ]
 
 Mat2 = tuple[tuple[float, float], tuple[float, float]]
+
+# drift_report's agreement tolerances are artifact choices: the paper
+# formula must match the exact drift to this relative error (or bound it
+# from above), and the Monte Carlo mean must lie within this many
+# standard errors of it.
+PAPER_REL_TOL = 1e-9
+MC_SIGMAS = 4.0
 
 
 @dataclass(frozen=True)
@@ -198,6 +206,15 @@ def drift_exact(p: Params, x: State) -> float:
     return lyap_h(p, mean_next) + 2.0 * p.sigma * p.sigma - lyap_h(p, x)
 
 
+def empirical_drift(p: Params, x: State, n: int, seed: int) -> tuple[float, float]:
+    """Sample mean and stderr of H(X(1)) - H(x) over n independent draws."""
+    noise = gaussian(stream(seed), n, p.sigma)
+    incr = lyap_h(p, step_matrix(p, x, noise)) - lyap_h(p, x)
+    mean = float(incr.mean())
+    stderr = 0.0 if p.sigma == 0.0 else float(incr.std(ddof=1) / math.sqrt(n))
+    return mean, stderr
+
+
 def _dw1(p: Params, y: tuple[float, float]) -> float:
     u, v = y
     mu, zeta, sig = p.mu, p.zeta, p.sigma
@@ -343,12 +360,8 @@ def log_drift_numeric(p: Params, v: float, n_samples: int,
     return mean, stderr
 
 
-def drift_report(p: Params, x: State, n_samples: int, seed: int,
-                 paper_rel_tol: float = 1e-9,
-                 mc_sigmas: float = 4.0) -> DriftReport:
+def drift_report(p: Params, x: State, n_samples: int, seed: int) -> DriftReport:
     """Cross-check all drift routes at one state."""
-    from .montecarlo import empirical_drift  # avoid import cycle
-
     region = classify_region(p, x)
     exact = drift_exact(p, x)
     if region is Region.D1 and p.mu == 0.0:
@@ -358,10 +371,10 @@ def drift_report(p: Params, x: State, n_samples: int, seed: int,
         paper_val, kind = drift_paper(p, x)
         scale = max(1.0, abs(exact), abs(paper_val))
         if kind == "exact":
-            agree_paper = abs(exact - paper_val) <= paper_rel_tol * scale
+            agree_paper = abs(exact - paper_val) <= PAPER_REL_TOL * scale
         else:
-            agree_paper = exact <= paper_val + paper_rel_tol * scale
+            agree_paper = exact <= paper_val + PAPER_REL_TOL * scale
     mc_mean, mc_stderr = empirical_drift(p, x, n_samples, seed)
-    agree_mc = abs(exact - mc_mean) <= mc_sigmas * mc_stderr
+    agree_mc = abs(exact - mc_mean) <= MC_SIGMAS * mc_stderr
     return DriftReport(x, region, exact, paper_val, kind,
                        mc_mean, mc_stderr, agree_paper, agree_mc)

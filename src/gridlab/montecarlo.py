@@ -27,11 +27,9 @@ from .dynamics import (
     iterate_columns,
     ramp_control,
     region_codes,
-    step_matrix,
     validate_params,
 )
 from .errors import SimulationDiverged
-from .lyapunov import lyap_h
 from .rng import gaussian, point_seed, stream
 
 __all__ = [
@@ -43,7 +41,6 @@ __all__ = [
     "SweepPoint",
     "simulate",
     "monotone_violations",
-    "empirical_drift",
     "two_chain_convergence",
     "growth_slope",
     "hitting_probability",
@@ -52,8 +49,9 @@ __all__ = [
 
 QUANTILES = (0.05, 0.25, 0.5, 0.75, 0.95)
 
-# Verdict thresholds are artifact choices, not model constants; both are
-# configurable through sweep().
+# Verdict thresholds are artifact choices, not model constants: a KS
+# distance below KS_THRESHOLD counts as converged, a median log Z slope
+# above SLOPE_THRESHOLD as growing.
 KS_THRESHOLD = 0.05
 SLOPE_THRESHOLD = 0.03
 
@@ -221,15 +219,6 @@ def simulate(cfg: SimConfig,
             h_control=ramp_control(p, rr),
         )
     return stats, traj
-
-
-def empirical_drift(p: Params, x: State, n: int, seed: int) -> tuple[float, float]:
-    """Sample mean and stderr of H(X(1)) - H(x) over n independent draws."""
-    noise = gaussian(stream(seed), n, p.sigma)
-    incr = lyap_h(p, step_matrix(p, x, noise)) - lyap_h(p, x)
-    mean = float(incr.mean())
-    stderr = 0.0 if p.sigma == 0.0 else float(incr.std(ddof=1) / math.sqrt(n))
-    return mean, stderr
 
 
 def _ks_statistic(a: np.ndarray, b: np.ndarray) -> float:
@@ -402,8 +391,8 @@ class SweepPoint:
 
 
 def _verdict(p: Params, ks: float, violations: int,
-             growth: GrowthResult | SimulationDiverged, n_seeds: int,
-             ks_threshold: float, slope_threshold: float) -> StabilityVerdict:
+             growth: GrowthResult | SimulationDiverged,
+             n_seeds: int) -> StabilityVerdict:
     diverged = isinstance(growth, SimulationDiverged)
     if diverged:
         # An overflowing probe counts as growing and excludes no seed.
@@ -413,8 +402,8 @@ def _verdict(p: Params, ks: float, violations: int,
         slope = growth.median_slope
         seeds_used = n_seeds - growth.excluded
 
-    ks_ok = math.isfinite(ks) and ks < ks_threshold
-    growing = diverged or (math.isfinite(slope) and slope > slope_threshold)
+    ks_ok = math.isfinite(ks) and ks < KS_THRESHOLD
+    growing = diverged or (math.isfinite(slope) and slope > SLOPE_THRESHOLD)
     # A confidently positive growth slope outweighs a small finite-horizon
     # KS distance (the distance test is pre-asymptotic on a diverging
     # chain); only failing both tests is inconclusive.
@@ -465,8 +454,6 @@ def _sweep_point(p: Params, seed: int, steps: int,
 
 def sweep(base: Params, grid: list[dict[str, float]], steps: int,
           burn_in: int, n_seeds: int = 16, seed: int = 0,
-          ks_threshold: float = KS_THRESHOLD,
-          slope_threshold: float = SLOPE_THRESHOLD,
           workers: int = 1) -> list[SweepPoint]:
     """Evaluate a stability verdict at each grid point.
 
@@ -511,6 +498,5 @@ def sweep(base: Params, grid: list[dict[str, float]], steps: int,
             rows[row.index] = replace(row, error=legs_i)
         else:
             rows[row.index] = replace(row, result=_verdict(
-                row.params, *legs_i, growth_i, n_seeds, ks_threshold,
-                slope_threshold))
+                row.params, *legs_i, growth_i, n_seeds))
     return rows

@@ -13,9 +13,10 @@ from click.testing import CliRunner
 import gridlab.cli
 from gridlab import sweep
 from gridlab.cli import _CHUNK_ROWS, _trajectory_chunks, main
-from gridlab.config import (MAX_DRAWS, MAX_PER_REGION, ConfigError,
-                            atomic_write_text, fmt_float, parse_drift,
-                            parse_simulate, parse_sweep)
+from gridlab.config import (MAX_DRAWS, MAX_GRID_POINTS, MAX_GROWTH_COLUMNS,
+                            MAX_PER_REGION, ConfigError, atomic_write_text,
+                            fmt_float, parse_drift, parse_simulate,
+                            parse_sweep)
 
 P0 = {"lambda": 0.5, "mu": 0.1, "zeta": 1.0, "xi": 1.0, "r_star": 3.0,
       "sigma": 1.0}
@@ -343,10 +344,14 @@ DRIFT = {"params": P0, "mc_samples": 100}
     ("simulate", dict(SIM, params=dict(P0, sigma=INF))),
     ("sweep", dict(SWEEP, grid={"mu": [0.1, NAN]})),
     ("sweep", dict(SWEEP, grid={"lambda": [-INF]})),
-    ("sweep", dict(SWEEP, ks_threshold=NAN)),
-    ("sweep", dict(SWEEP, slope_threshold=INF)),
+    # The verdict thresholds are constants, not config keys.
+    ("sweep", dict(SWEEP, ks_threshold=0.05)),
+    ("sweep", dict(SWEEP, slope_threshold=0.03)),
     ("drift", dict(DRIFT, points=[[NAN, 1.0]])),
     ("drift", dict(DRIFT, points=[[1.0, -INF]])),
+    # Drift states lie in R x R+, as a simulation's x0 does.
+    ("drift", dict(DRIFT, points=[[0.0, 1.0], [1.0, -5.0]])),
+    ("thermal", dict(B0_SCENARIO, theta=[])),
     ("thermal", dict(B0_SCENARIO, theta=[0.0, NAN, 0.0])),
     ("thermal", dict(B0_SCENARIO, demand=[1.0, 1.0, INF])),
     ("thermal", dict(B0_SCENARIO, frustration=[NAN, 0.0, 0.0])),
@@ -368,20 +373,27 @@ DRIFT = {"params": P0, "mc_samples": 100}
     ("sweep", dict(SWEEP, steps=10**12)),
     ("drift", dict(DRIFT, per_region=1, mc_samples=10**12)),
     ("drift", dict(DRIFT, per_region=10**12)),
+    # Past MAX_GRID_POINTS or MAX_GROWTH_COLUMNS a sweep would not fit in
+    # memory; 10**9 points are refused before the grid is built.
+    ("sweep", dict(SWEEP, grid={"mu": [0.1] * 1000, "lambda": [0.5] * 1000,
+                                "r_star": [3.0] * 1000})),
+    ("sweep", dict(SWEEP, grid={"mu": [0.1] * 10}, n_seeds=10**6 + 1)),
 ], ids=["steps-le-burn-in", "zero-steps", "zero-record-every",
         "negative-z0", "grid-string", "grid-numeric-string", "zero-seeds",
         "sweep-burn-in-ge-steps", "point-string", "point-null",
         "empty-points", "zero-mc-samples", "one-mc-sample",
         "x0-nan", "x0-inf", "x0-huge-int", "params-nan", "params-inf",
-        "grid-nan", "grid-neg-inf", "ks-threshold-nan", "slope-threshold-inf",
-        "point-nan", "point-neg-inf", "theta-nan", "demand-inf",
+        "grid-nan", "grid-neg-inf", "ks-threshold-key", "slope-threshold-key",
+        "point-nan", "point-neg-inf", "point-negative-z", "theta-empty",
+        "theta-nan", "demand-inf",
         "frustration-nan", "t0-temp-nan", "building-inf",
         "eps-prime-above-eps", "heat-pump-partial-frustration",
         "simulate-negative-seed", "sweep-negative-seed", "drift-negative-seed",
         "simulate-negative-seed-option", "sweep-negative-seed-option",
         "drift-negative-seed-option", "simulate-steps-over-limit",
         "sweep-steps-over-limit", "drift-mc-samples-over-limit",
-        "drift-per-region-over-limit"])
+        "drift-per-region-over-limit", "sweep-grid-over-limit",
+        "sweep-columns-over-limit"])
 def test_invalid_config_exit_2_one_line(runner, tmp_path, command, doc):
     cfg = write_config(tmp_path, doc)
     res = runner.invoke(main, [*command.split(), "--config", cfg,
@@ -390,6 +402,8 @@ def test_invalid_config_exit_2_one_line(runner, tmp_path, command, doc):
     assert res.stdout == ""
     assert res.stderr.startswith("config error: ")
     assert res.stderr.count("\n") == 1
+    for key in ("ks_threshold", "slope_threshold"):
+        assert (key in doc) == (f"unknown field(s): {key}" in res.stderr)
 
 
 def test_draw_limit_is_inclusive_and_named():
@@ -401,6 +415,24 @@ def test_draw_limit_is_inclusive_and_named():
     with pytest.raises(ConfigError,
                        match=f"'per_region' must be <= {MAX_PER_REGION}$"):
         parse_drift(dict(doc, per_region=MAX_PER_REGION + 1))
+
+
+def test_sweep_limits_are_inclusive_and_named():
+    # Parses only; no point runs.
+    seeds = MAX_GROWTH_COLUMNS // MAX_GRID_POINTS
+    doc = dict(SWEEP, grid={"mu": [0.1] * MAX_GRID_POINTS}, n_seeds=seeds)
+    assert len(parse_sweep(doc)[0]["grid"]) == MAX_GRID_POINTS
+    with pytest.raises(ConfigError, match=f"{MAX_GRID_POINTS + 1} points is "
+                                          f"more than {MAX_GRID_POINTS}$"):
+        parse_sweep(dict(doc, grid={"mu": [0.1] * (MAX_GRID_POINTS + 1)}))
+    with pytest.raises(ConfigError, match=f"more than {MAX_GROWTH_COLUMNS} "
+                                          f"growth columns$"):
+        parse_sweep(dict(doc, n_seeds=seeds + 1))
+
+
+def test_drift_point_may_have_negative_zero_backlog():
+    assert parse_drift(dict(DRIFT, points=[[1.0, -0.0]]))[0]["points"] \
+        == [(1.0, -0.0)]
 
 
 def test_two_mc_samples_accepted(runner, tmp_path):

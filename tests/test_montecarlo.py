@@ -12,6 +12,7 @@ from gridlab import (
     empirical_drift,
     growth_slope,
     hitting_probability,
+    lyap_h,
     monotone_violations,
     simulate,
     sweep,
@@ -91,6 +92,24 @@ def test_max_draws_memory_figures(p0):
         tracemalloc.stop()
     assert chain_peak <= 16 * (steps + 1) + 128 * B
     assert drift_peak <= 50 * draws
+
+
+@pytest.mark.parametrize("record_every, per_step", [(1, 96), (10, 40)])
+def test_simulate_records_memory_figure(p0, record_every, per_step):
+    # The figure behind config.MAX_DRAWS and README for `gridlab simulate`:
+    # the chain, the trajectory columns it writes and their temporaries
+    # peak at about 88 bytes per step when every step is recorded (about
+    # 8.8 GB at the cap), and at about 32 with record_every=10.
+    steps = 200_000
+    tracemalloc.start()
+    try:
+        sim = SimConfig(p0, (0.0, 0.0), steps, record_every=record_every)
+        _, traj = simulate(sim, return_records=True)
+        lyap_h(p0, (traj.r, traj.z))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= per_step * steps
 
 
 class TestGaussian:
