@@ -19,6 +19,7 @@ from .errors import (
     GeometryUndefined,
     GridlabError,
     InfeasibleScenario,
+    NonFiniteResult,
     ParamError,
     SimulationDiverged,
     TransformUndefined,

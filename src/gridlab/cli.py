@@ -3,17 +3,15 @@
 All commands read a single JSON config, write plot-ready files into an
 output directory, and record a manifest describing the run.  Output is
 files-only; exit codes are 0 (success), 2 (config error), 3 (infeasible
-scenario or diverged simulation), 4 (internal error).
+scenario, diverged simulation, or a NaN or infinite result bound for a
+JSON file), 4 (internal error).
 """
 
 from __future__ import annotations
 
-import os
-import signal
 import sys
 import tempfile
 import time
-import warnings
 from contextlib import closing
 from functools import partial
 from pathlib import Path
@@ -25,9 +23,11 @@ import numpy as np
 from . import __version__, config as cfgmod
 from .config import ConfigError, atomic_write_text, dump_json, fmt_float, load_json
 from .dynamics import Params, Region, breakpoints
-from .errors import GridlabError, InfeasibleScenario, SimulationDiverged
+from .errors import (GridlabError, InfeasibleScenario, NonFiniteResult,
+                     SimulationDiverged)
 from .lyapunov import drift_report, lyap_h, negative_drift_geometry
-from .montecarlo import SimConfig, simulate, sweep
+from .montecarlo import (SimConfig, fork_child, kill_child, simulate, sweep,
+                         usable_cpus, wait_child)
 from .rng import ALGORITHM, point_seed, stream
 from .thermal import run_heat_pump_scenario, run_scenario_pair
 
@@ -59,38 +59,15 @@ def _rows(columns: list[np.ndarray], lo: int, hi: int) -> Iterator[str]:
 
 
 def _part_count(rows: int) -> int:
-    """Parts to format ``rows`` rows in: one per usable CPU, each of at
-    least ``_CHUNK_ROWS`` rows, and one where the platform cannot fork."""
-    if not (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")):
-        return 1
-    return max(1, min(len(os.sched_getaffinity(0)), rows // _CHUNK_ROWS))
+    """Parts to format ``rows`` rows in: one per usable CPU
+    (:func:`usable_cpus`), each of at least ``_CHUNK_ROWS`` rows."""
+    return max(1, min(usable_cpus(), rows // _CHUNK_ROWS))
 
 
-def _fork_part(columns: list[np.ndarray], lo: int, hi: int, fh) -> int | None:
-    """Fork a child that writes rows lo..hi-1 to ``fh`` and exits.
-
-    Returns the child's pid, or None if ``os.fork`` fails.  The child ends
-    only through ``os._exit``: status 0 once its rows are flushed, 1 on any
-    exception, with no traceback and none of the parent's clean-up.
-    """
-    try:
-        with warnings.catch_warnings():
-            # Python 3.12+ warns, after the child exists, on forking a
-            # process that has threads (here numpy's idle BLAS pool); the
-            # child formats Python floats and touches nothing they own.
-            warnings.simplefilter("ignore", DeprecationWarning)
-            pid = os.fork()
-    except OSError:
-        return None
-    if pid == 0:
-        code = 1
-        try:
-            fh.writelines(_rows(columns, lo, hi))
-            fh.flush()
-            code = 0
-        finally:
-            os._exit(code)
-    return pid
+def _write_part(columns: list[np.ndarray], lo: int, hi: int, fh) -> None:
+    """A child's part: rows lo..hi-1, written to ``fh``."""
+    fh.writelines(_rows(columns, lo, hi))
+    fh.flush()
 
 
 def _trajectory_chunks(columns: list[np.ndarray], directory: Path) -> Iterator[str]:
@@ -101,9 +78,10 @@ def _trajectory_chunks(columns: list[np.ndarray], directory: Path) -> Iterator[s
     forked child per range after the first formats it into an anonymous
     file in ``directory``, while this process yields the header and the
     first range; then each child is waited for in order and its file read
-    back.  A range whose fork fails is formatted here.  The text is the same
-    for every part count.  Every child is reaped however the generator ends
-    (close it to end it early), and a child that fails raises GridlabError.
+    back.  A range whose fork fails (:func:`fork_child`) is formatted here.
+    The text is the same for every part count.  Every child is reaped
+    however the generator ends (close it to end it early), and a child that
+    fails raises GridlabError.
     """
     n = len(columns[0])
     parts = _part_count(n)
@@ -114,7 +92,7 @@ def _trajectory_chunks(columns: list[np.ndarray], directory: Path) -> Iterator[s
     try:
         for lo, hi in zip(cuts[1:], cuts[2:]):
             fh = tempfile.TemporaryFile("w+", encoding="ascii", dir=directory)
-            pid = _fork_part(columns, lo, hi, fh)
+            pid = fork_child(partial(_write_part, columns, lo, hi, fh))
             if pid is None:
                 fh.close()
             else:
@@ -126,18 +104,13 @@ def _trajectory_chunks(columns: list[np.ndarray], directory: Path) -> Iterator[s
             if pid is None:
                 yield from _rows(columns, lo, hi)
                 continue
-            status = os.waitpid(pid, 0)[1]
             with pending.pop(pid) as fh:
-                code = os.waitstatus_to_exitcode(status)
-                if code != 0:
-                    raise GridlabError(f"formatting trajectory.csv rows {lo}-{hi - 1} "
-                                       f"failed in a child process (exit status {code})")
+                wait_child(pid, f"formatting trajectory.csv rows {lo}-{hi - 1}")
                 fh.seek(0)
                 yield from iter(partial(fh.read, _READ_CHARS), "")
     finally:
         for pid, fh in pending.items():
-            os.kill(pid, signal.SIGKILL)
-            os.waitpid(pid, 0)
+            kill_child(pid)
             fh.close()
 
 
@@ -157,8 +130,11 @@ def _command(name: str, *options):
     config, puts --seed into it, parses it with ``config.parse_<name>``,
     calls ``body(config, out_dir, **options)``, which returns the names of
     the files it wrote, and writes manifest.json with the parser's echo as
-    ``config``.  Every error maps to one stderr line and its exit code.
-    Names are looked up when the command runs, so they can be patched.
+    ``config`` and the :func:`usable_cpus` that sized its processes as
+    ``environment``.  Every error maps to one stderr line and its exit
+    code; numpy's overflow and invalid-value warnings are off, since a
+    non-finite result is refused where a JSON file would hold it.  Names
+    are looked up when the command runs, so they can be patched.
     """
     def register(body):
         def command(config_path, out_dir, seed=None, **opts):
@@ -171,11 +147,13 @@ def _command(name: str, *options):
                     cfg, echo = getattr(cfgmod, f"parse_{name}")(doc)
                 except ValueError as exc:  # a model type rejected a value
                     raise ConfigError(str(exc)) from exc
-                outputs = body(cfg, out_dir, **opts)
+                with np.errstate(over="ignore", invalid="ignore"):
+                    outputs = body(cfg, out_dir, **opts)
                 dump_json(out_dir / "manifest.json", {
                     "tool_version": __version__,
                     "command": name,
                     "config": echo,
+                    "environment": {"usable_cpus": usable_cpus()},
                     "rng_algorithm": ALGORITHM,
                     "outputs": outputs,
                     "duration_s": time.perf_counter() - started,
@@ -183,7 +161,8 @@ def _command(name: str, *options):
             except ConfigError as exc:
                 click.echo(f"config error: {exc}", err=True)
                 sys.exit(EXIT_CONFIG)
-            except (InfeasibleScenario, SimulationDiverged) as exc:
+            except (InfeasibleScenario, SimulationDiverged,
+                    NonFiniteResult) as exc:
                 click.echo(f"error: {exc}", err=True)
                 sys.exit(EXIT_INFEASIBLE)
             except GridlabError as exc:
@@ -261,12 +240,13 @@ def cmd_drift(cfg: dict, out: Path) -> list[str]:
 
 
 @_command("sweep", _SEED,
-          click.option("--threads", type=int, default=1,
-                       help="Worker processes (values below 1 count as 1)."))
-def cmd_sweep(cfg: dict, out: Path, threads: int) -> list[str]:
+          click.option("--threads", type=int, expose_value=False,
+                       help="Ignored: the sweep runs one process per usable "
+                            "CPU; narrow them with taskset."))
+def cmd_sweep(cfg: dict, out: Path) -> list[str]:
     """Stability verdict per grid point; verdicts.csv plus drift geometry."""
     results = sweep(cfg["params"], cfg["grid"], cfg["steps"], cfg["burn_in"],
-                    cfg["n_seeds"], cfg["seed"], workers=threads)
+                    cfg["n_seeds"], cfg["seed"])
 
     def fmt_or_blank(v):
         return fmt_float(v) if isinstance(v, (int, float)) else ""

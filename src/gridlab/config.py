@@ -21,7 +21,7 @@ from pathlib import Path
 from typing import Any, Iterable
 
 from .dynamics import Params, validate_params
-from .errors import ConfigError
+from .errors import ConfigError, NonFiniteResult
 from .montecarlo import SimConfig, check_horizon
 from .thermal import Building, ThermalScenario, check_heat_pump
 
@@ -197,10 +197,14 @@ def parse_drift(doc: dict, path: str = "config") -> tuple[dict, dict]:
             # SimConfig's rule for x0: states lie in R x R+ (-0.0 included).
             if z < 0.0:
                 raise ConfigError(f"{path}: points[{i}]: backlog z must be >= 0")
+        if "per_region" in doc:
+            raise ConfigError(f"{path}: give 'points' or 'per_region', not both")
     out = {
         "params": params,
         "points": points,
-        "per_region": sec.take_int("per_region", 0, most=MAX_PER_REGION),
+        # Taken, and so echoed, only where no points are given.
+        "per_region": (0 if points is not None else
+                       sec.take_int("per_region", 0, most=MAX_PER_REGION)),
         # The Monte Carlo stderr uses ddof=1, so it needs two samples.
         "mc_samples": sec.take_int("mc_samples", 100_000, least=2,
                                    most=MAX_DRAWS),
@@ -293,4 +297,11 @@ def atomic_write_text(path: Path, text: str | Iterable[str]) -> None:
 
 
 def dump_json(path: Path, obj: Any) -> None:
-    atomic_write_text(path, json.dumps(obj, indent=2, sort_keys=True) + "\n")
+    """Write ``obj`` as standard JSON, or raise NonFiniteResult naming the
+    file if it holds a NaN or an infinity; nothing is written then."""
+    try:
+        text = json.dumps(obj, indent=2, sort_keys=True, allow_nan=False)
+    except ValueError as exc:
+        raise NonFiniteResult(f"{path.name}: a result is NaN or infinite, "
+                              "which JSON cannot hold") from exc
+    atomic_write_text(path, text + "\n")

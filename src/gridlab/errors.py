@@ -39,5 +39,10 @@ class InfeasibleScenario(GridlabError, ValueError):
     """A thermal scenario requires negative (cooling) energy somewhere."""
 
 
+class NonFiniteResult(GridlabError):
+    """A result to be written as JSON is NaN or infinite (an overflow),
+    which JSON has no literal for."""
+
+
 class ConfigError(GridlabError, ValueError):
     """A configuration document failed to parse or validate."""

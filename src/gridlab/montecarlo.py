@@ -2,16 +2,22 @@
 
 Every entry point takes an explicit 64-bit seed; per-chain streams are
 derived from (seed, chain index) so results are reproducible and
-independent of how work is distributed across workers.
+independent of how work is distributed across processes.
 """
 
 from __future__ import annotations
 
 import math
-from concurrent.futures import ProcessPoolExecutor
+import os
+import pickle
+import signal
+import tempfile
+import threading
+import warnings
 from dataclasses import dataclass, replace
 from functools import partial
 from itertools import islice
+from typing import Callable
 
 import numpy as np
 
@@ -29,7 +35,7 @@ from .dynamics import (
     region_codes,
     validate_params,
 )
-from .errors import SimulationDiverged
+from .errors import GridlabError, SimulationDiverged
 from .rng import gaussian, point_seed, stream
 
 __all__ = [
@@ -45,6 +51,7 @@ __all__ = [
     "growth_slope",
     "hitting_probability",
     "sweep",
+    "usable_cpus",
 ]
 
 QUANTILES = (0.05, 0.25, 0.5, 0.75, 0.95)
@@ -58,6 +65,62 @@ SLOPE_THRESHOLD = 0.03
 # Launch state for growth-rate probes: deep in the frustrated region,
 # where the unstable mode (eigenvalue 1 - mu of A1) is excited.
 GROWTH_X0 = (-100.0, 50.0)
+
+
+def usable_cpus() -> int:
+    """How many processes gridlab may run at once: the CPUs this process
+    may use (``os.sched_getaffinity``), so ``taskset`` narrows a run.
+
+    1 where the platform cannot fork or report its CPU affinity, and 1
+    while another Python thread is alive: a forked child holds only the
+    forking thread, so a lock another thread held stays held in it.
+    """
+    if not (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")):
+        return 1
+    if threading.active_count() > 1:
+        return 1
+    return len(os.sched_getaffinity(0))
+
+
+def fork_child(work: Callable[[], object]) -> int | None:
+    """Fork a child that runs ``work()`` and exits; its pid, or None if
+    ``os.fork`` fails.  Fork only where :func:`usable_cpus` is above 1.
+
+    The child ends only through ``os._exit``: status 0 once ``work``
+    returns, 1 on any exception, with no traceback and none of the
+    parent's clean-up.  Python 3.12+ warns, after the child exists, on
+    forking a process that has threads; with Python threads ruled out by
+    ``usable_cpus`` those are numpy's idle BLAS pool, and no child touches
+    what it owns.
+    """
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", DeprecationWarning)
+            pid = os.fork()
+    except OSError:
+        return None
+    if pid == 0:
+        code = 1
+        try:
+            work()
+            code = 0
+        finally:
+            os._exit(code)
+    return pid
+
+
+def wait_child(pid: int, what: str) -> None:
+    """Reap child ``pid``; raise GridlabError naming ``what`` unless it
+    exited with status 0."""
+    code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+    if code != 0:
+        raise GridlabError(f"{what} failed in a child process (exit status {code})")
+
+
+def kill_child(pid: int) -> None:
+    """End child ``pid`` at once and reap it."""
+    os.kill(pid, signal.SIGKILL)
+    os.waitpid(pid, 0)
 
 
 def check_horizon(steps: int, burn_in: int) -> None:
@@ -452,26 +515,71 @@ def _sweep_point(p: Params, seed: int, steps: int,
     return ks, violations
 
 
+def _run_share(leg: Callable, ps: list[Params], seeds: list[int], fh) -> None:
+    """A child's share of the sweep legs, pickled into ``fh``."""
+    pickle.dump(list(map(leg, ps, seeds)), fh)
+    fh.flush()
+
+
+def _legs_and_growth(leg: Callable, ps: list[Params], seeds: list[int],
+                     probe: Callable[[], list]) -> tuple[list, list]:
+    """Each point's legs, ``leg(p, seed)``, and the growth probe's results.
+
+    The points are dealt into n = min(usable_cpus(), points) shares, share
+    k holding every n-th point from the k-th.  Below 2 shares, all runs
+    in this process.  Otherwise one forked child per share runs it and
+    pickles its legs into an anonymous file, while this process runs the
+    probe; then each child is waited for in order and its file read back.
+    A share whose fork fails runs here after the probe.  Every child is
+    reaped however this ends, and one that fails raises GridlabError.
+    """
+    n = min(usable_cpus(), len(ps))
+    if n < 2:
+        return list(map(leg, ps, seeds)), probe()
+    children = {}  # share -> (pid, file) of each child not yet reaped
+    try:
+        for k in range(n):
+            fh = tempfile.TemporaryFile()
+            pid = fork_child(partial(_run_share, leg, ps[k::n], seeds[k::n], fh))
+            if pid is None:
+                fh.close()
+            else:
+                children[k] = (pid, fh)
+        growth = probe()
+        legs = [None] * len(ps)
+        for k in range(n):
+            if k not in children:
+                legs[k::n] = list(map(leg, ps[k::n], seeds[k::n]))
+                continue
+            pid, fh = children.pop(k)
+            with fh:
+                wait_child(pid, f"sweep share {k + 1} of {n}")
+                fh.seek(0)
+                legs[k::n] = pickle.load(fh)
+    finally:
+        for pid, fh in children.values():
+            kill_child(pid)
+            fh.close()
+    return legs, growth
+
+
 def sweep(base: Params, grid: list[dict[str, float]], steps: int,
-          burn_in: int, n_seeds: int = 16, seed: int = 0,
-          workers: int = 1) -> list[SweepPoint]:
+          burn_in: int, n_seeds: int = 16, seed: int = 0) -> list[SweepPoint]:
     """Evaluate a stability verdict at each grid point.
 
     grid is a list of parameter overrides (keys among lambda, mu, zeta,
     xi, r_star, sigma).  Each point gets a seed derived from (seed, index),
-    so results do not depend on evaluation order or worker count.
+    so results do not depend on evaluation order or process count.
     Per-point failures are recorded and the sweep continues; a horizon
     that breaks :func:`check_horizon` or n_seeds < 1 raises ValueError
     before any point runs.
 
     The growth probes of all points run in this process, in lockstep
-    (:func:`growth_slope` is the one-point case).  With workers > 1 each
-    point's own legs (:func:`_sweep_point`) run in a pool of at most one
-    process per valid point, submitted before the growth probe so that
-    the two overlap; below 2, in this process.  Rows come back in grid
-    order.  The pool uses the platform's default start method, which
-    forks on Linux: a caller that runs threads of its own should keep
-    workers=1.
+    (:func:`growth_slope` is the one-point case).  Each point's own legs
+    (:func:`_sweep_point`) run in forked children while the probe runs,
+    one per usable CPU and at most one per valid point
+    (:func:`_legs_and_growth`); with fewer than 2, in this process.  Rows
+    come back in grid order.
     """
     check_horizon(steps, burn_in)
     t_hi = min(500, steps)
@@ -484,15 +592,7 @@ def sweep(base: Params, grid: list[dict[str, float]], steps: int,
     leg = partial(_sweep_point, steps=steps, burn_in=burn_in)
     probe = partial(_growth_probe, [(p, s + 1) for p, s in zip(ps, seeds)],
                     GROWTH_X0, t_lo, t_hi, n_seeds)
-    n_workers = min(workers, len(runs))
-    if n_workers < 2:
-        legs = list(map(leg, ps, seeds))
-        growth = probe()
-    else:
-        with ProcessPoolExecutor(max_workers=n_workers) as pool:
-            pending = pool.map(leg, ps, seeds)
-            growth = probe()
-            legs = list(pending)
+    legs, growth = _legs_and_growth(leg, ps, seeds, probe)
     for row, legs_i, growth_i in zip(runs, legs, growth):
         if isinstance(legs_i, str):
             rows[row.index] = replace(row, error=legs_i)

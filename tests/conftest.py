@@ -1,3 +1,5 @@
+import os
+
 import numpy as np
 import pytest
 from hypothesis import settings
@@ -9,6 +11,39 @@ settings.register_profile("tier1", derandomize=True, max_examples=60,
 settings.load_profile("tier1")
 
 from gridlab import validate_params
+
+
+@pytest.fixture
+def no_child_left():
+    """After the test, every forked child has been reaped: no zombie, no
+    live child."""
+    yield
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def use_cpus(monkeypatch, n):
+    """Make ``os.sched_getaffinity`` report n usable CPUs."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)))
+
+
+def count_forks(monkeypatch, working=None):
+    """Patch os.fork with a wrapper; returns the list of child pids.
+
+    After ``working`` successful forks, each further fork raises OSError.
+    """
+    real_fork, pids = os.fork, []
+
+    def fork():
+        if working is not None and len(pids) >= working:
+            raise OSError(11, "Resource temporarily unavailable")
+        pid = real_fork()
+        if pid:
+            pids.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", fork)
+    return pids
 
 
 @pytest.fixture

@@ -11,6 +11,7 @@ import pytest
 from click.testing import CliRunner
 
 import gridlab.cli
+from conftest import count_forks, use_cpus
 from gridlab import sweep
 from gridlab.cli import _CHUNK_ROWS, _trajectory_chunks, main
 from gridlab.config import (MAX_DRAWS, MAX_GRID_POINTS, MAX_GROWTH_COLUMNS,
@@ -217,19 +218,32 @@ class TestSweep:
         assert rows[0][3] == "error"
         assert rows[1][3] == "stable-consistent"
 
-    def test_worker_count_does_not_change_output(self, runner, tmp_path):
+    def test_worker_count_does_not_change_output(self, runner, tmp_path,
+                                                 monkeypatch):
         cfg = self.sweep_config(tmp_path, [-0.1, 0.1, 0.2])
         outs = []
-        for name, threads in (("a", "1"), ("b", "2")):
-            out = tmp_path / name
-            res = runner.invoke(main, ["sweep", "--config", cfg,
-                                       "--out", str(out), "--threads", threads])
+        for cpus in (1, 2, 3):
+            use_cpus(monkeypatch, cpus)
+            out = tmp_path / str(cpus)
+            res = runner.invoke(main, ["sweep", "--config", cfg, "--out", str(out)])
             assert res.exit_code == 0, res.output
             outs.append(out)
-        assert (outs[0] / "verdicts.csv").read_bytes() \
-            == (outs[1] / "verdicts.csv").read_bytes()
-        assert (outs[0] / "geometry.json").read_bytes() \
-            == (outs[1] / "geometry.json").read_bytes()
+        for out in outs[1:]:
+            for name in ("verdicts.csv", "geometry.json"):
+                assert (out / name).read_bytes() == (outs[0] / name).read_bytes()
+
+    def test_threads_option_changes_nothing(self, runner, tmp_path):
+        cfg = self.sweep_config(tmp_path, [-0.1, 0.1], steps=2_000, burn_in=200)
+        texts = []
+        for threads in (None, "0", "1", "2", "3"):
+            out = tmp_path / str(threads)
+            extra = [] if threads is None else ["--threads", threads]
+            res = runner.invoke(main, ["sweep", "--config", cfg,
+                                       "--out", str(out), *extra])
+            assert res.exit_code == 0, res.output
+            texts.append([(out / name).read_bytes()
+                          for name in ("verdicts.csv", "geometry.json")])
+        assert texts[1:] == texts[:1] * 4
 
     def test_rows_equal_library_sweep(self, runner, tmp_path):
         doc = {"params": P0, "grid": {"mu": [-0.6, -0.1, 0.1, 0.9]},
@@ -241,14 +255,11 @@ class TestSweep:
                 for sp in sweep(cfg["params"], cfg["grid"], cfg["steps"],
                                 cfg["burn_in"], cfg["n_seeds"], cfg["seed"])]
         assert want[0][1] == "nan" and want[3][0] == "error"
-        # --threads below 1 counts as 1.
-        for threads in ("1", "2", "0"):
-            out = tmp_path / threads
-            res = runner.invoke(main, ["sweep", "--config",
-                                       write_config(tmp_path, doc),
-                                       "--out", str(out), "--threads", threads])
-            assert res.exit_code == 0, res.output
-            assert [r[3:6] for r in read_csv(out / "verdicts.csv")[1:]] == want
+        out = tmp_path / "out"
+        res = runner.invoke(main, ["sweep", "--config", write_config(tmp_path, doc),
+                                   "--out", str(out)])
+        assert res.exit_code == 0, res.output
+        assert [r[3:6] for r in read_csv(out / "verdicts.csv")[1:]] == want
 
     def test_seeds_used_column(self, runner, tmp_path):
         # At lambda=0.5, mu=0.4 the backlog underflows to 0 inside the fit
@@ -373,6 +384,8 @@ DRIFT = {"params": P0, "mc_samples": 100}
     ("sweep", dict(SWEEP, steps=10**12)),
     ("drift", dict(DRIFT, per_region=1, mc_samples=10**12)),
     ("drift", dict(DRIFT, per_region=10**12)),
+    # Given points, a per_region would be ignored.
+    ("drift", dict(DRIFT, points=[[1.0, 1.0]], per_region=50)),
     # Past MAX_GRID_POINTS or MAX_GROWTH_COLUMNS a sweep would not fit in
     # memory; 10**9 points are refused before the grid is built.
     ("sweep", dict(SWEEP, grid={"mu": [0.1] * 1000, "lambda": [0.5] * 1000,
@@ -392,8 +405,8 @@ DRIFT = {"params": P0, "mc_samples": 100}
         "simulate-negative-seed-option", "sweep-negative-seed-option",
         "drift-negative-seed-option", "simulate-steps-over-limit",
         "sweep-steps-over-limit", "drift-mc-samples-over-limit",
-        "drift-per-region-over-limit", "sweep-grid-over-limit",
-        "sweep-columns-over-limit"])
+        "drift-per-region-over-limit", "drift-points-and-per-region",
+        "sweep-grid-over-limit", "sweep-columns-over-limit"])
 def test_invalid_config_exit_2_one_line(runner, tmp_path, command, doc):
     cfg = write_config(tmp_path, doc)
     res = runner.invoke(main, [*command.split(), "--config", cfg,
@@ -442,6 +455,36 @@ def test_two_mc_samples_accepted(runner, tmp_path):
     assert res.exit_code == 0, res.output
     row = read_csv(out / "drift_report.csv")[1]
     assert row[7] != "nan"
+
+
+@pytest.mark.parametrize("command, doc, name", [
+    # mu this small overflows the drift geometry (radius, g1/g4 curves).
+    ("regions", {"params": dict(P0, mu=1e-320)}, "regions.json"),
+    ("sweep", dict(SWEEP, grid={"mu": [1e-320]}), "geometry.json"),
+    # Noise this large overflows the variances in stats.json.
+    ("simulate", dict(SIM, params=dict(P0, sigma=1e200)), "stats.json"),
+], ids=["regions", "sweep", "simulate"])
+def test_non_finite_json_exit_3_one_line(runner, tmp_path, command, doc, name):
+    out = tmp_path / "o"
+    res = runner.invoke(main, [command, "--config", write_config(tmp_path, doc),
+                               "--out", str(out)])
+    assert res.exit_code == 3, res.output
+    assert res.stdout == ""
+    assert res.stderr == (f"error: {name}: a result is NaN or infinite, "
+                          "which JSON cannot hold\n")
+    assert not (out / name).exists() and not (out / "manifest.json").exists()
+
+
+def test_manifest_records_usable_cpus(runner, tmp_path, monkeypatch):
+    for cpus in (1, 3):
+        use_cpus(monkeypatch, cpus)
+        out = tmp_path / str(cpus)
+        res = runner.invoke(main, ["regions", "--config",
+                                   write_config(tmp_path, {"params": P0}),
+                                   "--out", str(out)])
+        assert res.exit_code == 0, res.output
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["environment"] == {"usable_cpus": cpus}
 
 
 def test_unexpected_exception_exit_4_one_line(runner, tmp_path, monkeypatch):
@@ -496,33 +539,9 @@ def test_import_leaves_scipy_stats_out():
     assert res.stdout.strip() == "False"
 
 
+@pytest.mark.usefixtures("no_child_left")
 class TestTrajectoryParts:
     """trajectory.csv formatted in forked parts, one per usable CPU."""
-
-    @pytest.fixture(autouse=True)
-    def no_child_left(self):
-        yield
-        # Every forked part has been reaped: no zombie, no live child.
-        with pytest.raises(ChildProcessError):
-            os.waitpid(-1, os.WNOHANG)
-
-    @staticmethod
-    def use_cpus(monkeypatch, n):
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)))
-
-    @staticmethod
-    def count_forks(monkeypatch):
-        """Patch os.fork with a wrapper; returns the list of child pids."""
-        real_fork, pids = os.fork, []
-
-        def fork():
-            pid = real_fork()
-            if pid:
-                pids.append(pid)
-            return pid
-
-        monkeypatch.setattr(os, "fork", fork)
-        return pids
 
     def simulate(self, runner, tmp_path, rows, record_every=1, name="out"):
         cfg = write_config(tmp_path, {
@@ -536,10 +555,10 @@ class TestTrajectoryParts:
     def test_bytes_do_not_depend_on_cpu_count(self, runner, tmp_path, monkeypatch,
                                               record_every):
         rows = 3 * _CHUNK_ROWS + 5
-        pids = self.count_forks(monkeypatch)
+        pids = count_forks(monkeypatch)
         texts, forks = [], []
         for cpus in (1, 2, 3, 4):
-            self.use_cpus(monkeypatch, cpus)
+            use_cpus(monkeypatch, cpus)
             res, out = self.simulate(runner, tmp_path, rows, record_every,
                                      name=f"cpus{cpus}")
             assert res.exit_code == 0, res.output
@@ -553,8 +572,8 @@ class TestTrajectoryParts:
         assert forks == [0, 1, 3, 5]
 
     def test_fewer_than_two_chunks_never_fork(self, runner, tmp_path, monkeypatch):
-        self.use_cpus(monkeypatch, 4)
-        pids = self.count_forks(monkeypatch)
+        use_cpus(monkeypatch, 4)
+        pids = count_forks(monkeypatch)
         res, _ = self.simulate(runner, tmp_path, 2 * _CHUNK_ROWS - 1, name="short")
         assert res.exit_code == 0, res.output
         assert pids == []
@@ -564,16 +583,13 @@ class TestTrajectoryParts:
 
     def test_failed_fork_formats_here(self, runner, tmp_path, monkeypatch):
         rows = 3 * _CHUNK_ROWS + 5
-        self.use_cpus(monkeypatch, 1)
+        use_cpus(monkeypatch, 1)
         res, out = self.simulate(runner, tmp_path, rows, name="one")
         assert res.exit_code == 0, res.output
         want = (out / "trajectory.csv").read_bytes()
 
-        def fork():
-            raise OSError(11, "Resource temporarily unavailable")
-
-        self.use_cpus(monkeypatch, 4)
-        monkeypatch.setattr(os, "fork", fork)
+        use_cpus(monkeypatch, 4)
+        count_forks(monkeypatch, working=0)
         res, out = self.simulate(runner, tmp_path, rows, name="no-fork")
         assert res.exit_code == 0, res.output
         assert (out / "trajectory.csv").read_bytes() == want
@@ -587,7 +603,7 @@ class TestTrajectoryParts:
             return real_rows(columns, lo, hi)
 
         monkeypatch.setattr(gridlab.cli, "_rows", rows)
-        self.use_cpus(monkeypatch, 4)
+        use_cpus(monkeypatch, 4)
         res, out = self.simulate(runner, tmp_path, 3 * _CHUNK_ROWS + 5)
         assert res.exit_code == 4
         assert res.stdout == ""
@@ -597,8 +613,8 @@ class TestTrajectoryParts:
         assert list(out.iterdir()) == []
 
     def test_closing_early_reaps_every_part(self, tmp_path, monkeypatch):
-        self.use_cpus(monkeypatch, 4)
-        pids = self.count_forks(monkeypatch)
+        use_cpus(monkeypatch, 4)
+        pids = count_forks(monkeypatch)
         n = 4 * _CHUNK_ROWS
         columns = [np.arange(n), np.zeros(n), np.zeros(n),
                    np.full(n, "D2"), *[np.zeros(n)] * 4]

@@ -1,17 +1,24 @@
-"""The sweep's argument checks, worker pool, lockstep growth probe and
-per-point seed accounting."""
+"""The sweep's argument checks, forked worker processes, lockstep growth
+probe and per-point seed accounting."""
 
+import os
+import threading
 import tracemalloc
 
 import pytest
 
 import gridlab.montecarlo
-from gridlab import growth_slope, sweep, validate_params
+from conftest import count_forks, use_cpus
+from gridlab import GridlabError, growth_slope, sweep, validate_params
 from gridlab.dynamics import COLUMN_BLOCK
-from gridlab.montecarlo import GROWTH_X0, _growth_probe
+from gridlab.montecarlo import GROWTH_X0, _growth_probe, usable_cpus
 from gridlab.rng import point_seed
 
+# Every sweep here may fork; each test ends with all its children reaped.
+pytestmark = pytest.mark.usefixtures("no_child_left")
+
 GRID = [{"mu": -0.6}, {"mu": -0.1}, {"mu": 0.1}, {"mu": 0.9}]
+FAST = dict(steps=500, burn_in=50, n_seeds=1, seed=1)
 
 
 @pytest.mark.parametrize("steps, burn_in, n_seeds", [
@@ -27,14 +34,16 @@ def test_bad_horizon_or_seed_count_raises(p0, steps, burn_in, n_seeds):
 def test_workers_do_not_change_rows(p0, monkeypatch):
     # repr, because the mu <= -lambda row holds a NaN KS distance.  Nor
     # does the lockstep block size: with three seeds a point, blocks of 7
-    # columns cut points apart.
+    # columns cut points apart.  The four points run in 1 to 4 processes.
     kwargs = dict(steps=2_000, burn_in=200, n_seeds=3, seed=7)
+    use_cpus(monkeypatch, 1)
     want = repr(sweep(p0, GRID, **kwargs))
     assert "nan" in want
     for block in (1, 7, COLUMN_BLOCK):
         monkeypatch.setattr(gridlab.montecarlo, "COLUMN_BLOCK", block)
-        for workers in (1, 2):
-            assert repr(sweep(p0, GRID, workers=workers, **kwargs)) == want
+        for cpus in (1, 2, 3, 4):
+            use_cpus(monkeypatch, cpus)
+            assert repr(sweep(p0, GRID, **kwargs)) == want
 
 
 def growth_peak_bytes(points, n_seeds):
@@ -59,36 +68,85 @@ def test_growth_memory_stays_one_block(p0):
     assert max(more_seeds, more_points) < one + 100_000
 
 
-class FakePool:
-    """An in-process stand-in for ProcessPoolExecutor."""
-
-    sizes: list[int] = []
-
-    def __init__(self, max_workers):
-        FakePool.sizes.append(max_workers)
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        return False
-
-    def map(self, fn, *iterables):
-        return map(fn, *iterables)
-
-
 def test_pool_is_capped_at_grid_size(p0, monkeypatch):
-    monkeypatch.setattr(gridlab.montecarlo, "ProcessPoolExecutor", FakePool)
-    monkeypatch.setattr(FakePool, "sizes", [])
-    kwargs = dict(steps=500, burn_in=50, n_seeds=1, seed=1)
-    rows = sweep(p0, [{"mu": 0.1}, {"mu": 0.2}], workers=64, **kwargs)
-    assert FakePool.sizes == [2]
-    assert [r.index for r in rows] == [0, 1]
-    # One point, or one worker, runs in this process.
-    sweep(p0, [{"mu": 0.1}], workers=64, **kwargs)
-    sweep(p0, [{"mu": 0.1}, {"mu": 0.2}], workers=1, **kwargs)
-    sweep(p0, [{"mu": 0.1}, {"mu": 0.2}], workers=0, **kwargs)
-    assert FakePool.sizes == [2]
+    # One child per usable CPU, at most one per valid point: mu = 0.9
+    # makes lambda + mu >= 1, an error row with no legs to run.
+    grid = [{"mu": 0.1}, {"mu": 0.9}, {"mu": 0.2}]
+    pids = count_forks(monkeypatch)
+    forks = []
+    for cpus in (1, 2, 3, 64):
+        use_cpus(monkeypatch, cpus)
+        rows = sweep(p0, grid, **FAST)
+        assert [r.index for r in rows] == [0, 1, 2]
+        assert rows[1].error and rows[2].result
+        forks.append(len(pids))
+        pids.clear()
+    assert forks == [0, 2, 2, 2]
+    # One valid point runs in this process, whatever the CPUs.
+    sweep(p0, grid[:2], **FAST)
+    assert pids == []
+
+
+def test_usable_cpus_is_one_while_a_thread_runs(p0, monkeypatch):
+    use_cpus(monkeypatch, 4)
+    pids = count_forks(monkeypatch)
+    assert usable_cpus() == 4
+    release = threading.Event()
+    thread = threading.Thread(target=release.wait)
+    thread.start()
+    try:
+        assert usable_cpus() == 1
+        sweep(p0, GRID, **FAST)
+    finally:
+        release.set()
+        thread.join()
+    assert pids == []
+    assert usable_cpus() == 4
+
+
+@pytest.mark.parametrize("missing", ["sched_getaffinity", "fork"])
+def test_usable_cpus_is_one_without_affinity_or_fork(p0, monkeypatch, missing):
+    use_cpus(monkeypatch, 4)
+    pids = count_forks(monkeypatch)
+    monkeypatch.delattr(os, missing)
+    assert usable_cpus() == 1
+    sweep(p0, GRID, **FAST)
+    assert pids == []
+
+
+@pytest.mark.parametrize("working", [0, 1, 2])
+def test_failed_fork_runs_the_share_here(p0, monkeypatch, working):
+    # GRID's three valid points make three shares on four CPUs; forks
+    # after the first `working` fail, and those shares run here.
+    use_cpus(monkeypatch, 1)
+    want = repr(sweep(p0, GRID, **FAST))
+    use_cpus(monkeypatch, 4)
+    pids = count_forks(monkeypatch, working=working)
+    assert repr(sweep(p0, GRID, **FAST)) == want
+    assert len(pids) == working
+
+
+def test_failed_child_raises(p0, monkeypatch):
+    def broken(*args):
+        raise RuntimeError("share failed")
+
+    monkeypatch.setattr(gridlab.montecarlo, "_run_share", broken)
+    use_cpus(monkeypatch, 2)
+    with pytest.raises(GridlabError, match=r"^sweep share 1 of 2 failed in a "
+                                           r"child process \(exit status 1\)$"):
+        sweep(p0, GRID, **FAST)
+
+
+def test_failed_probe_reaps_every_child(p0, monkeypatch):
+    def broken(*args):
+        raise RuntimeError("probe failed")
+
+    monkeypatch.setattr(gridlab.montecarlo, "_growth_probe", broken)
+    use_cpus(monkeypatch, 4)
+    pids = count_forks(monkeypatch)
+    with pytest.raises(RuntimeError, match="probe failed"):
+        sweep(p0, GRID, **FAST)
+    assert len(pids) == 3  # one per valid point
 
 
 def test_seeds_used_leaves_out_excluded_growth_seeds():
