@@ -21,13 +21,14 @@ import click
 import numpy as np
 
 from . import __version__, config as cfgmod
-from .config import ConfigError, atomic_write_text, dump_json, fmt_float, load_json
+from .config import (ConfigError, atomic_write_text, dump_json, fmt_float,
+                     json_text, load_json)
 from .dynamics import Params, Region, breakpoints
 from .errors import (GridlabError, InfeasibleScenario, NonFiniteResult,
                      SimulationDiverged)
 from .lyapunov import drift_report, lyap_h, negative_drift_geometry
-from .montecarlo import (SimConfig, fork_child, kill_child, simulate, sweep,
-                         usable_cpus, wait_child)
+from .montecarlo import (SimConfig, Trajectory, fork_child, kill_child,
+                         simulate, sweep, usable_cpus, wait_child)
 from .rng import ALGORITHM, point_seed, stream
 from .thermal import run_heat_pump_scenario, run_scenario_pair
 
@@ -51,10 +52,15 @@ _CHUNK_ROWS = 8192
 _READ_CHARS = 1 << 17
 
 
-def _rows(columns: list[np.ndarray], lo: int, hi: int) -> Iterator[str]:
-    """trajectory.csv rows lo..hi-1, ``_CHUNK_ROWS`` rows at a time."""
+def _rows(traj: Trajectory, lo: int, hi: int) -> Iterator[str]:
+    """trajectory.csv rows lo..hi-1, ``_CHUNK_ROWS`` rows at a time; each
+    chunk's columns are derived from its slice of the chain
+    (:meth:`Trajectory.columns`, then ``lyap_h`` for H_lyap) just before
+    they are formatted."""
     for a in range(lo, hi, _CHUNK_ROWS):
-        rows = zip(*[c[a:min(a + _CHUNK_ROWS, hi)].tolist() for c in columns])
+        columns = traj.columns(a, min(a + _CHUNK_ROWS, hi))
+        columns.append(lyap_h(traj.params, (columns[1], columns[2])))
+        rows = zip(*[c.tolist() for c in columns])
         yield "".join([_TRAJECTORY_ROW % row for row in rows])
 
 
@@ -64,13 +70,13 @@ def _part_count(rows: int) -> int:
     return max(1, min(usable_cpus(), rows // _CHUNK_ROWS))
 
 
-def _write_part(columns: list[np.ndarray], lo: int, hi: int, fh) -> None:
+def _write_part(traj: Trajectory, lo: int, hi: int, fh) -> None:
     """A child's part: rows lo..hi-1, written to ``fh``."""
-    fh.writelines(_rows(columns, lo, hi))
+    fh.writelines(_rows(traj, lo, hi))
     fh.flush()
 
 
-def _trajectory_chunks(columns: list[np.ndarray], directory: Path) -> Iterator[str]:
+def _trajectory_chunks(traj: Trajectory, directory: Path) -> Iterator[str]:
     """trajectory.csv text: the header, then at most ``_CHUNK_ROWS`` rows at
     a time.
 
@@ -83,7 +89,7 @@ def _trajectory_chunks(columns: list[np.ndarray], directory: Path) -> Iterator[s
     however the generator ends (close it to end it early), and a child that
     fails raises GridlabError.
     """
-    n = len(columns[0])
+    n = traj.r.size
     parts = _part_count(n)
     chunks = -(-n // _CHUNK_ROWS)
     cuts = [i * chunks // parts * _CHUNK_ROWS for i in range(parts)] + [n]
@@ -92,17 +98,17 @@ def _trajectory_chunks(columns: list[np.ndarray], directory: Path) -> Iterator[s
     try:
         for lo, hi in zip(cuts[1:], cuts[2:]):
             fh = tempfile.TemporaryFile("w+", encoding="ascii", dir=directory)
-            pid = fork_child(partial(_write_part, columns, lo, hi, fh))
+            pid = fork_child(partial(_write_part, traj, lo, hi, fh))
             if pid is None:
                 fh.close()
             else:
                 pending[pid] = fh
             ranges.append((lo, hi, pid))
         yield "t,R,Z,region,B,F,H_control,H_lyap\n"
-        yield from _rows(columns, 0, cuts[1])
+        yield from _rows(traj, 0, cuts[1])
         for lo, hi, pid in ranges:
             if pid is None:
-                yield from _rows(columns, lo, hi)
+                yield from _rows(traj, lo, hi)
                 continue
             with pending.pop(pid) as fh:
                 wait_child(pid, f"formatting trajectory.csv rows {lo}-{hi - 1}")
@@ -190,12 +196,10 @@ def _command(name: str, *options):
 def cmd_simulate(sim: SimConfig, out: Path) -> list[str]:
     """Run one trajectory; write trajectory.csv, stats.json, manifest.json."""
     stats, traj = simulate(sim, return_records=True)
-    columns = [traj.t, traj.r, traj.z, traj.region, traj.b_expr,
-               traj.f_frustrated, traj.h_control,
-               lyap_h(sim.params, (traj.r, traj.z))]
-    with closing(_trajectory_chunks(columns, out)) as chunks:
+    stats_text = json_text("stats.json", stats.as_dict())
+    with closing(_trajectory_chunks(traj, out)) as chunks:
         atomic_write_text(out / "trajectory.csv", chunks)
-    dump_json(out / "stats.json", stats.as_dict())
+    atomic_write_text(out / "stats.json", stats_text)
     return ["trajectory.csv", "stats.json"]
 
 
@@ -266,13 +270,14 @@ def cmd_sweep(cfg: dict, out: Path) -> list[str]:
                            fmt_float(res.logz_slope), str(res.seeds_used)])
         if p.mu > 0.0:
             geometry[str(sp.index)] = negative_drift_geometry(p).as_dict()
+    geometry_text = json_text("geometry.json", geometry) if geometry else None
     _write_rows(out / "verdicts.csv",
                 ["mu", "lambda", "r_star", "verdict", "ks_distance",
                  "logz_slope", "seeds_used"],
                 rows)
-    if not geometry:
+    if geometry_text is None:
         return ["verdicts.csv"]
-    dump_json(out / "geometry.json", geometry)
+    atomic_write_text(out / "geometry.json", geometry_text)
     return ["verdicts.csv", "geometry.json"]
 
 

@@ -29,12 +29,13 @@ _MISSING = object()
 
 # The most steps one chain, or draws one drift estimate, may take.  The
 # chain kernel holds 16 bytes per step (R and Z; its noise is drawn a
-# block at a time), but `simulate` with every step recorded peaks at 88
-# bytes per step (the chain, the trajectory columns and their
-# temporaries; 32 with record_every=10), so one at the cap needs about
-# 8.8 GB.  A drift point holds about 48 bytes per draw (the noise, the
-# stepped states and the lyap_h temporaries), so one at the cap needs
-# about 4.8 GB.
+# block at a time), and `simulate` peaks at 24 bytes per step whatever
+# its record_every (the chain and one summary temporary; the records are
+# views of the chain, and trajectory.csv is derived and formatted a chunk
+# at a time in about 6 MB), so one at the cap needs about 2.4 GB.  A
+# drift point holds about 48 bytes per draw (the noise, the stepped
+# states and the lyap_h temporaries), so one at the cap needs about
+# 4.8 GB.
 MAX_DRAWS = 10**8
 
 # The most states a drift run may sample per region: each of its
@@ -296,12 +297,20 @@ def atomic_write_text(path: Path, text: str | Iterable[str]) -> None:
         raise
 
 
-def dump_json(path: Path, obj: Any) -> None:
-    """Write ``obj`` as standard JSON, or raise NonFiniteResult naming the
-    file if it holds a NaN or an infinity; nothing is written then."""
+def json_text(name: str, obj: Any) -> str:
+    """``obj`` as the text of JSON file ``name``, or raise NonFiniteResult
+    naming the file if it holds a NaN or an infinity.  A command builds
+    every such text before it writes its first file, so a refused result
+    leaves no file behind."""
     try:
         text = json.dumps(obj, indent=2, sort_keys=True, allow_nan=False)
     except ValueError as exc:
-        raise NonFiniteResult(f"{path.name}: a result is NaN or infinite, "
+        raise NonFiniteResult(f"{name}: a result is NaN or infinite, "
                               "which JSON cannot hold") from exc
-    atomic_write_text(path, text + "\n")
+    return text + "\n"
+
+
+def dump_json(path: Path, obj: Any) -> None:
+    """Write ``obj`` as standard JSON (:func:`json_text`); nothing is
+    written if it holds a NaN or an infinity."""
+    atomic_write_text(path, json_text(path.name, obj))

@@ -182,17 +182,54 @@ class TrajectoryStats:
         }
 
 
+_REGION_NAMES = np.array([region.value for region in Region])
+
+
 @dataclass(frozen=True)
 class Trajectory:
-    """Thinned per-step records (arrays share a common length)."""
+    """Thinned per-step records of one chain.
 
-    t: np.ndarray
+    Only the chain is stored: ``r`` and ``z`` hold R and Z at steps 0,
+    record_every, 2 * record_every, ...  Every other column is a function
+    of the state, derived when it is read: for every row from the
+    attributes (``t``, ``region``, ``b_expr``, ``f_frustrated``,
+    ``h_control``), or for a row range from :meth:`columns`, which gives
+    each element the same bits.
+    """
+
+    params: Params
+    record_every: int
     r: np.ndarray
     z: np.ndarray
-    region: np.ndarray       # strings "D1".."D4"
-    b_expr: np.ndarray
-    f_frustrated: np.ndarray
-    h_control: np.ndarray
+
+    def columns(self, lo: int, hi: int) -> list[np.ndarray]:
+        """Rows lo..hi-1 of t, r, z, region, b_expr, f_frustrated and
+        h_control."""
+        part = replace(self, r=self.r[lo:hi], z=self.z[lo:hi])
+        return [np.arange(lo, lo + part.r.size) * self.record_every,
+                part.r, part.z, part.region, part.b_expr, part.f_frustrated,
+                part.h_control]
+
+    @property
+    def t(self) -> np.ndarray:
+        return np.arange(self.r.size) * self.record_every
+
+    @property
+    def region(self) -> np.ndarray:
+        """Region names "D1".."D4"."""
+        return _REGION_NAMES[region_codes(self.params, self.r)]
+
+    @property
+    def b_expr(self) -> np.ndarray:
+        return expressed_backlog(self.params, self.z)
+
+    @property
+    def f_frustrated(self) -> np.ndarray:
+        return frustrated_demand(self.r)
+
+    @property
+    def h_control(self) -> np.ndarray:
+        return ramp_control(self.params, self.r)
 
 
 def _run_chain_raw(p: Params, x0: State, steps: int,
@@ -245,7 +282,10 @@ def simulate(cfg: SimConfig,
     """Run one chain and summarize it.
 
     Deterministic given the config.  Raises :class:`SimulationDiverged`
-    if |R| or Z exceeds the 1e300 guard.
+    if |R| or Z exceeds the 1e300 guard.  The records hold views of the
+    chain, every record_every-th state, and no other array: the chain's
+    16 bytes per step stay alive with them.  Summarizing peaks at 24
+    bytes per step, the chain and one temporary.
     """
     p = cfg.params
     rng = stream(cfg.seed)
@@ -253,6 +293,12 @@ def simulate(cfg: SimConfig,
 
     rs_, zs_ = r[cfg.burn_in:], z[cfg.burn_in:]
     counts = np.bincount(region_codes(p, rs_), minlength=len(Region))
+    # frustrated_demand(rs_) in one temporary instead of two: the same
+    # ufuncs, so the same bits.  It is freed before var and quantile take
+    # theirs.
+    frustrated = np.negative(rs_)
+    mean_frustrated = float(np.maximum(frustrated, 0.0, out=frustrated).mean())
+    del frustrated
     stats = TrajectoryStats(
         r_mean=float(rs_.mean()), r_var=float(rs_.var()),
         r_min=float(rs_.min()), r_max=float(rs_.max()),
@@ -262,7 +308,7 @@ def simulate(cfg: SimConfig,
         z_quantiles=dict(zip(QUANTILES, np.quantile(zs_, QUANTILES).tolist())),
         occupancy={region.value: float(c) / rs_.size
                    for region, c in zip(Region, counts)},
-        mean_frustrated=float(frustrated_demand(rs_).mean()),
+        mean_frustrated=mean_frustrated,
         mean_expressed=float(expressed_backlog(p, zs_.mean())),
         final_state=(float(r[-1]), float(z[-1])),
         n_samples=int(rs_.size),
@@ -270,17 +316,8 @@ def simulate(cfg: SimConfig,
 
     traj = None
     if return_records:
-        idx = np.arange(0, cfg.steps + 1, cfg.record_every)
-        rr = r[idx]
-        traj = Trajectory(
-            t=idx,
-            r=rr,
-            z=z[idx],
-            region=np.array([d.value for d in Region])[region_codes(p, rr)],
-            b_expr=expressed_backlog(p, z[idx]),
-            f_frustrated=frustrated_demand(rr),
-            h_control=ramp_control(p, rr),
-        )
+        traj = Trajectory(p, cfg.record_every, r[::cfg.record_every],
+                          z[::cfg.record_every])
     return stats, traj
 
 

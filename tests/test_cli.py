@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -12,12 +13,15 @@ from click.testing import CliRunner
 
 import gridlab.cli
 from conftest import count_forks, use_cpus
-from gridlab import sweep
+from gridlab import lyap_h, sweep
 from gridlab.cli import _CHUNK_ROWS, _trajectory_chunks, main
 from gridlab.config import (MAX_DRAWS, MAX_GRID_POINTS, MAX_GROWTH_COLUMNS,
                             MAX_PER_REGION, ConfigError, atomic_write_text,
                             fmt_float, parse_drift, parse_simulate,
                             parse_sweep)
+from gridlab.dynamics import (breakpoints, expressed_backlog,
+                              frustrated_demand, ramp_control, region_codes)
+from gridlab.montecarlo import Trajectory
 
 P0 = {"lambda": 0.5, "mu": 0.1, "zeta": 1.0, "xi": 1.0, "r_star": 3.0,
       "sigma": 1.0}
@@ -472,7 +476,7 @@ def test_non_finite_json_exit_3_one_line(runner, tmp_path, command, doc, name):
     assert res.stdout == ""
     assert res.stderr == (f"error: {name}: a result is NaN or infinite, "
                           "which JSON cannot hold\n")
-    assert not (out / name).exists() and not (out / "manifest.json").exists()
+    assert not out.exists() or list(out.iterdir()) == []
 
 
 def test_manifest_records_usable_cpus(runner, tmp_path, monkeypatch):
@@ -513,18 +517,25 @@ def reference_trajectory_csv(columns) -> str:
 
 @pytest.mark.parametrize("n_rows", [1, _CHUNK_ROWS - 1, _CHUNK_ROWS,
                                     _CHUNK_ROWS + 1])
-def test_trajectory_chunks_match_csv_writer(tmp_path, n_rows):
+def test_trajectory_chunks_match_csv_writer(tmp_path, p0, n_rows):
     specials = np.array([-0.0, 0.0, 5e-324, -5e-324, 1e-5, 0.1, 1e16, 1e17,
-                         1e300, -1e300, 2.0 ** 53 + 1, np.nan, np.inf, -np.inf])
+                         1e300, -1e300, 2.0 ** 53 + 1, np.nan, np.inf, -np.inf,
+                         *breakpoints(p0), p0.r_star])
     rng = np.random.default_rng(n_rows)
-    # Each column starts at a different special value, so one row holds six.
-    floats = [np.concatenate([np.roll(specials, -2 * k),
-                              rng.normal(size=n_rows) * 10.0 ** k])[:n_rows]
-              for k in range(6)]
-    regions = np.array(["D1", "D2", "D3", "D4"])[rng.integers(0, 4, n_rows)]
-    columns = [np.arange(n_rows) * 7, floats[0], floats[1], regions, *floats[2:]]
-    path = tmp_path / "trajectory.csv"
-    atomic_write_text(path, _trajectory_chunks(columns, tmp_path))
+    # R and Z start and end at different special values, so each special R
+    # meets several special Zs, and the last chunk holds them too.
+    k = min(specials.size, n_rows)
+    r, z = rng.normal(size=n_rows) * 10.0, rng.exponential(size=n_rows) * 10.0
+    r[:k], z[:k] = specials[:k], np.roll(specials, -3)[:k]
+    r[-k:], z[-k:] = np.roll(specials, -5)[:k], np.roll(specials, -8)[:k]
+    with np.errstate(over="ignore", invalid="ignore"):
+        columns = [np.arange(n_rows) * 7, r, z,
+                   np.array(["D1", "D2", "D3", "D4"])[region_codes(p0, r)],
+                   expressed_backlog(p0, z), frustrated_demand(r),
+                   ramp_control(p0, r), lyap_h(p0, (r, z))]
+        path = tmp_path / "trajectory.csv"
+        atomic_write_text(path, _trajectory_chunks(Trajectory(p0, 7, r, z),
+                                                   tmp_path))
     assert path.read_bytes() == reference_trajectory_csv(columns).encode()
 
 
@@ -597,10 +608,10 @@ class TestTrajectoryParts:
     def test_failed_part_exit_4_one_line(self, runner, tmp_path, monkeypatch):
         parent, real_rows = os.getpid(), gridlab.cli._rows
 
-        def rows(columns, lo, hi):
+        def rows(traj, lo, hi):
             if os.getpid() != parent:
                 raise RuntimeError("formatting failed")
-            return real_rows(columns, lo, hi)
+            return real_rows(traj, lo, hi)
 
         monkeypatch.setattr(gridlab.cli, "_rows", rows)
         use_cpus(monkeypatch, 4)
@@ -612,14 +623,36 @@ class TestTrajectoryParts:
         assert res.stderr.count("\n") == 1
         assert list(out.iterdir()) == []
 
-    def test_closing_early_reaps_every_part(self, tmp_path, monkeypatch):
+    def test_closing_early_reaps_every_part(self, tmp_path, monkeypatch, p0):
         use_cpus(monkeypatch, 4)
         pids = count_forks(monkeypatch)
         n = 4 * _CHUNK_ROWS
-        columns = [np.arange(n), np.zeros(n), np.zeros(n),
-                   np.full(n, "D2"), *[np.zeros(n)] * 4]
-        chunks = _trajectory_chunks(columns, tmp_path)
+        chunks = _trajectory_chunks(Trajectory(p0, 1, np.zeros(n), np.zeros(n)),
+                                    tmp_path)
         assert next(chunks).startswith("t,R,Z,")
         chunks.close()
         assert len(pids) == 3
         assert list(tmp_path.iterdir()) == []
+
+    def test_writer_memory_does_not_grow_with_rows(self, tmp_path, monkeypatch,
+                                                   p0):
+        # Each chunk's columns are derived just before it is formatted, so
+        # the writer peaks the same at 4 and at 40 chunks, within the eight
+        # 8-byte columns of one chunk.  One whole-horizon column held at 40
+        # chunks would add 36 chunks of it.
+        use_cpus(monkeypatch, 1)
+        rng = np.random.default_rng(6)
+        peaks = []
+        for chunks in (4, 40):
+            n = chunks * _CHUNK_ROWS
+            traj = Trajectory(p0, 1, rng.normal(size=n) * 4.0,
+                              rng.exponential(size=n) * 4.0)
+            tracemalloc.start()
+            try:
+                for _ in _trajectory_chunks(traj, tmp_path):
+                    pass
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            peaks.append(peak)
+        assert abs(peaks[1] - peaks[0]) <= 64 * _CHUNK_ROWS

@@ -20,7 +20,10 @@ from gridlab import (
     validate_params,
 )
 from gridlab import montecarlo
-from gridlab.dynamics import KERNEL_BLOCK, iterate
+from gridlab.cli import _CHUNK_ROWS
+from gridlab.dynamics import (KERNEL_BLOCK, breakpoints, expressed_backlog,
+                              frustrated_demand, iterate, ramp_control,
+                              region_codes)
 from gridlab.montecarlo import GROWTH_X0, _ks_statistic, _run_chain, _run_chain_raw
 from gridlab.rng import gaussian, point_seed, stream
 from conftest import random_params
@@ -94,22 +97,22 @@ def test_max_draws_memory_figures(p0):
     assert drift_peak <= 50 * draws
 
 
-@pytest.mark.parametrize("record_every, per_step", [(1, 96), (10, 40)])
-def test_simulate_records_memory_figure(p0, record_every, per_step):
+@pytest.mark.parametrize("record_every", [1, 10])
+def test_simulate_records_memory_figure(p0, record_every):
     # The figure behind config.MAX_DRAWS and README for `gridlab simulate`:
-    # the chain, the trajectory columns it writes and their temporaries
-    # peak at about 88 bytes per step when every step is recorded (about
-    # 8.8 GB at the cap), and at about 32 with record_every=10.
+    # the records are views of the chain, so whatever is recorded the run
+    # peaks at 24 bytes per step (the chain and one summary temporary, about
+    # 2.4 GB at the cap) plus one kernel block.
     steps = 200_000
     tracemalloc.start()
     try:
         sim = SimConfig(p0, (0.0, 0.0), steps, record_every=record_every)
         _, traj = simulate(sim, return_records=True)
-        lyap_h(p0, (traj.r, traj.z))
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak <= per_step * steps
+    assert peak <= 24 * (steps + 1) + 128 * B
+    assert traj.r.base is not None and traj.z.base is not None
 
 
 class TestGaussian:
@@ -136,6 +139,62 @@ class TestGaussian:
         want = ndtri(u) * sigma
         assert got.view(np.uint64).tolist() == want.view(np.uint64).tolist()
         assert got[0] > got[1]
+
+
+def bits(a: np.ndarray) -> list:
+    """The elements of ``a``, floats as their bit patterns."""
+    return (a.view(np.uint64) if a.dtype == np.float64 else a).tolist()
+
+
+class TestTrajectoryColumns:
+    """A Trajectory stores the thinned chain and derives every other column;
+    a row range gets the bits the whole-array calls give its rows."""
+
+    C = _CHUNK_ROWS
+
+    def records(self, p, n):
+        """n recorded (R, Z) states, special values around each chunk edge."""
+        rs = [-0.0, 0.0, 5e-324, -5e-324, 1e300, -1e300, 2.0 ** 53 + 1,
+              math.nan, p.r_star]
+        for cut in breakpoints(p):
+            rs += [math.nextafter(cut, -math.inf), cut, math.nextafter(cut, math.inf)]
+        zs = [0.0, -0.0, 5e-324, 1e300, -1e300, 2.0 ** 53 + 1, math.nan]
+        rng = np.random.default_rng(n)
+        r, z = rng.normal(size=n) * 4.0, rng.exponential(size=n) * 4.0
+        for edge in range(0, n, self.C):
+            for k, v in enumerate(rs, start=edge - len(rs) // 2):
+                r[k % n] = v
+            for k, v in enumerate(zs, start=edge - len(zs) // 2):
+                z[k % n] = v
+        return r, z
+
+    @pytest.mark.parametrize("record_every", [1, 3])
+    def test_row_ranges_keep_the_bits(self, p0, record_every):
+        n = 2 * self.C + 7
+        rec_r, rec_z = self.records(p0, n)
+        steps = (n - 1) * record_every
+        r, z = np.full(steps + 1, 0.5), np.full(steps + 1, 0.5)
+        r[::record_every], z[::record_every] = rec_r, rec_z
+        traj = montecarlo.Trajectory(p0, record_every, r[::record_every],
+                                     z[::record_every])
+        # The records as simulate once built them: index copies, then the
+        # whole-array calls.
+        idx = np.arange(0, steps + 1, record_every)
+        rr, zz = r[idx], z[idx]
+        with np.errstate(over="ignore", invalid="ignore"):
+            whole = [idx, rr, zz,
+                     np.array(["D1", "D2", "D3", "D4"])[region_codes(p0, rr)],
+                     expressed_backlog(p0, zz), frustrated_demand(rr),
+                     ramp_control(p0, rr), lyap_h(p0, (rr, zz))]
+            got = [traj.t, traj.r, traj.z, traj.region, traj.b_expr,
+                   traj.f_frustrated, traj.h_control]
+            assert [bits(c) for c in got] == [bits(c) for c in whole[:7]]
+            ranges = [(a, min(a + self.C, n)) for a in range(0, n, self.C)]
+            ranges += [(0, 1), (self.C - 5, self.C + 5), (n - 9, n), (4, 4)]
+            for lo, hi in ranges:
+                cols = traj.columns(lo, hi)
+                cols.append(lyap_h(p0, (cols[1], cols[2])))
+                assert [bits(c) for c in cols] == [bits(c[lo:hi]) for c in whole]
 
 
 class TestSimulate:
