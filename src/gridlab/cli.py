@@ -4,18 +4,17 @@ All commands read a single JSON config, write plot-ready files into an
 output directory, and record a manifest describing the run.  Output is
 files-only; exit codes are 0 (success), 2 (config error), 3 (infeasible
 scenario, diverged simulation, or a NaN or infinite result bound for a
-JSON file), 4 (internal error).
+JSON file or a drift_report.csv row), 4 (internal error).
 """
 
 from __future__ import annotations
 
 import sys
-import tempfile
 import time
 from contextlib import closing
 from functools import partial
 from pathlib import Path
-from typing import Iterator
+from typing import BinaryIO, Iterator
 
 import click
 import numpy as np
@@ -27,8 +26,8 @@ from .dynamics import Params, Region, breakpoints
 from .errors import (GridlabError, InfeasibleScenario, NonFiniteResult,
                      SimulationDiverged)
 from .lyapunov import drift_report, lyap_h, negative_drift_geometry
-from .montecarlo import (SimConfig, Trajectory, fork_child, kill_child,
-                         simulate, sweep, usable_cpus, wait_child)
+from .montecarlo import (SimConfig, Trajectory, forked, simulate, sweep,
+                         usable_cpus)
 from .rng import ALGORITHM, point_seed, stream
 from .thermal import run_heat_pump_scenario, run_scenario_pair
 
@@ -47,8 +46,8 @@ def _write_rows(path: Path, header: list[str], rows: list[list[str]]) -> None:
 # One trajectory.csv row; '%.17g' gives the bytes of fmt_float.
 _TRAJECTORY_ROW = "%d,%.17g,%.17g,%s,%.17g,%.17g,%.17g,%.17g\n"
 _CHUNK_ROWS = 8192
-# Characters read back from a part's file at a time: no more than one
-# chunk's text, since a row has at least 17 characters.
+# Characters (ASCII, so bytes) read back from a part's file at a time: no
+# more than one chunk's text, since a row has at least 17 characters.
 _READ_CHARS = 1 << 17
 
 
@@ -64,60 +63,39 @@ def _rows(traj: Trajectory, lo: int, hi: int) -> Iterator[str]:
         yield "".join([_TRAJECTORY_ROW % row for row in rows])
 
 
-def _part_count(rows: int) -> int:
-    """Parts to format ``rows`` rows in: one per usable CPU
-    (:func:`usable_cpus`), each of at least ``_CHUNK_ROWS`` rows."""
-    return max(1, min(usable_cpus(), rows // _CHUNK_ROWS))
-
-
-def _write_part(traj: Trajectory, lo: int, hi: int, fh) -> None:
-    """A child's part: rows lo..hi-1, written to ``fh``."""
-    fh.writelines(_rows(traj, lo, hi))
-    fh.flush()
-
-
 def _trajectory_chunks(traj: Trajectory, directory: Path) -> Iterator[str]:
     """trajectory.csv text: the header, then at most ``_CHUNK_ROWS`` rows at
     a time.
 
-    The rows are cut on chunk boundaries into ``_part_count`` ranges.  One
-    forked child per range after the first formats it into an anonymous
-    file in ``directory``, while this process yields the header and the
-    first range; then each child is waited for in order and its file read
-    back.  A range whose fork fails (:func:`fork_child`) is formatted here.
-    The text is the same for every part count.  Every child is reaped
-    however the generator ends (close it to end it early), and a child that
-    fails raises GridlabError.
+    The rows are cut on chunk boundaries into one range per usable CPU,
+    each of at least ``_CHUNK_ROWS`` rows.  Each range after the first is
+    a :func:`forked` job, formatted into a file in ``directory`` while
+    this process yields the header and the first range.  The text is the
+    same for every range count.  Every child is reaped however the
+    generator ends (close it to end it early).
     """
     n = traj.r.size
-    parts = _part_count(n)
+    parts = max(1, min(usable_cpus(), n // _CHUNK_ROWS))
     chunks = -(-n // _CHUNK_ROWS)
     cuts = [i * chunks // parts * _CHUNK_ROWS for i in range(parts)] + [n]
-    ranges = []  # (lo, hi, pid); pid is None where this process formats it
-    pending = {}  # pid -> file of each child not yet reaped
-    try:
-        for lo, hi in zip(cuts[1:], cuts[2:]):
-            fh = tempfile.TemporaryFile("w+", encoding="ascii", dir=directory)
-            pid = fork_child(partial(_write_part, traj, lo, hi, fh))
-            if pid is None:
-                fh.close()
-            else:
-                pending[pid] = fh
-            ranges.append((lo, hi, pid))
+    ranges = list(zip(cuts[1:], cuts[2:]))
+
+    def write_part(lo: int, hi: int, fh: BinaryIO) -> None:
+        fh.writelines(text.encode("ascii") for text in _rows(traj, lo, hi))
+
+    jobs = [(f"formatting trajectory.csv rows {lo}-{hi - 1}",
+             partial(write_part, lo, hi)) for lo, hi in ranges]
+    with forked(jobs, directory) as result:
         yield "t,R,Z,region,B,F,H_control,H_lyap\n"
         yield from _rows(traj, 0, cuts[1])
-        for lo, hi, pid in ranges:
-            if pid is None:
+        for k, (lo, hi) in enumerate(ranges):
+            fh = result(k)
+            if fh is None:
                 yield from _rows(traj, lo, hi)
                 continue
-            with pending.pop(pid) as fh:
-                wait_child(pid, f"formatting trajectory.csv rows {lo}-{hi - 1}")
-                fh.seek(0)
-                yield from iter(partial(fh.read, _READ_CHARS), "")
-    finally:
-        for pid, fh in pending.items():
-            kill_child(pid)
-            fh.close()
+            with fh:
+                for text in iter(partial(fh.read, _READ_CHARS), b""):
+                    yield text.decode("ascii")
 
 
 @click.group()
@@ -136,11 +114,12 @@ def _command(name: str, *options):
     config, puts --seed into it, parses it with ``config.parse_<name>``,
     calls ``body(config, out_dir, **options)``, which returns the names of
     the files it wrote, and writes manifest.json with the parser's echo as
-    ``config`` and the :func:`usable_cpus` that sized its processes as
-    ``environment``.  Every error maps to one stderr line and its exit
-    code; numpy's overflow and invalid-value warnings are off, since a
-    non-finite result is refused where a JSON file would hold it.  Names
-    are looked up when the command runs, so they can be patched.
+    ``config`` and the :func:`usable_cpus` that sized its :func:`forked`
+    processes as ``environment``.  Every error maps to one stderr line and
+    its exit code; numpy's overflow and invalid-value warnings are off,
+    since a non-finite result is refused where a JSON file or a drift row
+    would hold it.  Names are looked up when the command runs, so they can
+    be patched.
     """
     def register(body):
         def command(config_path, out_dir, seed=None, **opts):
@@ -226,6 +205,12 @@ def cmd_drift(cfg: dict, out: Path) -> list[str]:
     for i, x in enumerate(points):
         rep = drift_report(p, x, cfg["mc_samples"],
                            seed=point_seed(cfg["seed"], i))
+        drifts = [rep.exact, rep.mc_mean, rep.mc_stderr]
+        if rep.paper_formula is not None:
+            drifts.append(rep.paper_formula)
+        if not np.isfinite(drifts).all():
+            raise NonFiniteResult(f"drift_report.csv: point {i} has a NaN or "
+                                  "infinite result")
         if rep.paper_formula is None:
             paper_val, kind, agree = "", "not-applicable", ""
         else:

@@ -40,8 +40,8 @@ class InfeasibleScenario(GridlabError, ValueError):
 
 
 class NonFiniteResult(GridlabError):
-    """A result to be written as JSON is NaN or infinite (an overflow),
-    which JSON has no literal for."""
+    """A result bound for a JSON file (JSON has no literal for it) or for
+    a drift_report.csv row is NaN or infinite, as after an overflow."""
 
 
 class ConfigError(GridlabError, ValueError):

@@ -14,10 +14,11 @@ import signal
 import tempfile
 import threading
 import warnings
+from contextlib import contextmanager
 from dataclasses import dataclass, replace
 from functools import partial
 from itertools import islice
-from typing import Callable
+from typing import BinaryIO, Callable, Iterator
 
 import numpy as np
 
@@ -52,6 +53,7 @@ __all__ = [
     "hitting_probability",
     "sweep",
     "usable_cpus",
+    "forked",
 ]
 
 QUANTILES = (0.05, 0.25, 0.5, 0.75, 0.95)
@@ -82,45 +84,63 @@ def usable_cpus() -> int:
     return len(os.sched_getaffinity(0))
 
 
-def fork_child(work: Callable[[], object]) -> int | None:
-    """Fork a child that runs ``work()`` and exits; its pid, or None if
-    ``os.fork`` fails.  Fork only where :func:`usable_cpus` is above 1.
+@contextmanager
+def forked(jobs: list[tuple[str, Callable[[BinaryIO], object]]],
+           directory: os.PathLike | None = None
+           ) -> Iterator[Callable[[int], BinaryIO | None]]:
+    """Run each ``(what, job)`` of ``jobs`` in a forked child, ``job(fh)``
+    writing into an anonymous binary file in ``directory``.
 
-    The child ends only through ``os._exit``: status 0 once ``work``
-    returns, 1 on any exception, with no traceback and none of the
-    parent's clean-up.  Python 3.12+ warns, after the child exists, on
-    forking a process that has threads; with Python threads ruled out by
-    ``usable_cpus`` those are numpy's idle BLAS pool, and no child touches
-    what it owns.
+    In the block, take ``result(k)`` in job order: it waits for child k
+    and returns its file, rewound, or None where ``os.fork`` failed, so
+    the caller runs job k itself.  A child that exits non-zero (-N when
+    signal N ended it) raises GridlabError naming ``what``.  However the
+    block ends, every child is killed and reaped and every file closed.
+    Fork only where :func:`usable_cpus` is above 1.
+
+    A child ends only through ``os._exit``: 0 once ``job`` returns and
+    the file is flushed, 1 on any exception, with no traceback and none
+    of the parent's clean-up.  Python 3.12+ warns on forking a process
+    with threads; with Python threads ruled out by ``usable_cpus`` those
+    are numpy's idle BLAS pool, which no child touches.
     """
+    files, pids = [], {}  # every file opened; job -> pid not yet reaped
+
+    def result(k: int) -> BinaryIO | None:
+        if k not in pids:
+            return None
+        code = os.waitstatus_to_exitcode(os.waitpid(pids.pop(k), 0)[1])
+        if code != 0:
+            raise GridlabError(f"{jobs[k][0]} failed in a child process "
+                               f"(exit status {code})")
+        files[k].seek(0)
+        return files[k]
+
     try:
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DeprecationWarning)
-            pid = os.fork()
-    except OSError:
-        return None
-    if pid == 0:
-        code = 1
-        try:
-            work()
-            code = 0
-        finally:
-            os._exit(code)
-    return pid
-
-
-def wait_child(pid: int, what: str) -> None:
-    """Reap child ``pid``; raise GridlabError naming ``what`` unless it
-    exited with status 0."""
-    code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
-    if code != 0:
-        raise GridlabError(f"{what} failed in a child process (exit status {code})")
-
-
-def kill_child(pid: int) -> None:
-    """End child ``pid`` at once and reap it."""
-    os.kill(pid, signal.SIGKILL)
-    os.waitpid(pid, 0)
+        for k, (_, job) in enumerate(jobs):
+            files.append(fh := tempfile.TemporaryFile(dir=directory))
+            try:
+                with warnings.catch_warnings():
+                    warnings.simplefilter("ignore", DeprecationWarning)
+                    pid = os.fork()
+            except OSError:
+                continue
+            if pid == 0:
+                code = 1
+                try:
+                    job(fh)
+                    fh.flush()
+                    code = 0
+                finally:
+                    os._exit(code)
+            pids[k] = pid
+        yield result
+    finally:
+        for pid in pids.values():
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+        for fh in files:
+            fh.close()
 
 
 def check_horizon(steps: int, burn_in: int) -> None:
@@ -194,13 +214,22 @@ class Trajectory:
     of the state, derived when it is read: for every row from the
     attributes (``t``, ``region``, ``b_expr``, ``f_frustrated``,
     ``h_control``), or for a row range from :meth:`columns`, which gives
-    each element the same bits.
+    each element the same bits.  Two trajectories are equal when their
+    params, record_every and chains are, NaN equal to NaN.
     """
 
     params: Params
     record_every: int
     r: np.ndarray
     z: np.ndarray
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, Trajectory):
+            return NotImplemented
+        return (self.params == other.params
+                and self.record_every == other.record_every
+                and np.array_equal(self.r, other.r, equal_nan=True)
+                and np.array_equal(self.z, other.z, equal_nan=True))
 
     def columns(self, lo: int, hi: int) -> list[np.ndarray]:
         """Rows lo..hi-1 of t, r, z, region, b_expr, f_frustrated and
@@ -552,51 +581,30 @@ def _sweep_point(p: Params, seed: int, steps: int,
     return ks, violations
 
 
-def _run_share(leg: Callable, ps: list[Params], seeds: list[int], fh) -> None:
-    """A child's share of the sweep legs, pickled into ``fh``."""
-    pickle.dump(list(map(leg, ps, seeds)), fh)
-    fh.flush()
-
-
 def _legs_and_growth(leg: Callable, ps: list[Params], seeds: list[int],
                      probe: Callable[[], list]) -> tuple[list, list]:
     """Each point's legs, ``leg(p, seed)``, and the growth probe's results.
 
     The points are dealt into n = min(usable_cpus(), points) shares, share
     k holding every n-th point from the k-th.  Below 2 shares, all runs
-    in this process.  Otherwise one forked child per share runs it and
-    pickles its legs into an anonymous file, while this process runs the
-    probe; then each child is waited for in order and its file read back.
-    A share whose fork fails runs here after the probe.  Every child is
-    reaped however this ends, and one that fails raises GridlabError.
+    in this process.  Otherwise each share is a :func:`forked` job that
+    pickles its legs while this process runs the probe.
     """
     n = min(usable_cpus(), len(ps))
     if n < 2:
         return list(map(leg, ps, seeds)), probe()
-    children = {}  # share -> (pid, file) of each child not yet reaped
-    try:
-        for k in range(n):
-            fh = tempfile.TemporaryFile()
-            pid = fork_child(partial(_run_share, leg, ps[k::n], seeds[k::n], fh))
-            if pid is None:
-                fh.close()
-            else:
-                children[k] = (pid, fh)
+
+    def share(k: int) -> list:
+        return list(map(leg, ps[k::n], seeds[k::n]))
+
+    jobs = [(f"sweep share {k + 1} of {n}",
+             lambda fh, k=k: pickle.dump(share(k), fh)) for k in range(n)]
+    legs = [None] * len(ps)
+    with forked(jobs) as result:
         growth = probe()
-        legs = [None] * len(ps)
         for k in range(n):
-            if k not in children:
-                legs[k::n] = list(map(leg, ps[k::n], seeds[k::n]))
-                continue
-            pid, fh = children.pop(k)
-            with fh:
-                wait_child(pid, f"sweep share {k + 1} of {n}")
-                fh.seek(0)
-                legs[k::n] = pickle.load(fh)
-    finally:
-        for pid, fh in children.values():
-            kill_child(pid)
-            fh.close()
+            fh = result(k)
+            legs[k::n] = share(k) if fh is None else pickle.load(fh)
     return legs, growth
 
 
@@ -613,8 +621,8 @@ def sweep(base: Params, grid: list[dict[str, float]], steps: int,
 
     The growth probes of all points run in this process, in lockstep
     (:func:`growth_slope` is the one-point case).  Each point's own legs
-    (:func:`_sweep_point`) run in forked children while the probe runs,
-    one per usable CPU and at most one per valid point
+    (:func:`_sweep_point`) run in :func:`forked` children while the probe
+    runs, one per usable CPU and at most one per valid point
     (:func:`_legs_and_growth`); with fewer than 2, in this process.  Rows
     come back in grid order.
     """

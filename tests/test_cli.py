@@ -2,6 +2,7 @@ import csv
 import io
 import json
 import os
+import signal
 import subprocess
 import sys
 import tracemalloc
@@ -479,6 +480,24 @@ def test_non_finite_json_exit_3_one_line(runner, tmp_path, command, doc, name):
     assert not out.exists() or list(out.iterdir()) == []
 
 
+@pytest.mark.parametrize("point, index", [([1e200, 1.0], 1),
+                                          ([1e308, 1e308], 0)],
+                         ids=["nan-drifts", "infinite-paper-formula"])
+def test_non_finite_drift_exit_3_one_line(runner, tmp_path, point, index):
+    # 1e200 overflows the exact and Monte Carlo drifts to NaN; at 1e308
+    # the closed form reads -inf as well.
+    points = [[1.0, 1.0], point] if index else [point]
+    out = tmp_path / "o"
+    res = runner.invoke(main, ["drift", "--config",
+                               write_config(tmp_path, dict(DRIFT, points=points)),
+                               "--out", str(out)])
+    assert res.exit_code == 3, res.output
+    assert res.stdout == ""
+    assert res.stderr == (f"error: drift_report.csv: point {index} has a NaN "
+                          "or infinite result\n")
+    assert not out.exists() or list(out.iterdir()) == []
+
+
 def test_manifest_records_usable_cpus(runner, tmp_path, monkeypatch):
     for cpus in (1, 3):
         use_cpus(monkeypatch, cpus)
@@ -621,6 +640,25 @@ class TestTrajectoryParts:
         assert res.stderr.startswith(
             f"error: formatting trajectory.csv rows {_CHUNK_ROWS}-{2 * _CHUNK_ROWS - 1} ")
         assert res.stderr.count("\n") == 1
+        assert list(out.iterdir()) == []
+
+    def test_killed_part_exit_4_one_line(self, runner, tmp_path, monkeypatch):
+        # A part that dies by a signal, not by an exception.
+        parent, real_rows = os.getpid(), gridlab.cli._rows
+
+        def rows(traj, lo, hi):
+            if os.getpid() != parent:
+                os.kill(os.getpid(), signal.SIGKILL)
+            return real_rows(traj, lo, hi)
+
+        monkeypatch.setattr(gridlab.cli, "_rows", rows)
+        use_cpus(monkeypatch, 4)
+        res, out = self.simulate(runner, tmp_path, 3 * _CHUNK_ROWS + 5)
+        assert res.exit_code == 4
+        assert res.stdout == ""
+        assert res.stderr == (
+            f"error: formatting trajectory.csv rows {_CHUNK_ROWS}-"
+            f"{2 * _CHUNK_ROWS - 1} failed in a child process (exit status -9)\n")
         assert list(out.iterdir()) == []
 
     def test_closing_early_reaps_every_part(self, tmp_path, monkeypatch, p0):

@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -217,6 +218,18 @@ class TestSimulate:
         assert np.array_equal(t1.r, t2.r) and np.array_equal(t1.z, t2.z)
         s3, _ = simulate(SimConfig(p0, (0.0, 0.0), steps=1000, burn_in=100, seed=43))
         assert s3.r_mean != s1.r_mean
+
+    def test_trajectories_compare_by_value(self, p0):
+        cfg = SimConfig(p0, (0.0, 0.0), steps=1000, seed=42, record_every=3)
+        traj = simulate(cfg, return_records=True)[1]
+        assert (traj == simulate(cfg, return_records=True)[1]) is True
+        for change in ({"seed": 43}, {"record_every": 1}):
+            other = simulate(replace(cfg, **change), return_records=True)[1]
+            assert (traj == other) is False
+        # NaN equals NaN; a copy of the chain is as good as the view.
+        nan = montecarlo.Trajectory(p0, 1, np.array([np.nan, 1.0]), np.zeros(2))
+        assert nan == replace(nan, r=nan.r.copy())
+        assert nan != replace(nan, z=np.ones(2))
 
     def test_record_thinning(self, p0):
         cfg = SimConfig(p0, (0.0, 0.0), steps=100, seed=1, record_every=10)

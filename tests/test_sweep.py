@@ -2,6 +2,7 @@
 probe and per-point seed accounting."""
 
 import os
+import signal
 import threading
 import tracemalloc
 
@@ -126,14 +127,35 @@ def test_failed_fork_runs_the_share_here(p0, monkeypatch, working):
     assert len(pids) == working
 
 
+def break_children(monkeypatch, fail):
+    """Make every point's legs call ``fail()`` in a forked child; they
+    run as before in this process."""
+    parent, real = os.getpid(), gridlab.montecarlo._sweep_point
+
+    def leg(*args, **kwargs):
+        if os.getpid() != parent:
+            fail()
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(gridlab.montecarlo, "_sweep_point", leg)
+
+
 def test_failed_child_raises(p0, monkeypatch):
-    def broken(*args):
+    def broken():
         raise RuntimeError("share failed")
 
-    monkeypatch.setattr(gridlab.montecarlo, "_run_share", broken)
+    break_children(monkeypatch, broken)
     use_cpus(monkeypatch, 2)
     with pytest.raises(GridlabError, match=r"^sweep share 1 of 2 failed in a "
                                            r"child process \(exit status 1\)$"):
+        sweep(p0, GRID, **FAST)
+
+
+def test_child_killed_by_signal_raises(p0, monkeypatch):
+    break_children(monkeypatch, lambda: os.kill(os.getpid(), signal.SIGKILL))
+    use_cpus(monkeypatch, 2)
+    with pytest.raises(GridlabError, match=r"^sweep share 1 of 2 failed in a "
+                                           r"child process \(exit status -9\)$"):
         sweep(p0, GRID, **FAST)
 
 
