@@ -25,6 +25,7 @@ from .config import (ConfigError, atomic_write_text, dump_json, fmt_float,
 from .dynamics import Params, Region, breakpoints
 from .errors import (GridlabError, InfeasibleScenario, NonFiniteResult,
                      SimulationDiverged)
+from .floatfmt import fmt_floats
 from .lyapunov import drift_report, lyap_h, negative_drift_geometry
 from .montecarlo import (SimConfig, Trajectory, forked, simulate, sweep,
                          usable_cpus)
@@ -43,36 +44,56 @@ def _write_rows(path: Path, header: list[str], rows: list[list[str]]) -> None:
                                      for row in [header, *rows]]))
 
 
-# One trajectory.csv row; '%.17g' gives the bytes of fmt_float.
-_TRAJECTORY_ROW = "%d,%.17g,%.17g,%s,%.17g,%.17g,%.17g,%.17g\n"
 _CHUNK_ROWS = 8192
-# Characters (ASCII, so bytes) read back from a part's file at a time: no
-# more than one chunk's text, since a row has at least 17 characters.
-_READ_CHARS = 1 << 17
+# Rows laid out at a time: fmt_floats and the row bytes take about 2.3 KB
+# a row, so with a chunk's columns the writer peaks near 3.4 MB.
+_BLOCK_ROWS = 1024
+# Bytes read back from a part's file at a time: no more than one chunk's
+# text, since a row has at least 17 bytes.
+_READ_BYTES = 1 << 17
 
 
-def _rows(traj: Trajectory, lo: int, hi: int) -> Iterator[str]:
-    """trajectory.csv rows lo..hi-1, ``_CHUNK_ROWS`` rows at a time; each
-    chunk's columns are derived from its slice of the chain
-    (:meth:`Trajectory.columns`, then ``lyap_h`` for H_lyap) just before
-    they are formatted."""
+def _rows(traj: Trajectory, lo: int, hi: int) -> Iterator[bytes]:
+    """trajectory.csv rows lo..hi-1 as ASCII, at most ``_BLOCK_ROWS`` rows
+    at a time.
+
+    Each ``_CHUNK_ROWS`` chunk's columns are derived from its slice of the
+    chain (:meth:`Trajectory.columns`, then ``lyap_h`` for H_lyap) just
+    before they are formatted.  A block's numbers are formatted together,
+    column by column, by :func:`fmt_floats`: t and the six floats (t is an
+    integer below 2**53, so its float formats as its decimal).  A comma
+    or the newline goes into each field's spare last byte, the region and
+    its comma come after Z, and one ``translate`` drops the NUL padding.
+    """
     for a in range(lo, hi, _CHUNK_ROWS):
-        columns = traj.columns(a, min(a + _CHUNK_ROWS, hi))
-        columns.append(lyap_h(traj.params, (columns[1], columns[2])))
-        rows = zip(*[c.tolist() for c in columns])
-        yield "".join([_TRAJECTORY_ROW % row for row in rows])
+        t, r, z, region, *rest = traj.columns(a, min(a + _CHUNK_ROWS, hi))
+        rest.append(lyap_h(traj.params, (r, z)))
+        numbers = np.stack([t, r, z, *rest], axis=1)
+        # A region name is two UCS4 code points, which are its ASCII bytes.
+        names = np.full((r.size, 3), ord(","), np.uint8)
+        names[:, :2] = region.view(np.uint32).reshape(-1, 2)
+        for b in range(0, r.size, _BLOCK_ROWS):
+            fields = fmt_floats(numbers[b:b + _BLOCK_ROWS])
+            fields[..., -1] = ord(",")
+            fields[:, -1, -1] = ord("\n")
+            n = len(fields)
+            row = np.concatenate([fields[:, :3].reshape(n, -1),
+                                  names[b:b + n],
+                                  fields[:, 3:].reshape(n, -1)], axis=1)
+            yield row.tobytes().translate(None, b"\0")
 
 
-def _trajectory_chunks(traj: Trajectory, directory: Path) -> Iterator[str]:
-    """trajectory.csv text: the header, then at most ``_CHUNK_ROWS`` rows at
-    a time.
+def _trajectory_chunks(traj: Trajectory, directory: Path) -> Iterator[bytes]:
+    """trajectory.csv as ASCII: the header, then at most ``_CHUNK_ROWS``
+    rows at a time.
 
     The rows are cut on chunk boundaries into one range per usable CPU,
     each of at least ``_CHUNK_ROWS`` rows.  Each range after the first is
     a :func:`forked` job, formatted into a file in ``directory`` while
-    this process yields the header and the first range.  The text is the
-    same for every range count.  Every child is reaped however the
-    generator ends (close it to end it early).
+    this process yields the header and the first range; the file's bytes
+    are then passed on as they are.  The text is the same for every range
+    count.  Every child is reaped however the generator ends (close it to
+    end it early).
     """
     n = traj.r.size
     parts = max(1, min(usable_cpus(), n // _CHUNK_ROWS))
@@ -81,12 +102,12 @@ def _trajectory_chunks(traj: Trajectory, directory: Path) -> Iterator[str]:
     ranges = list(zip(cuts[1:], cuts[2:]))
 
     def write_part(lo: int, hi: int, fh: BinaryIO) -> None:
-        fh.writelines(text.encode("ascii") for text in _rows(traj, lo, hi))
+        fh.writelines(_rows(traj, lo, hi))
 
     jobs = [(f"formatting trajectory.csv rows {lo}-{hi - 1}",
              partial(write_part, lo, hi)) for lo, hi in ranges]
     with forked(jobs, directory) as result:
-        yield "t,R,Z,region,B,F,H_control,H_lyap\n"
+        yield b"t,R,Z,region,B,F,H_control,H_lyap\n"
         yield from _rows(traj, 0, cuts[1])
         for k, (lo, hi) in enumerate(ranges):
             fh = result(k)
@@ -94,8 +115,7 @@ def _trajectory_chunks(traj: Trajectory, directory: Path) -> Iterator[str]:
                 yield from _rows(traj, lo, hi)
                 continue
             with fh:
-                for text in iter(partial(fh.read, _READ_CHARS), b""):
-                    yield text.decode("ascii")
+                yield from iter(partial(fh.read, _READ_BYTES), b"")
 
 
 @click.group()

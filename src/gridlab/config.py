@@ -31,11 +31,11 @@ _MISSING = object()
 # chain kernel holds 16 bytes per step (R and Z; its noise is drawn a
 # block at a time), and `simulate` peaks at 24 bytes per step whatever
 # its record_every (the chain and one summary temporary; the records are
-# views of the chain, and trajectory.csv is derived and formatted a chunk
-# at a time in about 6 MB), so one at the cap needs about 2.4 GB.  A
-# drift point holds about 48 bytes per draw (the noise, the stepped
-# states and the lyap_h temporaries), so one at the cap needs about
-# 4.8 GB.
+# views of the chain, and trajectory.csv is derived 8192 rows and
+# formatted 1024 rows at a time, in about 3.4 MB), so one at the cap
+# needs about 2.4 GB.  A drift point holds about 48 bytes per draw (the
+# noise, the stepped states and the lyap_h temporaries), so one at the
+# cap needs about 4.8 GB.
 MAX_DRAWS = 10**8
 
 # The most states a drift run may sample per region: each of its
@@ -275,21 +275,26 @@ def parse_thermal(doc: dict, path: str = "scenario"
 
 
 def fmt_float(x: float) -> str:
-    """Serialize a 64-bit float losslessly (17 significant digits)."""
+    """Serialize a 64-bit float losslessly (17 significant digits).
+
+    This is the one scalar formatter: :func:`gridlab.floatfmt.fmt_floats`
+    gives its bytes for a whole array, and falls back to it element by
+    element.
+    """
     return format(float(x), ".17g")
 
 
-def atomic_write_text(path: Path, text: str | Iterable[str]) -> None:
+def atomic_write_text(path: Path, text: str | Iterable[bytes]) -> None:
     """Write-then-rename so readers never observe a partial file.
 
-    ``text`` is one string or an iterable of string chunks, written in
+    ``text`` is one string or an iterable of ASCII byte chunks, written in
     order as they are produced, so a long file never sits in memory whole.
     """
     path.parent.mkdir(parents=True, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name, suffix=".tmp")
     try:
-        with os.fdopen(fd, "w") as fh:
-            fh.writelines([text] if isinstance(text, str) else text)
+        with os.fdopen(fd, "wb") as fh:
+            fh.writelines([text.encode()] if isinstance(text, str) else text)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):

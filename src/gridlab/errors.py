@@ -25,13 +25,18 @@ class GeometryUndefined(GridlabError):
 
 
 class SimulationDiverged(GridlabError):
-    """State magnitude exceeded the overflow guard during simulation."""
+    """State magnitude exceeded the overflow guard during simulation.
+
+    ``state`` is kept as a pair of Python floats, so the message shows
+    plain float reprs whatever the kernel's scalar type.
+    """
 
     def __init__(self, step: int, state):
         self.step = step
-        self.state = state
+        self.state = (float(state[0]), float(state[1]))
         super().__init__(
-            f"state exceeded overflow guard at step {step}: R={state[0]!r}, Z={state[1]!r}"
+            f"state exceeded overflow guard at step {step}: "
+            f"R={self.state[0]!r}, Z={self.state[1]!r}"
         )
 
 

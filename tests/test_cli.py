@@ -139,6 +139,16 @@ class TestSimulate:
                                    "--out", str(tmp_path / "o")])
         assert res.exit_code == 3
 
+    def test_diverged_message_shows_plain_floats(self, runner, tmp_path):
+        cfg = write_config(tmp_path, {"params": P0, "x0": [0, 1e308],
+                                      "steps": 10})
+        res = runner.invoke(main, ["simulate", "--config", cfg,
+                                   "--out", str(tmp_path / "o")])
+        assert res.exit_code == 3
+        assert res.stdout == ""
+        assert res.stderr == ("error: state exceeded overflow guard at step 1: "
+                              "R=3e+307, Z=4.0000000000000004e+307\n")
+
 
 class TestDrift:
     def test_explicit_points(self, runner, tmp_path):
@@ -667,7 +677,7 @@ class TestTrajectoryParts:
         n = 4 * _CHUNK_ROWS
         chunks = _trajectory_chunks(Trajectory(p0, 1, np.zeros(n), np.zeros(n)),
                                     tmp_path)
-        assert next(chunks).startswith("t,R,Z,")
+        assert next(chunks).startswith(b"t,R,Z,")
         chunks.close()
         assert len(pids) == 3
         assert list(tmp_path.iterdir()) == []

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from gridlab import (
     GeometryUndefined,
@@ -25,6 +27,8 @@ from gridlab import (
     w1,
     w2,
 )
+from gridlab.dynamics import breakpoints
+from gridlab.lyapunov import PAPER_REL_TOL
 from conftest import random_params, random_state
 
 V_PLUS_P0 = 35.72882812916423  # frozen positive root of the D2 boundary quadratic
@@ -153,6 +157,42 @@ class TestDrift:
                     val, kind = drift_paper(p, x)
                     assert kind == "upper_bound"
                     assert exact <= val + 1e-9 * max(1.0, abs(exact), abs(val))
+
+    @given(st.data())
+    def test_paper_routes_against_exact_drift(self, data):
+        # drift_report's agree_paper rule: equal within PAPER_REL_TOL of the
+        # scale in D1 and D2, an upper bound in D3 and D4 when mu > 0.  The
+        # state lies within 50 of a region edge, the edge itself included.
+        lam = data.draw(st.floats(0.01, 0.9), label="lambda")
+        mu = data.draw(st.one_of(st.floats(-0.99, -0.01),
+                                 st.floats(0.01, 0.99 - lam)), label="mu")
+        zeta = data.draw(st.floats(0.01, 10.0), label="zeta")
+        xi = data.draw(st.floats(0.01, 10.0), label="xi")
+        r_star = zeta + data.draw(st.floats(0.01, 10.0), label="r_star - zeta")
+        sigma = data.draw(st.floats(0.0, 5.0), label="sigma")
+        p = validate_params(lam, mu, zeta, xi, r_star, sigma)
+        edge = data.draw(st.sampled_from(breakpoints(p)), label="edge")
+        x = (edge + data.draw(st.floats(-50.0, 50.0), label="r - edge"),
+             data.draw(st.floats(0.0, 50.0), label="z"))
+        exact = drift_exact(p, x)
+        val, kind = drift_paper(p, x)
+        slack = PAPER_REL_TOL * max(1.0, abs(exact), abs(val))
+        if classify_region(p, x) in (Region.D1, Region.D2):
+            assert kind == "exact"
+            assert abs(exact - val) <= slack
+        else:
+            assert kind == "upper_bound"
+            if mu > 0.0:
+                assert exact <= val + slack
+
+    def test_negative_mu_bound_may_fail(self):
+        # For mu < 0 the D3/D4 expressions are not bounds: drift_report
+        # still calls them upper_bound, and agree_paper is false.
+        p = validate_params(0.5, -0.1, 1.0, 1.0, 3.0, 1.0)
+        rep = drift_report(p, (10.0, 5.0), n_samples=100, seed=0)
+        assert rep.region is Region.D4 and rep.paper_kind == "upper_bound"
+        assert rep.exact > rep.paper_formula
+        assert not rep.agree_paper
 
     def test_report_flags(self, p0):
         rep = drift_report(p0, (-1.0, 2.0), n_samples=100_000, seed=101)
