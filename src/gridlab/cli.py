@@ -51,6 +51,8 @@ _BLOCK_ROWS = 1024
 # Bytes read back from a part's file at a time: no more than one chunk's
 # text, since a row has at least 17 bytes.
 _READ_BYTES = 1 << 17
+# Region code 0..3 -> its name and comma, as ASCII.
+_REGION_FIELDS = np.frombuffer(b"D1,D2,D3,D4,", np.uint8).reshape(4, 3)
 
 
 def _rows(traj: Trajectory, lo: int, hi: int) -> Iterator[bytes]:
@@ -62,16 +64,15 @@ def _rows(traj: Trajectory, lo: int, hi: int) -> Iterator[bytes]:
     before they are formatted.  A block's numbers are formatted together,
     column by column, by :func:`fmt_floats`: t and the six floats (t is an
     integer below 2**53, so its float formats as its decimal).  A comma
-    or the newline goes into each field's spare last byte, the region and
-    its comma come after Z, and one ``translate`` drops the NUL padding.
+    or the newline goes into each field's spare last byte, the region's
+    name and comma, looked up by its code, come after Z, and one
+    ``translate`` drops the NUL padding.
     """
     for a in range(lo, hi, _CHUNK_ROWS):
         t, r, z, region, *rest = traj.columns(a, min(a + _CHUNK_ROWS, hi))
         rest.append(lyap_h(traj.params, (r, z)))
         numbers = np.stack([t, r, z, *rest], axis=1)
-        # A region name is two UCS4 code points, which are its ASCII bytes.
-        names = np.full((r.size, 3), ord(","), np.uint8)
-        names[:, :2] = region.view(np.uint32).reshape(-1, 2)
+        names = _REGION_FIELDS[region]
         for b in range(0, r.size, _BLOCK_ROWS):
             fields = fmt_floats(numbers[b:b + _BLOCK_ROWS])
             fields[..., -1] = ord(",")
@@ -87,13 +88,13 @@ def _trajectory_chunks(traj: Trajectory, directory: Path) -> Iterator[bytes]:
     """trajectory.csv as ASCII: the header, then at most ``_CHUNK_ROWS``
     rows at a time.
 
-    The rows are cut on chunk boundaries into one range per usable CPU,
-    each of at least ``_CHUNK_ROWS`` rows.  Each range after the first is
-    a :func:`forked` job, formatted into a file in ``directory`` while
-    this process yields the header and the first range; the file's bytes
-    are then passed on as they are.  The text is the same for every range
-    count.  Every child is reaped however the generator ends (close it to
-    end it early).
+    The rows are cut on chunk boundaries into n = min(:func:`usable_cpus`,
+    whole chunks) ranges, so each holds at least ``_CHUNK_ROWS`` rows.
+    This process yields the header and range 0; ranges 1..n-1 are
+    :func:`forked` jobs, each formatted into a file in ``directory``,
+    whose bytes are then passed on as they are.  The text is the same for
+    every range count.  Every child is reaped however the generator ends
+    (close it to end it early).
     """
     n = traj.r.size
     parts = max(1, min(usable_cpus(), n // _CHUNK_ROWS))
@@ -109,12 +110,8 @@ def _trajectory_chunks(traj: Trajectory, directory: Path) -> Iterator[bytes]:
     with forked(jobs, directory) as result:
         yield b"t,R,Z,region,B,F,H_control,H_lyap\n"
         yield from _rows(traj, 0, cuts[1])
-        for k, (lo, hi) in enumerate(ranges):
-            fh = result(k)
-            if fh is None:
-                yield from _rows(traj, lo, hi)
-                continue
-            with fh:
+        for k in range(len(ranges)):
+            with result(k) as fh:
                 yield from iter(partial(fh.read, _READ_BYTES), b"")
 
 
@@ -134,8 +131,9 @@ def _command(name: str, *options):
     config, puts --seed into it, parses it with ``config.parse_<name>``,
     calls ``body(config, out_dir, **options)``, which returns the names of
     the files it wrote, and writes manifest.json with the parser's echo as
-    ``config`` and the :func:`usable_cpus` that sized its :func:`forked`
-    processes as ``environment``.  Every error maps to one stderr line and
+    ``config`` and, as ``environment``, the :func:`usable_cpus` that
+    sized its work: at most that many shares, one run in this process and
+    the rest in :func:`forked` children.  Every error maps to one stderr line and
     its exit code; numpy's overflow and invalid-value warnings are off,
     since a non-finite result is refused where a JSON file or a drift row
     would hold it.  Names are looked up when the command runs, so they can

@@ -139,12 +139,18 @@ class _Section:
 
 
 def load_json(path: str | Path) -> dict:
+    """The JSON object in the UTF-8 file at ``path``; ConfigError where
+    the file cannot be read or is not such a document."""
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             data = json.load(fh)
     except FileNotFoundError:
         raise ConfigError(f"config file not found: {path}")
-    except json.JSONDecodeError as exc:
+    except OSError as exc:  # a directory, no permission, ...
+        raise ConfigError(f"cannot read config file {path}: {exc.strerror}")
+    # ValueError covers malformed JSON, bytes that are not UTF-8 and an
+    # integer too long to convert; RecursionError, nesting too deep.
+    except (ValueError, RecursionError) as exc:
         raise ConfigError(f"{path}: invalid JSON: {exc}")
     if not isinstance(data, dict):
         raise ConfigError(f"{path}: top level must be a JSON object")

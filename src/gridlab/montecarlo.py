@@ -16,7 +16,6 @@ import threading
 import warnings
 from contextlib import contextmanager
 from dataclasses import dataclass, replace
-from functools import partial
 from itertools import islice
 from typing import BinaryIO, Callable, Iterator
 
@@ -87,16 +86,18 @@ def usable_cpus() -> int:
 @contextmanager
 def forked(jobs: list[tuple[str, Callable[[BinaryIO], object]]],
            directory: os.PathLike | None = None
-           ) -> Iterator[Callable[[int], BinaryIO | None]]:
+           ) -> Iterator[Callable[[int], BinaryIO]]:
     """Run each ``(what, job)`` of ``jobs`` in a forked child, ``job(fh)``
     writing into an anonymous binary file in ``directory``.
 
-    In the block, take ``result(k)`` in job order: it waits for child k
-    and returns its file, rewound, or None where ``os.fork`` failed, so
-    the caller runs job k itself.  A child that exits non-zero (-N when
-    signal N ended it) raises GridlabError naming ``what``.  However the
-    block ends, every child is killed and reaped and every file closed.
-    Fork only where :func:`usable_cpus` is above 1.
+    Callers share one schedule: the work is cut into n =
+    min(:func:`usable_cpus`, units) shares, the caller runs share 0 in
+    the block, and ``jobs`` are shares 1..n-1.  Take ``result(k)`` once
+    per job, in job order: it waits for child k, or runs job k itself
+    where ``os.fork`` failed, and returns the job's file, rewound.  A
+    child that exits non-zero (-N when signal N ended it) raises
+    GridlabError naming ``what``.  However the block ends, every child is
+    killed and reaped and every file closed.
 
     A child ends only through ``os._exit``: 0 once ``job`` returns and
     the file is flushed, 1 on any exception, with no traceback and none
@@ -106,13 +107,14 @@ def forked(jobs: list[tuple[str, Callable[[BinaryIO], object]]],
     """
     files, pids = [], {}  # every file opened; job -> pid not yet reaped
 
-    def result(k: int) -> BinaryIO | None:
-        if k not in pids:
-            return None
-        code = os.waitstatus_to_exitcode(os.waitpid(pids.pop(k), 0)[1])
-        if code != 0:
-            raise GridlabError(f"{jobs[k][0]} failed in a child process "
-                               f"(exit status {code})")
+    def result(k: int) -> BinaryIO:
+        if k in pids:
+            code = os.waitstatus_to_exitcode(os.waitpid(pids.pop(k), 0)[1])
+            if code != 0:
+                raise GridlabError(f"{jobs[k][0]} failed in a child process "
+                                   f"(exit status {code})")
+        else:
+            jobs[k][1](files[k])
         files[k].seek(0)
         return files[k]
 
@@ -214,8 +216,9 @@ class Trajectory:
     of the state, derived when it is read: for every row from the
     attributes (``t``, ``region``, ``b_expr``, ``f_frustrated``,
     ``h_control``), or for a row range from :meth:`columns`, which gives
-    each element the same bits.  Two trajectories are equal when their
-    params, record_every and chains are, NaN equal to NaN.
+    each element the same bits, the region as its code.  Two trajectories
+    are equal when their params, record_every and chains are, NaN equal
+    to NaN.
     """
 
     params: Params
@@ -232,12 +235,12 @@ class Trajectory:
                 and np.array_equal(self.z, other.z, equal_nan=True))
 
     def columns(self, lo: int, hi: int) -> list[np.ndarray]:
-        """Rows lo..hi-1 of t, r, z, region, b_expr, f_frustrated and
-        h_control."""
+        """Rows lo..hi-1 of t, r, z, the region code (0..3 for D1..D4),
+        b_expr, f_frustrated and h_control."""
         part = replace(self, r=self.r[lo:hi], z=self.z[lo:hi])
         return [np.arange(lo, lo + part.r.size) * self.record_every,
-                part.r, part.z, part.region, part.b_expr, part.f_frustrated,
-                part.h_control]
+                part.r, part.z, region_codes(self.params, part.r),
+                part.b_expr, part.f_frustrated, part.h_control]
 
     @property
     def t(self) -> np.ndarray:
@@ -581,33 +584,6 @@ def _sweep_point(p: Params, seed: int, steps: int,
     return ks, violations
 
 
-def _legs_and_growth(leg: Callable, ps: list[Params], seeds: list[int],
-                     probe: Callable[[], list]) -> tuple[list, list]:
-    """Each point's legs, ``leg(p, seed)``, and the growth probe's results.
-
-    The points are dealt into n = min(usable_cpus(), points) shares, share
-    k holding every n-th point from the k-th.  Below 2 shares, all runs
-    in this process.  Otherwise each share is a :func:`forked` job that
-    pickles its legs while this process runs the probe.
-    """
-    n = min(usable_cpus(), len(ps))
-    if n < 2:
-        return list(map(leg, ps, seeds)), probe()
-
-    def share(k: int) -> list:
-        return list(map(leg, ps[k::n], seeds[k::n]))
-
-    jobs = [(f"sweep share {k + 1} of {n}",
-             lambda fh, k=k: pickle.dump(share(k), fh)) for k in range(n)]
-    legs = [None] * len(ps)
-    with forked(jobs) as result:
-        growth = probe()
-        for k in range(n):
-            fh = result(k)
-            legs[k::n] = share(k) if fh is None else pickle.load(fh)
-    return legs, growth
-
-
 def sweep(base: Params, grid: list[dict[str, float]], steps: int,
           burn_in: int, n_seeds: int = 16, seed: int = 0) -> list[SweepPoint]:
     """Evaluate a stability verdict at each grid point.
@@ -619,12 +595,13 @@ def sweep(base: Params, grid: list[dict[str, float]], steps: int,
     that breaks :func:`check_horizon` or n_seeds < 1 raises ValueError
     before any point runs.
 
-    The growth probes of all points run in this process, in lockstep
-    (:func:`growth_slope` is the one-point case).  Each point's own legs
-    (:func:`_sweep_point`) run in :func:`forked` children while the probe
-    runs, one per usable CPU and at most one per valid point
-    (:func:`_legs_and_growth`); with fewer than 2, in this process.  Rows
-    come back in grid order.
+    The valid points are dealt into n = min(:func:`usable_cpus`, points)
+    shares, share k holding every n-th point from the k-th.  This process
+    runs share 0 and :func:`forked` children the others.  Each share
+    computes its points' verdicts end to end: every point's own legs
+    (:func:`_sweep_point`), then one growth probe over its points in
+    lockstep (:func:`growth_slope` is the one-point case).  Rows come
+    back in grid order.
     """
     check_horizon(steps, burn_in)
     t_hi = min(500, steps)
@@ -632,16 +609,26 @@ def sweep(base: Params, grid: list[dict[str, float]], steps: int,
     _check_growth(t_lo, t_hi, n_seeds)
     rows = [_grid_point(i, overrides, base) for i, overrides in enumerate(grid)]
     runs = [row for row in rows if row.error is None]
-    ps = [row.params for row in runs]
-    seeds = [point_seed(seed, row.index) for row in runs]
-    leg = partial(_sweep_point, steps=steps, burn_in=burn_in)
-    probe = partial(_growth_probe, [(p, s + 1) for p, s in zip(ps, seeds)],
-                    GROWTH_X0, t_lo, t_hi, n_seeds)
-    legs, growth = _legs_and_growth(leg, ps, seeds, probe)
-    for row, legs_i, growth_i in zip(runs, legs, growth):
-        if isinstance(legs_i, str):
-            rows[row.index] = replace(row, error=legs_i)
-        else:
-            rows[row.index] = replace(row, result=_verdict(
-                row.params, *legs_i, growth_i, n_seeds))
+    n = max(1, min(usable_cpus(), len(runs)))
+
+    def share(k: int) -> list[SweepPoint]:
+        mine = runs[k::n]
+        seeds = [point_seed(seed, row.index) for row in mine]
+        legs = [_sweep_point(row.params, s, steps, burn_in)
+                for row, s in zip(mine, seeds)]
+        growth = _growth_probe([(row.params, s + 1) for row, s in zip(mine, seeds)],
+                               GROWTH_X0, t_lo, t_hi, n_seeds)
+        return [replace(row, error=leg) if isinstance(leg, str) else
+                replace(row, result=_verdict(row.params, *leg, g, n_seeds))
+                for row, leg, g in zip(mine, legs, growth)]
+
+    jobs = [(f"sweep share {k + 1} of {n}",
+             lambda fh, k=k: pickle.dump(share(k), fh)) for k in range(1, n)]
+    done = [None] * len(runs)
+    with forked(jobs) as result:
+        done[::n] = share(0)
+        for k in range(1, n):
+            done[k::n] = pickle.load(result(k - 1))
+    for row in done:
+        rows[row.index] = row
     return rows

@@ -434,6 +434,27 @@ def test_invalid_config_exit_2_one_line(runner, tmp_path, command, doc):
         assert (key in doc) == (f"unknown field(s): {key}" in res.stderr)
 
 
+@pytest.mark.parametrize("text", [
+    None, b'{"params": "\xff"}', b"[" * 100_000 + b"]" * 100_000,
+    b'{"seed": ' + b"1" * 5000 + b"}"],
+    ids=["directory", "not-utf8", "nested-too-deep", "integer-too-long"])
+def test_unreadable_config_exit_2_one_line(runner, tmp_path, text):
+    # A file that cannot be read, or read as JSON, is a config error.
+    path = tmp_path / "config.json"
+    if text is None:
+        path.mkdir()
+    else:
+        path.write_bytes(text)
+    out = tmp_path / "o"
+    res = runner.invoke(main, ["regions", "--config", str(path),
+                               "--out", str(out)])
+    assert res.exit_code == 2, res.output
+    assert res.stdout == ""
+    assert res.stderr.startswith("config error: ")
+    assert res.stderr.count("\n") == 1
+    assert not out.exists()
+
+
 def test_draw_limit_is_inclusive_and_named():
     assert parse_simulate(dict(SIM, steps=MAX_DRAWS))[0].steps == MAX_DRAWS
     with pytest.raises(ConfigError, match=f"'steps' must be <= {MAX_DRAWS}$"):

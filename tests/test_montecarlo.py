@@ -192,6 +192,8 @@ class TestTrajectoryColumns:
             assert [bits(c) for c in got] == [bits(c) for c in whole[:7]]
             ranges = [(a, min(a + self.C, n)) for a in range(0, n, self.C)]
             ranges += [(0, 1), (self.C - 5, self.C + 5), (n - 9, n), (4, 4)]
+            # columns() gives the region as its code.
+            whole[3] = region_codes(p0, rr)
             for lo, hi in ranges:
                 cols = traj.columns(lo, hi)
                 cols.append(lyap_h(p0, (cols[1], cols[2])))

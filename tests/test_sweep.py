@@ -1,5 +1,5 @@
 """The sweep's argument checks, forked worker processes, lockstep growth
-probe and per-point seed accounting."""
+probe and per-point seed accounting, and the contract of ``forked``."""
 
 import os
 import signal
@@ -12,7 +12,7 @@ import gridlab.montecarlo
 from conftest import count_forks, use_cpus
 from gridlab import GridlabError, growth_slope, sweep, validate_params
 from gridlab.dynamics import COLUMN_BLOCK
-from gridlab.montecarlo import GROWTH_X0, _growth_probe, usable_cpus
+from gridlab.montecarlo import GROWTH_X0, _growth_probe, forked, usable_cpus
 from gridlab.rng import point_seed
 
 # Every sweep here may fork; each test ends with all its children reaped.
@@ -70,8 +70,9 @@ def test_growth_memory_stays_one_block(p0):
 
 
 def test_pool_is_capped_at_grid_size(p0, monkeypatch):
-    # One child per usable CPU, at most one per valid point: mu = 0.9
-    # makes lambda + mu >= 1, an error row with no legs to run.
+    # One share per usable CPU, at most one per valid point, and this
+    # process runs the first, so n CPUs run at most n processes: mu = 0.9
+    # makes lambda + mu >= 1, an error row with nothing to run.
     grid = [{"mu": 0.1}, {"mu": 0.9}, {"mu": 0.2}]
     pids = count_forks(monkeypatch)
     forks = []
@@ -82,7 +83,7 @@ def test_pool_is_capped_at_grid_size(p0, monkeypatch):
         assert rows[1].error and rows[2].result
         forks.append(len(pids))
         pids.clear()
-    assert forks == [0, 2, 2, 2]
+    assert forks == [0, 1, 1, 1]
     # One valid point runs in this process, whatever the CPUs.
     sweep(p0, grid[:2], **FAST)
     assert pids == []
@@ -127,6 +128,35 @@ def test_failed_fork_runs_the_share_here(p0, monkeypatch, working):
     assert len(pids) == working
 
 
+@pytest.mark.parametrize("working", [None, 0], ids=["forked", "fork-fails"])
+def test_forked_returns_each_jobs_file(monkeypatch, working):
+    # Where os.fork fails, result(k) runs job k in this process and
+    # returns its file just the same; no child runs.  A job notes in
+    # `ran` only where it runs here.
+    ran = []
+
+    def job(k):
+        def write(fh):
+            ran.append(k)
+            fh.write(b"job %d" % k)
+        return f"job {k}", write
+
+    pids = count_forks(monkeypatch, working=working)
+    with forked([job(0), job(1)]) as result:
+        assert [result(k).read() for k in range(2)] == [b"job 0", b"job 1"]
+    assert (len(pids), ran) == ((2, []) if working is None else (0, [0, 1]))
+
+
+def test_forked_child_failure_names_its_job():
+    def broken(fh):
+        raise RuntimeError("job failed")
+
+    with forked([("the broken job", broken)]) as result:
+        with pytest.raises(GridlabError, match=r"^the broken job failed in a "
+                                               r"child process \(exit status 1\)$"):
+            result(0)
+
+
 def break_children(monkeypatch, fail):
     """Make every point's legs call ``fail()`` in a forked child; they
     run as before in this process."""
@@ -146,7 +176,7 @@ def test_failed_child_raises(p0, monkeypatch):
 
     break_children(monkeypatch, broken)
     use_cpus(monkeypatch, 2)
-    with pytest.raises(GridlabError, match=r"^sweep share 1 of 2 failed in a "
+    with pytest.raises(GridlabError, match=r"^sweep share 2 of 2 failed in a "
                                            r"child process \(exit status 1\)$"):
         sweep(p0, GRID, **FAST)
 
@@ -154,7 +184,7 @@ def test_failed_child_raises(p0, monkeypatch):
 def test_child_killed_by_signal_raises(p0, monkeypatch):
     break_children(monkeypatch, lambda: os.kill(os.getpid(), signal.SIGKILL))
     use_cpus(monkeypatch, 2)
-    with pytest.raises(GridlabError, match=r"^sweep share 1 of 2 failed in a "
+    with pytest.raises(GridlabError, match=r"^sweep share 2 of 2 failed in a "
                                            r"child process \(exit status -9\)$"):
         sweep(p0, GRID, **FAST)
 
@@ -168,7 +198,7 @@ def test_failed_probe_reaps_every_child(p0, monkeypatch):
     pids = count_forks(monkeypatch)
     with pytest.raises(RuntimeError, match="probe failed"):
         sweep(p0, GRID, **FAST)
-    assert len(pids) == 3  # one per valid point
+    assert len(pids) == 2  # one per valid point after the first
 
 
 def test_seeds_used_leaves_out_excluded_growth_seeds():
