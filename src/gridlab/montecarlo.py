@@ -36,7 +36,7 @@ from .dynamics import (
     validate_params,
 )
 from .errors import GridlabError, SimulationDiverged
-from .rng import gaussian, point_seed, stream
+from .rng import gaussian, point_seed, standard_normal, stream
 
 __all__ = [
     "SimConfig",
@@ -403,17 +403,48 @@ def _check_growth(t_lo: int, t_hi: int, n_seeds: int) -> None:
         raise ValueError("t_hi must be > t_lo")
 
 
+def _slope_fit(ts: np.ndarray) -> Callable[[np.ndarray], float]:
+    """The slope of ``np.polyfit(ts, y, 1)`` as a function of y.
+
+    The scaled design matrix and rcond are built once, as polyfit builds
+    them, and each call is polyfit's own ``lstsq`` call on them, so every
+    slope has polyfit's bits.  A rank below 2 warns as polyfit does.
+    """
+    lhs = np.vander(ts + 0.0, 2)
+    scale = np.sqrt((lhs * lhs).sum(axis=0))
+    lhs /= scale
+    rcond = len(ts) * np.finfo(np.float64).eps
+
+    def slope(y: np.ndarray) -> float:
+        c, _, rank, _ = np.linalg.lstsq(lhs, y + 0.0, rcond)
+        if rank != 2:
+            warnings.warn("Polyfit may be poorly conditioned",
+                          np.exceptions.RankWarning, stacklevel=2)
+        return float(c[0] / scale[0])
+
+    return slope
+
+
 def _growth_block(columns: list[tuple[Params, int, int]], x0: State, t_lo: int,
                   t_hi: int) -> list[float | SimulationDiverged | None]:
     """Run and fit one block of (params, seed, k) growth columns in lockstep.
 
     Each column gets the slope of its fit, None when its backlog touches 0
-    in the window, or the SimulationDiverged of its guard step.  The
-    block's arrays are freed on return, before the next block draws.
+    in the window, or the SimulationDiverged of its guard step.  Column c
+    takes its integers from ``stream(seed, k)`` and the whole block goes
+    through :func:`standard_normal` and the column's sigma in one call,
+    which gives each column the bits of ``gaussian(stream(seed, k), t_hi,
+    p.sigma)``: the map is elementwise, and sigma = 0 columns stay +0.0.
+    The block's arrays are freed on return, before the next block draws.
     """
-    noise = np.empty((t_hi, len(columns)))
-    for c, (p, seed, k) in enumerate(columns):
-        noise[:, c] = gaussian(stream(seed, k), t_hi, p.sigma)
+    draws = np.empty((t_hi, len(columns)), dtype=np.int64)
+    for c, (_, seed, k) in enumerate(columns):
+        draws[:, c] = stream(seed, k).integers(0, 1 << 53, size=t_hi)
+    sigmas = np.array([p.sigma for p, _, _ in columns])
+    noise = standard_normal(draws)
+    del draws
+    noise *= sigmas
+    noise[:, sigmas == 0.0] = 0.0
     out_r = np.empty((t_hi + 1, len(columns)))
     out_z = np.empty((t_hi + 1, len(columns)))
     guard = iterate_columns([p for p, _, _ in columns], x0[0], x0[1], noise,
@@ -422,7 +453,7 @@ def _growth_block(columns: list[tuple[Params, int, int]], x0: State, t_lo: int,
     # seed ran alone.
     windows = out_z[t_lo:].T.copy()
     touches_zero = (windows <= 0.0).any(axis=1)
-    ts = np.arange(t_lo, t_hi + 1)
+    slope = _slope_fit(np.arange(t_lo, t_hi + 1))
     fits: list[float | SimulationDiverged | None] = []
     for c, bad in enumerate(guard.tolist()):
         if bad >= 0:
@@ -430,7 +461,7 @@ def _growth_block(columns: list[tuple[Params, int, int]], x0: State, t_lo: int,
         elif touches_zero[c]:
             fits.append(None)
         else:
-            fits.append(float(np.polyfit(ts, np.log(windows[c]), 1)[0]))
+            fits.append(slope(np.log(windows[c])))
     return fits
 
 

@@ -590,14 +590,59 @@ def test_trajectory_chunks_match_csv_writer(tmp_path, p0, n_rows):
 
 
 def test_import_leaves_scipy_stats_out():
+    # No scipy module at all: the package needs numpy and click only.
     src = str(Path(gridlab.__file__).resolve().parent.parent)
     env = dict(os.environ, PYTHONPATH=src)
     res = subprocess.run(
         [sys.executable, "-c",
-         "import sys, gridlab.cli; print('scipy.stats' in sys.modules)"],
+         "import sys, gridlab.cli; "
+         "print([m for m in sys.modules if m.startswith('scipy')])"],
         capture_output=True, text=True, env=env, timeout=60)
     assert res.returncode == 0, res.stderr
-    assert res.stdout.strip() == "False"
+    assert res.stdout.strip() == "[]"
+
+
+# Runs each case of argv[2] (a JSON object name -> [command, config])
+# through main() in directory argv[1], with every scipy import failing,
+# and prints the digests of the outputs.
+NO_SCIPY_CHILD = """
+import hashlib, json, sys
+from pathlib import Path
+
+class NoScipy:
+    def find_spec(self, name, path=None, target=None):
+        if name.split(".")[0] == "scipy":
+            raise ImportError(name + " is blocked")
+
+sys.meta_path.insert(0, NoScipy())
+from gridlab.cli import main
+
+work, digests = Path(sys.argv[1]), {}
+for name, (command, doc) in json.loads(sys.argv[2]).items():
+    cfg, out = work / (name + ".json"), work / name
+    cfg.write_text(json.dumps(doc))
+    try:
+        main([command, "--config", str(cfg), "--out", str(out)])
+    except SystemExit as exc:
+        if exc.code:
+            raise
+    digests[name] = {f.name: hashlib.sha256(f.read_bytes()).hexdigest()
+                     for f in sorted(out.iterdir()) if f.name != "manifest.json"}
+print(json.dumps(digests))
+"""
+
+
+def test_commands_run_without_scipy(tmp_path):
+    from test_golden import CASES, GOLDEN
+    cases = {name: case for name, case in CASES.items()
+             if case[0] in ("simulate", "sweep", "drift")}
+    src = str(Path(gridlab.__file__).resolve().parent.parent)
+    res = subprocess.run(
+        [sys.executable, "-c", NO_SCIPY_CHILD, str(tmp_path), json.dumps(cases)],
+        capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=src),
+        timeout=300)
+    assert res.returncode == 0, res.stderr
+    assert json.loads(res.stdout) == {name: GOLDEN[name] for name in cases}
 
 
 @pytest.mark.usefixtures("no_child_left")
