@@ -11,8 +11,6 @@ from __future__ import annotations
 
 import sys
 import time
-from contextlib import closing
-from functools import partial
 from pathlib import Path
 from typing import BinaryIO, Iterator
 
@@ -20,8 +18,8 @@ import click
 import numpy as np
 
 from . import __version__, config as cfgmod
-from .config import (ConfigError, atomic_write_text, dump_json, fmt_float,
-                     json_text, load_json)
+from .config import (ConfigError, atomic_file, atomic_write_text, dump_json,
+                     fmt_float, json_text, load_json)
 from .dynamics import Params, Region, breakpoints
 from .errors import (GridlabError, InfeasibleScenario, NonFiniteResult,
                      SimulationDiverged)
@@ -48,9 +46,6 @@ _CHUNK_ROWS = 8192
 # Rows laid out at a time: fmt_floats and the row bytes take about 2.3 KB
 # a row, so with a chunk's columns the writer peaks near 3.4 MB.
 _BLOCK_ROWS = 1024
-# Bytes read back from a part's file at a time: no more than one chunk's
-# text, since a row has at least 17 bytes.
-_READ_BYTES = 1 << 17
 # Region code 0..3 -> its name and comma, as ASCII.
 _REGION_FIELDS = np.frombuffer(b"D1,D2,D3,D4,", np.uint8).reshape(4, 3)
 
@@ -84,35 +79,23 @@ def _rows(traj: Trajectory, lo: int, hi: int) -> Iterator[bytes]:
             yield row.tobytes().translate(None, b"\0")
 
 
-def _trajectory_chunks(traj: Trajectory, directory: Path) -> Iterator[bytes]:
-    """trajectory.csv as ASCII: the header, then at most ``_CHUNK_ROWS``
-    rows at a time.
+def _write_trajectory(traj: Trajectory, fh: BinaryIO, directory: Path) -> None:
+    """Write trajectory.csv into ``fh``: the header, then every row.
 
-    The rows are cut on chunk boundaries into n = min(:func:`usable_cpus`,
-    whole chunks) ranges, so each holds at least ``_CHUNK_ROWS`` rows.
-    This process yields the header and range 0; ranges 1..n-1 are
-    :func:`forked` jobs, each formatted into a file in ``directory``,
-    whose bytes are then passed on as they are.  The text is the same for
-    every range count.  Every child is reaped however the generator ends
-    (close it to end it early).
+    The rows are cut on ``_CHUNK_ROWS`` boundaries into the shares of
+    :func:`forked`, at most one share per whole chunk, so each holds at
+    least ``_CHUNK_ROWS`` rows; forked shares are formatted into files in
+    ``directory``.  The text is the same for every share count.
     """
-    n = traj.r.size
-    parts = max(1, min(usable_cpus(), n // _CHUNK_ROWS))
-    chunks = -(-n // _CHUNK_ROWS)
-    cuts = [i * chunks // parts * _CHUNK_ROWS for i in range(parts)] + [n]
-    ranges = list(zip(cuts[1:], cuts[2:]))
+    n_rows = traj.r.size
+    chunks = -(-n_rows // _CHUNK_ROWS)
 
-    def write_part(lo: int, hi: int, fh: BinaryIO) -> None:
+    def part(k: int, n: int, fh: BinaryIO) -> None:
+        lo, hi = (min(i * chunks // n * _CHUNK_ROWS, n_rows) for i in (k, k + 1))
         fh.writelines(_rows(traj, lo, hi))
 
-    jobs = [(f"formatting trajectory.csv rows {lo}-{hi - 1}",
-             partial(write_part, lo, hi)) for lo, hi in ranges]
-    with forked(jobs, directory) as result:
-        yield b"t,R,Z,region,B,F,H_control,H_lyap\n"
-        yield from _rows(traj, 0, cuts[1])
-        for k in range(len(ranges)):
-            with result(k) as fh:
-                yield from iter(partial(fh.read, _READ_BYTES), b"")
+    fh.write(b"t,R,Z,region,B,F,H_control,H_lyap\n")
+    forked("trajectory.csv", n_rows // _CHUNK_ROWS, part, fh, directory)
 
 
 @click.group()
@@ -132,12 +115,11 @@ def _command(name: str, *options):
     calls ``body(config, out_dir, **options)``, which returns the names of
     the files it wrote, and writes manifest.json with the parser's echo as
     ``config`` and, as ``environment``, the :func:`usable_cpus` that
-    sized its work: at most that many shares, one run in this process and
-    the rest in :func:`forked` children.  Every error maps to one stderr line and
-    its exit code; numpy's overflow and invalid-value warnings are off,
-    since a non-finite result is refused where a JSON file or a drift row
-    would hold it.  Names are looked up when the command runs, so they can
-    be patched.
+    capped the shares of its :func:`forked` work.  Every error maps to one
+    stderr line and its exit code; numpy's overflow and invalid-value
+    warnings are off, since a non-finite result is refused where a JSON
+    file or a drift row would hold it.  Names are looked up when the
+    command runs, so they can be patched.
     """
     def register(body):
         def command(config_path, out_dir, seed=None, **opts):
@@ -194,8 +176,8 @@ def cmd_simulate(sim: SimConfig, out: Path) -> list[str]:
     """Run one trajectory; write trajectory.csv, stats.json, manifest.json."""
     stats, traj = simulate(sim, return_records=True)
     stats_text = json_text("stats.json", stats.as_dict())
-    with closing(_trajectory_chunks(traj, out)) as chunks:
-        atomic_write_text(out / "trajectory.csv", chunks)
+    with atomic_file(out / "trajectory.csv") as fh:
+        _write_trajectory(traj, fh, out)
     atomic_write_text(out / "stats.json", stats_text)
     return ["trajectory.csv", "stats.json"]
 

@@ -17,8 +17,9 @@ import json
 import math
 import os
 import tempfile
+from contextlib import contextmanager
 from pathlib import Path
-from typing import Any, Iterable
+from typing import Any, BinaryIO, Iterator
 
 from .dynamics import Params, validate_params
 from .errors import ConfigError, NonFiniteResult
@@ -290,22 +291,27 @@ def fmt_float(x: float) -> str:
     return format(float(x), ".17g")
 
 
-def atomic_write_text(path: Path, text: str | Iterable[bytes]) -> None:
-    """Write-then-rename so readers never observe a partial file.
-
-    ``text`` is one string or an iterable of ASCII byte chunks, written in
-    order as they are produced, so a long file never sits in memory whole.
-    """
+@contextmanager
+def atomic_file(path: Path) -> Iterator[BinaryIO]:
+    """A binary file that becomes ``path`` when the block ends: written
+    then renamed, so readers never observe a partial file.  If the block
+    raises, the file is removed and ``path`` left as it was."""
     path.parent.mkdir(parents=True, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name, suffix=".tmp")
     try:
         with os.fdopen(fd, "wb") as fh:
-            fh.writelines([text.encode()] if isinstance(text, str) else text)
+            yield fh
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
             os.unlink(tmp)
         raise
+
+
+def atomic_write_text(path: Path, text: str) -> None:
+    """Write ``text`` as the ASCII file ``path`` (:func:`atomic_file`)."""
+    with atomic_file(path) as fh:
+        fh.write(text.encode())
 
 
 def json_text(name: str, obj: Any) -> str:

@@ -238,18 +238,6 @@ def _dw2(p: Params, y: tuple[float, float]) -> float:
             + zeta * zeta + sig * sig)
 
 
-def _dw4(p: Params, y: tuple[float, float]) -> float:
-    u, v = y
-    lam, mu, xi, sig = p.lam, p.mu, p.xi, p.sigma
-    lm = lam + mu
-    return (-2.0 * xi * u + xi * xi + sig * sig
-            - mu * mu * (2.0 - lm) * lm * v * v
-            - 2.0 * mu * lm * u * v
-            - 2.0 * xi * u
-            - 2.0 * mu * p.gamma * xi * v
-            + xi * xi + sig * sig)
-
-
 def _d3_bound(p: Params, x: State) -> float:
     r, z = x
     lam, mu, rs, sig = p.lam, p.mu, p.r_star, p.sigma

@@ -7,17 +7,18 @@ independent of how work is distributed across processes.
 
 from __future__ import annotations
 
+import io
 import math
 import os
 import pickle
+import shutil
 import signal
 import tempfile
 import threading
 import warnings
-from contextlib import contextmanager
 from dataclasses import dataclass, replace
 from itertools import islice
-from typing import BinaryIO, Callable, Iterator
+from typing import BinaryIO, Callable
 
 import numpy as np
 
@@ -36,7 +37,7 @@ from .dynamics import (
     validate_params,
 )
 from .errors import GridlabError, SimulationDiverged
-from .rng import gaussian, point_seed, standard_normal, stream
+from .rng import gaussian, gaussians, point_seed, stream
 
 __all__ = [
     "SimConfig",
@@ -83,21 +84,20 @@ def usable_cpus() -> int:
     return len(os.sched_getaffinity(0))
 
 
-@contextmanager
-def forked(jobs: list[tuple[str, Callable[[BinaryIO], object]]],
-           directory: os.PathLike | None = None
-           ) -> Iterator[Callable[[int], BinaryIO]]:
-    """Run each ``(what, job)`` of ``jobs`` in a forked child, ``job(fh)``
-    writing into an anonymous binary file in ``directory``.
+def forked(what: str, units: int, job: Callable[[int, int, BinaryIO], object],
+           out: BinaryIO, directory: os.PathLike | None = None) -> int:
+    """Run the n = min(:func:`usable_cpus`, ``units``) shares of a job,
+    at least one, and write them into ``out`` in share order; returns n.
 
-    Callers share one schedule: the work is cut into n =
-    min(:func:`usable_cpus`, units) shares, the caller runs share 0 in
-    the block, and ``jobs`` are shares 1..n-1.  Take ``result(k)`` once
-    per job, in job order: it waits for child k, or runs job k itself
-    where ``os.fork`` failed, and returns the job's file, rewound.  A
-    child that exits non-zero (-N when signal N ended it) raises
-    GridlabError naming ``what``.  However the block ends, every child is
-    killed and reaped and every file closed.
+    ``job(k, n, fh)`` writes share k into the binary file ``fh``.  Shares
+    1..n-1 run in forked children, each into an anonymous file in
+    ``directory``; share 0 runs in this process straight into ``out``,
+    and each child's file is then appended to ``out`` in share order,
+    through a bounded buffer.  Where ``os.fork`` failed, this process runs
+    that share itself.  A child that exits non-zero (-N when signal N
+    ended it) raises GridlabError "<what> share k+1 of n failed in a
+    child process (exit status c)".  However the call ends, every child
+    is killed and reaped and every file closed.
 
     A child ends only through ``os._exit``: 0 once ``job`` returns and
     the file is flushed, 1 on any exception, with no traceback and none
@@ -105,21 +105,10 @@ def forked(jobs: list[tuple[str, Callable[[BinaryIO], object]]],
     with threads; with Python threads ruled out by ``usable_cpus`` those
     are numpy's idle BLAS pool, which no child touches.
     """
-    files, pids = [], {}  # every file opened; job -> pid not yet reaped
-
-    def result(k: int) -> BinaryIO:
-        if k in pids:
-            code = os.waitstatus_to_exitcode(os.waitpid(pids.pop(k), 0)[1])
-            if code != 0:
-                raise GridlabError(f"{jobs[k][0]} failed in a child process "
-                                   f"(exit status {code})")
-        else:
-            jobs[k][1](files[k])
-        files[k].seek(0)
-        return files[k]
-
+    n = max(1, min(usable_cpus(), units))
+    files, pids = [], {}  # share k's file is files[k - 1]; share -> live pid
     try:
-        for k, (_, job) in enumerate(jobs):
+        for k in range(1, n):
             files.append(fh := tempfile.TemporaryFile(dir=directory))
             try:
                 with warnings.catch_warnings():
@@ -130,19 +119,30 @@ def forked(jobs: list[tuple[str, Callable[[BinaryIO], object]]],
             if pid == 0:
                 code = 1
                 try:
-                    job(fh)
+                    job(k, n, fh)
                     fh.flush()
                     code = 0
                 finally:
                     os._exit(code)
             pids[k] = pid
-        yield result
+        job(0, n, out)
+        for k, fh in enumerate(files, 1):
+            if k in pids:
+                code = os.waitstatus_to_exitcode(os.waitpid(pids.pop(k), 0)[1])
+                if code != 0:
+                    raise GridlabError(f"{what} share {k + 1} of {n} failed in "
+                                       f"a child process (exit status {code})")
+                fh.seek(0)
+                shutil.copyfileobj(fh, out)
+            else:
+                job(k, n, out)
     finally:
         for pid in pids.values():
             os.kill(pid, signal.SIGKILL)
             os.waitpid(pid, 0)
         for fh in files:
             fh.close()
+    return n
 
 
 def check_horizon(steps: int, burn_in: int) -> None:
@@ -431,20 +431,13 @@ def _growth_block(columns: list[tuple[Params, int, int]], x0: State, t_lo: int,
 
     Each column gets the slope of its fit, None when its backlog touches 0
     in the window, or the SimulationDiverged of its guard step.  Column c
-    takes its integers from ``stream(seed, k)`` and the whole block goes
-    through :func:`standard_normal` and the column's sigma in one call,
-    which gives each column the bits of ``gaussian(stream(seed, k), t_hi,
-    p.sigma)``: the map is elementwise, and sigma = 0 columns stay +0.0.
-    The block's arrays are freed on return, before the next block draws.
+    draws its noise from ``stream(seed, k)`` as a column of one
+    :func:`gaussians` block, which gives it the bits of
+    ``gaussian(stream(seed, k), t_hi, p.sigma)``.  The block's arrays are
+    freed on return, before the next block draws.
     """
-    draws = np.empty((t_hi, len(columns)), dtype=np.int64)
-    for c, (_, seed, k) in enumerate(columns):
-        draws[:, c] = stream(seed, k).integers(0, 1 << 53, size=t_hi)
-    sigmas = np.array([p.sigma for p, _, _ in columns])
-    noise = standard_normal(draws)
-    del draws
-    noise *= sigmas
-    noise[:, sigmas == 0.0] = 0.0
+    noise = gaussians([stream(seed, k) for _, seed, k in columns], t_hi,
+                      [p.sigma for p, _, _ in columns])
     out_r = np.empty((t_hi + 1, len(columns)))
     out_z = np.empty((t_hi + 1, len(columns)))
     guard = iterate_columns([p for p, _, _ in columns], x0[0], x0[1], noise,
@@ -487,9 +480,17 @@ def _growth_probe(points: list[tuple[Params, int]], x0: State, t_lo: int,
         diverged = [f for f in seeds if isinstance(f, SimulationDiverged)]
         slopes = tuple(f for f in seeds if isinstance(f, float))
         results.append(diverged[0] if diverged else GrowthResult(
-            float(np.median(slopes)) if slopes else float("nan"), slopes,
-            seeds.count(None)))
+            _median(slopes), slopes, seeds.count(None)))
     return results
+
+
+def _median(values: tuple[float, ...]) -> float:
+    """``np.median`` of finite values, bit for bit, and nan for none,
+    without the numpy.ma import np.median makes on its first call."""
+    if not values:
+        return float("nan")
+    ordered, mid = sorted(values), len(values) // 2
+    return ordered[mid] if len(values) % 2 else (ordered[mid - 1] + ordered[mid]) / 2
 
 
 def growth_slope(p: Params, x0: State, t_lo: int, t_hi: int,
@@ -626,13 +627,12 @@ def sweep(base: Params, grid: list[dict[str, float]], steps: int,
     that breaks :func:`check_horizon` or n_seeds < 1 raises ValueError
     before any point runs.
 
-    The valid points are dealt into n = min(:func:`usable_cpus`, points)
-    shares, share k holding every n-th point from the k-th.  This process
-    runs share 0 and :func:`forked` children the others.  Each share
-    computes its points' verdicts end to end: every point's own legs
+    The valid points are dealt into the shares of :func:`forked`, share
+    k of n holding every n-th point from the k-th.  Each share computes
+    its points' verdicts end to end: every point's own legs
     (:func:`_sweep_point`), then one growth probe over its points in
-    lockstep (:func:`growth_slope` is the one-point case).  Rows come
-    back in grid order.
+    lockstep (:func:`growth_slope` is the one-point case), and pickles
+    its rows.  Rows come back in grid order.
     """
     check_horizon(steps, burn_in)
     t_hi = min(500, steps)
@@ -640,26 +640,22 @@ def sweep(base: Params, grid: list[dict[str, float]], steps: int,
     _check_growth(t_lo, t_hi, n_seeds)
     rows = [_grid_point(i, overrides, base) for i, overrides in enumerate(grid)]
     runs = [row for row in rows if row.error is None]
-    n = max(1, min(usable_cpus(), len(runs)))
 
-    def share(k: int) -> list[SweepPoint]:
+    def share(k: int, n: int, fh: BinaryIO) -> None:
         mine = runs[k::n]
         seeds = [point_seed(seed, row.index) for row in mine]
         legs = [_sweep_point(row.params, s, steps, burn_in)
                 for row, s in zip(mine, seeds)]
         growth = _growth_probe([(row.params, s + 1) for row, s in zip(mine, seeds)],
                                GROWTH_X0, t_lo, t_hi, n_seeds)
-        return [replace(row, error=leg) if isinstance(leg, str) else
-                replace(row, result=_verdict(row.params, *leg, g, n_seeds))
-                for row, leg, g in zip(mine, legs, growth)]
+        pickle.dump([replace(row, error=leg) if isinstance(leg, str) else
+                     replace(row, result=_verdict(row.params, *leg, g, n_seeds))
+                     for row, leg, g in zip(mine, legs, growth)], fh)
 
-    jobs = [(f"sweep share {k + 1} of {n}",
-             lambda fh, k=k: pickle.dump(share(k), fh)) for k in range(1, n)]
-    done = [None] * len(runs)
-    with forked(jobs) as result:
-        done[::n] = share(0)
-        for k in range(1, n):
-            done[k::n] = pickle.load(result(k - 1))
-    for row in done:
-        rows[row.index] = row
+    shares = io.BytesIO()
+    n = forked("sweep", len(runs), share, shares)
+    shares.seek(0)
+    for _ in range(n):
+        for row in pickle.load(shares):
+            rows[row.index] = row
     return rows

@@ -182,15 +182,27 @@ def standard_normal(k: np.ndarray) -> np.ndarray:
     return out
 
 
-def gaussian(rng: Generator, size: int, sigma: float) -> np.ndarray:
-    """N(0, sigma^2) draws via the inverse CDF of uniforms strictly inside (0, 1).
+def gaussians(rngs: list[Generator], size: int, sigmas: list[float]) -> np.ndarray:
+    """A (size, len(rngs)) block of N(0, sigma^2) draws via the inverse CDF
+    of uniforms strictly inside (0, 1): column c from ``rngs[c]`` and
+    ``sigmas[c]``.
 
-    ``rng`` gives ``size`` integers from [0, 2^53), which
-    :func:`standard_normal` maps to N(0, 1); sigma = 0 gives +0.0 draws.
+    Each generator gives ``size`` integers from [0, 2^53), which
+    :func:`standard_normal` maps to N(0, 1), scaled by the column's
+    sigma; sigma = 0 gives +0.0 draws.  The map is elementwise, so a
+    column has the same bits in any block.
     """
-    k = rng.integers(0, 1 << 53, size=size)
-    if sigma == 0.0:
-        return np.zeros(size)
+    k = np.empty((size, len(rngs)), dtype=np.int64)
+    for c, rng in enumerate(rngs):
+        k[:, c] = rng.integers(0, 1 << 53, size=size)
+    sigmas = np.array(sigmas, dtype=np.float64)
     out = standard_normal(k)
-    out *= sigma
+    out *= sigmas
+    out[:, sigmas == 0.0] = 0.0
     return out
+
+
+def gaussian(rng: Generator, size: int, sigma: float) -> np.ndarray:
+    """``size`` N(0, sigma^2) draws from ``rng``: :func:`gaussians`' one
+    column."""
+    return gaussians([rng], size, [sigma])[:, 0]

@@ -102,8 +102,9 @@ def test_memory_is_bounded_by_a_block():
 
 
 def test_growth_block_draws_each_columns_gaussian(monkeypatch):
-    # Sigmas mixed, zero included: each noise column has the bits of its
-    # own gaussian() call, +0.0 where sigma is 0.
+    # Sigmas mixed, zero included: each noise column is its stream's
+    # integers from [0, 2^53) through standard_normal, times its sigma,
+    # and +0.0 where sigma is 0.
     t_hi = 300
     columns = [(validate_params(0.5, 0.1, 1.0, 1.0, 3.0, s), seed, k)
                for s, seed, k in [(1.0, 7, 0), (0.0, 7, 1), (2.5, 9, 0),
@@ -119,7 +120,9 @@ def test_growth_block_draws_each_columns_gaussian(monkeypatch):
     _growth_block(columns, GROWTH_X0, 100, t_hi)
     [noise] = seen
     for c, (p, seed, k) in enumerate(columns):
-        assert bits(noise[:, c]) == bits(gaussian(stream(seed, k), t_hi, p.sigma))
+        draws = standard_normal(stream(seed, k).integers(0, 1 << 53, size=t_hi))
+        want = draws * p.sigma if p.sigma else np.zeros(t_hi)
+        assert bits(noise[:, c]) == bits(want)
     assert bits(noise[:, [1, 3]]) == bits(np.zeros((t_hi, 2)))
 
 

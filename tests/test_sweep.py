@@ -1,18 +1,22 @@
 """The sweep's argument checks, forked worker processes, lockstep growth
 probe and per-point seed accounting, and the contract of ``forked``."""
 
+import io
 import os
 import signal
 import threading
+import time
 import tracemalloc
 
+import numpy as np
 import pytest
 
 import gridlab.montecarlo
 from conftest import count_forks, use_cpus
 from gridlab import GridlabError, growth_slope, sweep, validate_params
 from gridlab.dynamics import COLUMN_BLOCK
-from gridlab.montecarlo import GROWTH_X0, _growth_probe, forked, usable_cpus
+from gridlab.montecarlo import (GROWTH_X0, _growth_probe, _median, forked,
+                                 usable_cpus)
 from gridlab.rng import point_seed
 
 # Every sweep here may fork; each test ends with all its children reaped.
@@ -67,6 +71,15 @@ def test_growth_memory_stays_one_block(p0):
     more_points = growth_peak_bytes([(p0, s) for s in range(4)], COLUMN_BLOCK)
     assert one < bound and more_seeds < bound and more_points < bound
     assert max(more_seeds, more_points) < one + 100_000
+
+
+@pytest.mark.parametrize("count", [0, 1, 2, 7, 8, 64, 65])
+def test_median_has_numpys_bits(count):
+    # Rounded to 0.1 so that middle values tie; np.median warns on no values.
+    values = tuple((np.round(np.random.default_rng(count).normal(size=count), 1)
+                    / 3.0).tolist())
+    want = float(np.median(values)) if count else float("nan")
+    assert _median(values).hex() == want.hex()
 
 
 def test_pool_is_capped_at_grid_size(p0, monkeypatch):
@@ -128,33 +141,81 @@ def test_failed_fork_runs_the_share_here(p0, monkeypatch, working):
     assert len(pids) == working
 
 
+def share_job(k, n, fh):
+    """A forked() job: share k of n writes "k/n;"."""
+    fh.write(b"%d/%d;" % (k, n))
+
+
 @pytest.mark.parametrize("working", [None, 0], ids=["forked", "fork-fails"])
 def test_forked_returns_each_jobs_file(monkeypatch, working):
-    # Where os.fork fails, result(k) runs job k in this process and
-    # returns its file just the same; no child runs.  A job notes in
-    # `ran` only where it runs here.
+    # 5 units on 3 CPUs make 3 shares, written out in share order.  Where
+    # os.fork fails, this process runs every share; a share notes in `ran`
+    # only where it runs here.
     ran = []
 
-    def job(k):
-        def write(fh):
-            ran.append(k)
-            fh.write(b"job %d" % k)
-        return f"job {k}", write
+    def job(k, n, fh):
+        ran.append(k)
+        share_job(k, n, fh)
 
+    use_cpus(monkeypatch, 3)
     pids = count_forks(monkeypatch, working=working)
-    with forked([job(0), job(1)]) as result:
-        assert [result(k).read() for k in range(2)] == [b"job 0", b"job 1"]
-    assert (len(pids), ran) == ((2, []) if working is None else (0, [0, 1]))
+    out = io.BytesIO()
+    assert forked("test", 5, job, out) == 3
+    assert out.getvalue() == b"0/3;1/3;2/3;"
+    assert (len(pids), ran) == ((2, [0]) if working is None else (0, [0, 1, 2]))
 
 
-def test_forked_child_failure_names_its_job():
-    def broken(fh):
-        raise RuntimeError("job failed")
+def test_forked_child_failure_names_its_job(monkeypatch):
+    def job(k, n, fh):
+        if k == 2:
+            raise RuntimeError("share failed")
+        share_job(k, n, fh)
 
-    with forked([("the broken job", broken)]) as result:
-        with pytest.raises(GridlabError, match=r"^the broken job failed in a "
-                                               r"child process \(exit status 1\)$"):
-            result(0)
+    use_cpus(monkeypatch, 4)
+    with pytest.raises(GridlabError, match=r"^the job share 3 of 4 failed in a "
+                                           r"child process \(exit status 1\)$"):
+        forked("the job", 4, job, io.BytesIO())
+
+
+def test_forked_failure_here_kills_every_child(monkeypatch, tmp_path):
+    # Share 0 raises in this process while the children sleep: each child
+    # is killed, not waited for, and reaped (no_child_left), and no file
+    # stays in `directory`.
+    def job(k, n, fh):
+        if k == 0:
+            raise RuntimeError("share 0 failed")
+        time.sleep(60)
+
+    use_cpus(monkeypatch, 4)
+    pids = count_forks(monkeypatch)
+    started = time.monotonic()
+    with pytest.raises(RuntimeError, match="share 0 failed"):
+        forked("test", 4, job, io.BytesIO(), tmp_path)
+    assert time.monotonic() - started < 30
+    assert len(pids) == 3
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_forked_copies_a_share_in_pieces(monkeypatch, tmp_path):
+    # A child's 8 MB share reaches `out` through a bounded buffer: this
+    # process never holds the whole share.
+    size = 8 << 20
+
+    def job(k, n, fh):
+        fh.write(bytes(size) if k else b"")
+
+    use_cpus(monkeypatch, 2)
+    pids = count_forks(monkeypatch)
+    with open(tmp_path / "out", "wb") as out:
+        tracemalloc.start()
+        try:
+            forked("test", 2, job, out)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+    assert len(pids) == 1
+    assert (tmp_path / "out").stat().st_size == size
+    assert peak < 1 << 20
 
 
 def break_children(monkeypatch, fail):
