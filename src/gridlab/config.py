@@ -286,7 +286,7 @@ def fmt_float(x: float) -> str:
 
     This is the one scalar formatter: :func:`gridlab.floatfmt.fmt_floats`
     gives its bytes for a whole array, and falls back to it element by
-    element.
+    element for NaN, the infinities and near-ties.
     """
     return format(float(x), ".17g")
 

@@ -2,8 +2,8 @@
 
 :func:`fmt_floats` lays out ``config.fmt_float(x)`` for every element
 of an array, byte for byte, from an exact decimal scaling of each value
-and a few lookup tables, falling back to ``fmt_float`` itself for the
-elements the scaling cannot settle.
+and a few lookup tables.  It falls back to ``fmt_float`` itself only for
+NaN, the infinities and the near-ties the scaling cannot settle.
 """
 
 from __future__ import annotations
@@ -19,9 +19,14 @@ from .config import fmt_float
 FIELD_BYTES = 48
 
 # fmt_floats scales by 10**k for _P10_MIN <= k <= _P10_MAX (k = 16 - e for
-# decimal exponents -271 <= e <= 300).  Its tables are built on its first
-# call, so a command that writes no trajectory pays for none of them.
-_P10_MIN, _P10_MAX = -290, 290
+# decimal exponents -325 <= e <= 309).  Outside _P10_UNSCALED (e < -270
+# or e > 299) it first scales the value by 2**_PRE or 2**-_PRE, exactly,
+# so that it, 10**k and their Veltkamp splits are finite normal doubles.
+# The tables are built on fmt_floats' first call, so a command that
+# writes no trajectory pays for none of them.
+_P10_MIN, _P10_MAX = -293, 341
+_P10_UNSCALED = range(-283, 287)
+_PRE = 200
 _VELTKAMP = 134217729.0  # 2**27 + 1
 
 
@@ -35,18 +40,23 @@ def _veltkamp(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 @functools.cache
 def _pow10_table() -> tuple[np.ndarray, ...]:
-    """(hi, hi's Veltkamp halves, lo) of 10**k by k - _P10_MIN: a
+    """(pre, hi, hi's Veltkamp halves, lo) by k - _P10_MIN: the power of
+    two pre that a value is scaled by first, and 10**k / pre as a
     double-double hi + lo, both parts rounded from exact integer
-    arithmetic, so lo is 0 just where 10**k is a double (0 <= k <= 22)."""
-    hi, lo = [], []
+    arithmetic, so lo is 0 just where 10**k / pre is a double (pre = 1
+    and 0 <= k <= 22)."""
+    pre, hi, lo = [], [], []
     for k in range(_P10_MIN, _P10_MAX + 1):
+        s = 0 if k in _P10_UNSCALED else _PRE if k > 0 else -_PRE
         num, den = (10 ** k, 1) if k >= 0 else (1, 10 ** -k)
+        num, den = num << max(-s, 0), den << max(s, 0)  # 10**k / 2**s
         h = num / den  # int true division is correctly rounded
         a, b = h.as_integer_ratio()
+        pre.append(2.0 ** s)
         hi.append(h)
         lo.append((num * b - a * den) / (den * b))
     hi = np.array(hi)
-    return (hi, *_veltkamp(hi), np.array(lo))
+    return (np.array(pre), hi, *_veltkamp(hi), np.array(lo))
 
 
 def _words(texts: list[bytes]) -> np.ndarray:
@@ -71,7 +81,7 @@ def _group_tables() -> tuple[np.ndarray, np.ndarray]:
 # (_group_tables), and the exponent, by lead digit, 4-digit group and
 # exponent + _EXP_BIAS.
 _LEAD = _words([b"-0.000%d." % d for d in range(10)])
-_EXP_BIAS = 300
+_EXP_BIAS = 325
 _EXPS = _words([b"e%+03d" % e for e in range(-_EXP_BIAS, 311)])
 # %g writes 1e-4 <= |x| < 1e17 without an exponent: layouts 0..20 are
 # those decimal exponents -4..16, layout 21 is e-notation.
@@ -101,11 +111,12 @@ def _keep_table() -> np.ndarray:
 def _scaled(a: np.ndarray, e: np.ndarray
             ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(p, q, inexact): p + q is a * 10**(16 - e), p is it rounded to a
-    double, and ``inexact`` marks where 10**(16 - e) is not a double.
-    The sum is exact where ``inexact`` is false (Dekker's product) and
-    within 1e-14 of the product elsewhere."""
+    double, and ``inexact`` marks where the table's 10**(16 - e) / pre
+    is not a double.  The sum is exact where ``inexact`` is false
+    (Dekker's product) and within 1e-14 of the product elsewhere."""
     k = 16 - _P10_MIN - e
-    hi, b_hi, b_lo, lo = (table[k] for table in _pow10_table())
+    pre, hi, b_hi, b_lo, lo = (table[k] for table in _pow10_table())
+    a = a * pre
     p = a * hi
     a_hi, a_lo = _veltkamp(a)
     q = ((a_hi * b_hi - p) + a_hi * b_lo + a_lo * b_hi) + a_lo * b_lo + a * lo
@@ -136,15 +147,19 @@ def fmt_floats(x: np.ndarray) -> np.ndarray:
 
     The 17 correctly rounded digits come from the exact decimal scaling
     p + q = |x| * 10**(16 - e), e = floor(log10|x|): d = p + rint(q),
-    half to even, since p is an even integer in [1e16, 1e17).  Where
-    10**(16 - e) is not a double, p + q may be off by 1e-14, so an
-    element whose q lies within 1e-9 of a half-integer goes to
-    ``fmt_float``, as do NaN, the infinities, and |x| < 1e-270 or > 1e300.
+    half to even, since p is an even integer in [1e16, 1e17).  Values
+    below 1e-270, subnormals included, and from 1e300 up are first
+    scaled by a power of two, exactly, and multiplied by 10**(16 - e)
+    over that power.  Where the factor is not a double, p + q may be off by 1e-14,
+    so near-ties go to ``fmt_float``: an element whose q lies within 1e-9
+    of a half-integer, or whose p + q that error leaves outside
+    [1e16, 1e17) at both exponents it tries (1e20 is one).  So do NaN and
+    the infinities, and nothing else.
     """
     x = np.asarray(x, dtype=np.float64)
     flat = x.ravel()
     a = np.abs(flat)
-    fast = (a >= 1e-270) & (a <= 1e300)
+    fast = (a > 0.0) & (a < np.inf)  # finite and nonzero
     a = np.where(fast, a, 1.0)
     e = np.floor(np.log10(a)).astype(np.int64)
     p, q, inexact = _scaled(a, e)

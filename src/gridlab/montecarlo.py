@@ -334,10 +334,10 @@ def simulate(cfg: SimConfig,
     stats = TrajectoryStats(
         r_mean=float(rs_.mean()), r_var=float(rs_.var()),
         r_min=float(rs_.min()), r_max=float(rs_.max()),
-        r_quantiles=dict(zip(QUANTILES, np.quantile(rs_, QUANTILES).tolist())),
+        r_quantiles=dict(zip(QUANTILES, _quantiles(rs_, QUANTILES).tolist())),
         z_mean=float(zs_.mean()), z_var=float(zs_.var()),
         z_min=float(zs_.min()), z_max=float(zs_.max()),
-        z_quantiles=dict(zip(QUANTILES, np.quantile(zs_, QUANTILES).tolist())),
+        z_quantiles=dict(zip(QUANTILES, _quantiles(zs_, QUANTILES).tolist())),
         occupancy={region.value: float(c) / rs_.size
                    for region, c in zip(Region, counts)},
         mean_frustrated=mean_frustrated,
@@ -491,6 +491,35 @@ def _median(values: tuple[float, ...]) -> float:
         return float("nan")
     ordered, mid = sorted(values), len(values) // 2
     return ordered[mid] if len(values) % 2 else (ordered[mid - 1] + ordered[mid]) / 2
+
+
+def _quantiles(x: np.ndarray, qs: tuple[float, ...]) -> np.ndarray:
+    """``np.quantile(x, qs)`` of a non-empty 1-D float array, bit for bit,
+    without the numpy.ma import np.quantile's ``np.unique`` makes on its
+    first call.
+
+    numpy's "linear" method step for step: the virtual index (n - 1) * q,
+    its floor and the next index, both -1 where it reaches n - 1; one
+    partition on the sorted set of {0, -1} and those indices; numpy's
+    lerp, which counts back from the upper value where the weight is at
+    least 0.5.  A NaN sorts last and becomes every quantile.
+    """
+    n = x.size
+    virtual = (n - 1) * np.asarray(qs, dtype=np.float64)
+    lower = np.floor(virtual)
+    upper = lower + 1
+    last = virtual >= n - 1
+    lower[last] = upper[last] = -1
+    lower, upper = lower.astype(np.intp), upper.astype(np.intp)
+    ordered = np.partition(x, sorted({0, -1, *lower.tolist(), *upper.tolist()}))
+    a, b = ordered[lower], ordered[upper]
+    t = virtual - lower
+    diff = b - a
+    out = a + diff * t
+    np.subtract(b, diff * (1 - t), out=out, where=t >= 0.5)
+    if np.isnan(ordered[-1]):
+        out[:] = ordered[-1]
+    return out
 
 
 def growth_slope(p: Params, x0: State, t_lo: int, t_hi: int,

@@ -14,7 +14,7 @@ from click.testing import CliRunner
 
 import gridlab.cli
 from conftest import count_forks, use_cpus
-from gridlab import lyap_h, sweep
+from gridlab import floatfmt, lyap_h, simulate, sweep
 from gridlab.cli import _CHUNK_ROWS, _write_trajectory, main
 from gridlab.config import (MAX_DRAWS, MAX_GRID_POINTS, MAX_GROWTH_COLUMNS,
                             MAX_PER_REGION, ConfigError, atomic_file,
@@ -589,6 +589,21 @@ def test_trajectory_chunks_match_csv_writer(tmp_path, p0, n_rows):
     assert path.read_bytes() == reference_trajectory_csv(columns).encode()
 
 
+def test_paper_default_trajectory_makes_no_scalar_call(tmp_path, monkeypatch):
+    # At the paper's defaults the backlog contracts outside D1, so Z and
+    # B = lambda Z pass below 1e-270 into subnormals; fmt_floats lays out
+    # every field of such a run without fmt_float.
+    sim, _ = parse_simulate({"params": P0, "x0": [0, 5], "steps": 10_000, "seed": 0})
+    _, traj = simulate(sim, return_records=True)
+    assert ((traj.z > 0.0) & (traj.z < 2.0 ** -1022)).any()
+    calls = []
+    monkeypatch.setattr(floatfmt, "fmt_float", lambda x: calls.append(x) or fmt_float(x))
+    use_cpus(monkeypatch, 1)  # one share, formatted in this process
+    with open(tmp_path / "trajectory.csv", "wb") as fh:
+        _write_trajectory(traj, fh, tmp_path)
+    assert calls == []
+
+
 def test_import_leaves_scipy_stats_out():
     # No scipy module at all: the package needs numpy and click only.
     src = str(Path(gridlab.__file__).resolve().parent.parent)
@@ -602,19 +617,17 @@ def test_import_leaves_scipy_stats_out():
     assert res.stdout.strip() == "[]"
 
 
-# Runs a sweep through main() in directory argv[1] and prints whether
-# numpy.ma was imported.
+# Runs command argv[2] on config argv[3] (JSON) through main() in
+# directory argv[1] and prints whether numpy.ma was imported.
 NUMPY_MA_CHILD = """
 import json, sys
 from pathlib import Path
 from gridlab.cli import main
 
-work = Path(sys.argv[1])
-(work / "sweep.json").write_text(json.dumps({
-    "params": {"lambda": 0.5, "mu": 0.1, "zeta": 1, "xi": 1, "r_star": 3, "sigma": 1},
-    "grid": {"mu": [-0.1, 0.1]}, "steps": 2000, "burn_in": 200, "n_seeds": 4}))
+work, command = Path(sys.argv[1]), sys.argv[2]
+(work / "config.json").write_text(sys.argv[3])
 try:
-    main(["sweep", "--config", str(work / "sweep.json"), "--out", str(work / "out")])
+    main([command, "--config", str(work / "config.json"), "--out", str(work / "out")])
 except SystemExit as exc:
     if exc.code:
         raise
@@ -622,9 +635,9 @@ print("numpy.ma" in sys.modules)
 """
 
 
-def test_sweep_leaves_numpy_ma_out(tmp_path):
-    # np.median imports numpy.ma on its first call; the growth probe's
-    # median does without it.
+def loads_numpy_ma(tmp_path, command, doc):
+    """Whether ``gridlab command`` on ``doc`` imports numpy.ma, in a fresh
+    interpreter; skips where importing numpy alone loads it."""
     src = str(Path(gridlab.__file__).resolve().parent.parent)
     env = dict(os.environ, PYTHONPATH=src)
     bare = subprocess.run(
@@ -632,10 +645,26 @@ def test_sweep_leaves_numpy_ma_out(tmp_path):
         capture_output=True, text=True, env=env, timeout=60)
     if bare.stdout.strip() != "False":
         pytest.skip("import numpy loads numpy.ma here")
-    res = subprocess.run([sys.executable, "-c", NUMPY_MA_CHILD, str(tmp_path)],
-                         capture_output=True, text=True, env=env, timeout=120)
+    res = subprocess.run(
+        [sys.executable, "-c", NUMPY_MA_CHILD, str(tmp_path), command, json.dumps(doc)],
+        capture_output=True, text=True, env=env, timeout=120)
     assert res.returncode == 0, res.stderr
-    assert res.stdout.strip() == "False"
+    return {"True": True, "False": False}[res.stdout.strip()]
+
+
+def test_sweep_leaves_numpy_ma_out(tmp_path):
+    # np.median imports numpy.ma on its first call; the growth probe's
+    # median does without it.
+    assert not loads_numpy_ma(tmp_path, "sweep", {
+        "params": P0, "grid": {"mu": [-0.1, 0.1]}, "steps": 2000, "burn_in": 200,
+        "n_seeds": 4})
+
+
+def test_simulate_leaves_numpy_ma_out(tmp_path):
+    # np.quantile imports numpy.ma on its first call; the summary's
+    # quantiles do without it.
+    assert not loads_numpy_ma(tmp_path, "simulate", {
+        "params": P0, "x0": [0, 0], "steps": 2000, "burn_in": 200})
 
 
 # Runs each case of argv[2] (a JSON object name -> [command, config])

@@ -38,22 +38,27 @@ def near_powers_of_ten() -> list[float]:
     """The double nearest 10**k and its two neighbours.  Some of them
     round up to the next power of ten at 17 digits (1e-14, 1e+98)."""
     out = []
-    for k in range(-300, 300):
+    for k in range(-323, 309):
         x = float(f"1e{k}")
         out += [math.nextafter(x, 0.0), x, math.nextafter(x, math.inf)]
     return out
 
 
-# m * 2**s whose scaled value |x| * 10**(16 - e) lies within 2e-18 of a
+# m * 2**s whose scaled value |x| * 10**(16 - e) lies within 3e-17 of a
 # half-integer, where 10**(16 - e) is not a double (found from the
 # continued fractions of 2**s * 10**(16 - e)).  The fast path's error may
 # exceed that distance, so these must be declined; scaled without the
-# decline, each rounds the wrong way.
+# decline, each rounds the wrong way.  The last two rows are pre-scaled
+# by 2**200 (|x| < 1e-270) and by 2**-200 (|x| >= 1e300).
 NEAR_TIES = [math.ldexp(m, s) for m, s in [
     (6441135414609811, -299), (8469462325972807, -837),
     (8471560222857494, -672), (6339747139821773, -416),
     (5428001180936280, 484), (6785001476170350, 487),
-    (8684801889498048, 480), (8571084786099026, 403)]]
+    (8684801889498048, 480), (8571084786099026, 403),
+    (8944262675275217, -1003), (8365196608024178, -1055),
+    (8759223328667059, -1074), (8937789144900153, -1014),
+    (7297662880581139, 949), (5752540900043051, 946),
+    (7430561974493262, 962), (6063084534881332, 955)]]
 
 ADVERSARIAL = np.array([
     *near_powers_of_ten(), *ties(), *NEAR_TIES,
@@ -70,6 +75,21 @@ def test_fields_are_fmt_float(bits):
     # and normals of every exponent and sign, after the fixed cases.
     x = np.concatenate([ADVERSARIAL,
                         np.array(bits, dtype=np.uint64).view(np.float64)])
+    assert texts(x) == [fmt_float(v) for v in x]
+
+
+# Doubles that fmt_floats scales by a power of two first: biased
+# exponent fields 0-130 (subnormals and |x| < 1e-269) and 2040-2046
+# (|x| > 1e306).
+PRE_SCALED = st.builds(lambda sign, exponent, fraction: sign << 63 | exponent << 52 | fraction,
+                       st.integers(0, 1),
+                       st.one_of(st.integers(0, 130), st.integers(2040, 2046)),
+                       st.integers(0, 2 ** 52 - 1))
+
+
+@given(st.lists(PRE_SCALED, min_size=1, max_size=64))
+def test_pre_scaled_fields_are_fmt_float(bits):
+    x = np.array(bits, dtype=np.uint64).view(np.float64)
     assert texts(x) == [fmt_float(v) for v in x]
 
 

@@ -4,6 +4,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 from scipy.special import ndtri
 
 from gridlab import (
@@ -25,7 +27,8 @@ from gridlab.cli import _CHUNK_ROWS
 from gridlab.dynamics import (KERNEL_BLOCK, breakpoints, expressed_backlog,
                               frustrated_demand, iterate, ramp_control,
                               region_codes)
-from gridlab.montecarlo import GROWTH_X0, _ks_statistic, _run_chain, _run_chain_raw
+from gridlab.montecarlo import (GROWTH_X0, QUANTILES, _ks_statistic, _quantiles,
+                                _run_chain, _run_chain_raw)
 from gridlab.rng import gaussian, point_seed, stream
 from conftest import random_params
 
@@ -248,6 +251,19 @@ class TestSimulate:
         assert stats.r_quantiles[0.5] <= stats.r_quantiles[0.95] <= stats.r_max
         assert stats.z_min >= 0.0
         assert stats.mean_expressed == pytest.approx(p0.lam * stats.z_mean, rel=1e-12)
+
+    @given(st.lists(st.one_of(
+        st.sampled_from([0.0, -0.0, 1.0, -1.0, 0.5, math.inf, -math.inf, math.nan]),
+        st.floats(width=64)), min_size=1, max_size=300))
+    def test_quantiles_have_numpys_bits(self, values):
+        # Ties, signed zeros, infinities (inf - inf in the lerp) and NaN.
+        x = np.array(values)
+        qs = (0.0, *QUANTILES, 1.0)
+        with np.errstate(invalid="ignore"):
+            want = np.quantile(x, qs)
+            got = _quantiles(x, qs)
+        assert got.view(np.uint64).tolist() == want.view(np.uint64).tolist()
+        assert x.view(np.uint64).tolist() == np.array(values).view(np.uint64).tolist()
 
     def test_occupancy_concentrates_near_target(self, p0):
         # Positive evaporation keeps the chain near the target reserve:
