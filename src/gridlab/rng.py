@@ -189,16 +189,13 @@ def gaussians(rngs: list[Generator], size: int, sigmas: list[float]) -> np.ndarr
 
     Each generator gives ``size`` integers from [0, 2^53), which
     :func:`standard_normal` maps to N(0, 1), scaled by the column's
-    sigma; sigma = 0 gives +0.0 draws, and where every sigma is 0 the
-    integers are drawn, so each stream advances the same, but not mapped.
-    The map is elementwise, so a column has the same bits in any block.
+    sigma; sigma = 0 gives +0.0 draws.  The map is elementwise, so a
+    column has the same bits in any block.
     """
     k = np.empty((size, len(rngs)), dtype=np.int64)
     for c, rng in enumerate(rngs):
         k[:, c] = rng.integers(0, 1 << 53, size=size)
     sigmas = np.array(sigmas, dtype=np.float64)
-    if not sigmas.any():
-        return np.zeros(k.shape)
     out = standard_normal(k)
     out *= sigmas
     out[:, sigmas == 0.0] = 0.0

@@ -592,7 +592,9 @@ def test_trajectory_chunks_match_csv_writer(tmp_path, p0, n_rows):
 def test_paper_default_trajectory_makes_no_scalar_call(tmp_path, monkeypatch):
     # At the paper's defaults the backlog contracts outside D1, so Z and
     # B = lambda Z pass below 1e-270 into subnormals; fmt_floats lays out
-    # every field of such a run without fmt_float.
+    # every field of such a run without fmt_float.  A near-tie (q within
+    # 1e-9 of a half-integer, about 2e-9 of fields) would still go to
+    # fmt_float; this fixed run has none.
     sim, _ = parse_simulate({"params": P0, "x0": [0, 5], "steps": 10_000, "seed": 0})
     _, traj = simulate(sim, return_records=True)
     assert ((traj.z > 0.0) & (traj.z < 2.0 ** -1022)).any()

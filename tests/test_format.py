@@ -48,7 +48,7 @@ def near_powers_of_ten() -> list[float]:
 # half-integer, where 10**(16 - e) is not a double (found from the
 # continued fractions of 2**s * 10**(16 - e)).  The fast path's error may
 # exceed that distance, so these must be declined; scaled without the
-# decline, each rounds the wrong way.  The last two rows are pre-scaled
+# decline, each rounds the wrong way.  The last four rows are pre-scaled
 # by 2**200 (|x| < 1e-270) and by 2**-200 (|x| >= 1e300).
 NEAR_TIES = [math.ldexp(m, s) for m, s in [
     (6441135414609811, -299), (8469462325972807, -837),
@@ -78,12 +78,13 @@ def test_fields_are_fmt_float(bits):
     assert texts(x) == [fmt_float(v) for v in x]
 
 
-# Doubles that fmt_floats scales by a power of two first: biased
-# exponent fields 0-130 (subnormals and |x| < 1e-269) and 2040-2046
-# (|x| > 1e306).
+# Doubles that fmt_floats scales by a power of two first, and the edges
+# of the unscaled range: biased exponent fields 0-130 (subnormals and
+# |x| < 3e-269, which holds 1e-270) and 2019-2046 (|x| >= 6.7e299,
+# which holds 1e300).
 PRE_SCALED = st.builds(lambda sign, exponent, fraction: sign << 63 | exponent << 52 | fraction,
                        st.integers(0, 1),
-                       st.one_of(st.integers(0, 130), st.integers(2040, 2046)),
+                       st.one_of(st.integers(0, 130), st.integers(2019, 2046)),
                        st.integers(0, 2 ** 52 - 1))
 
 

@@ -11,7 +11,7 @@ from scipy.special import ndtri
 
 from gridlab import montecarlo, rng, validate_params
 from gridlab.montecarlo import GROWTH_X0, _growth_block, _slope_fit
-from gridlab.rng import _log, _ndtri, gaussian, gaussians, standard_normal, stream
+from gridlab.rng import _log, _ndtri, gaussian, standard_normal, stream
 
 
 def bits(a) -> list[int]:
@@ -149,22 +149,3 @@ class TestSlopeFit:
             want = np.polyfit(ts, y, 1)[0]
         with pytest.warns(np.exceptions.RankWarning):
             assert _slope_fit(ts)(y).hex() == float(want).hex()
-
-
-def test_zero_sigmas_draw_but_map_nothing(monkeypatch):
-    # A call whose sigmas are all zero draws its integers, so each stream
-    # advances as it would with any sigma, and maps none of them.
-    def refuse(u):
-        raise AssertionError("mapped draws that every sigma zeroes")
-
-    monkeypatch.setattr(rng, "_ndtri", refuse)
-    streams = [stream(4, k) for k in range(3)]
-    out = gaussians(streams, 100, [0.0, -0.0, 0.0])
-    assert out.shape == (100, 3) and bits(out) == bits(np.zeros((100, 3)))
-    after = [s.integers(0, 1 << 53, size=5).tolist() for s in streams]
-    fresh = [stream(4, k) for k in range(3)]
-    for s in fresh:
-        s.integers(0, 1 << 53, size=100)
-    assert after == [s.integers(0, 1 << 53, size=5).tolist() for s in fresh]
-    with pytest.raises(AssertionError, match="mapped draws"):
-        gaussians(streams, 1, [0.0, 1.0, 0.0])
