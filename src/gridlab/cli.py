@@ -9,17 +9,18 @@ JSON file or a drift_report.csv row), 4 (internal error).
 
 from __future__ import annotations
 
+import functools
 import sys
 import time
 from pathlib import Path
-from typing import BinaryIO, Iterator
+from typing import BinaryIO, Callable, Iterator
 
 import click
 import numpy as np
 
 from . import __version__, config as cfgmod
-from .config import (ConfigError, atomic_file, atomic_write_text, dump_json,
-                     fmt_float, json_text, load_json)
+from .config import (ConfigError, atomic_file, atomic_write_text, fmt_float,
+                     json_text, load_json)
 from .dynamics import Params, Region, breakpoints
 from .errors import (GridlabError, InfeasibleScenario, NonFiniteResult,
                      SimulationDiverged)
@@ -35,11 +36,14 @@ EXIT_INFEASIBLE = 3
 EXIT_INTERNAL = 4
 
 
-def _write_rows(path: Path, header: list[str], rows: list[list[str]]) -> None:
-    """Write a small CSV file.  Every field is a number, a fixed word or
-    blank, so none needs quoting."""
-    atomic_write_text(path, "".join([",".join(row) + "\n"
-                                     for row in [header, *rows]]))
+# A command's files in write order: name -> text, or writer(fh, directory).
+Files = dict[str, str | Callable[[BinaryIO, Path], None]]
+
+
+def _csv_text(header: list[str], rows: list[list[str]]) -> str:
+    """The text of a small CSV file.  Every field is a number, a fixed
+    word or blank, so none needs quoting."""
+    return "".join([",".join(row) + "\n" for row in [header, *rows]])
 
 
 _CHUNK_ROWS = 8192
@@ -82,10 +86,12 @@ def _rows(traj: Trajectory, lo: int, hi: int) -> Iterator[bytes]:
 def _write_trajectory(traj: Trajectory, fh: BinaryIO, directory: Path) -> None:
     """Write trajectory.csv into ``fh``: the header, then every row.
 
-    The rows are cut on ``_CHUNK_ROWS`` boundaries into the shares of
-    :func:`forked`, at most one share per whole chunk, so each holds at
-    least ``_CHUNK_ROWS`` rows; forked shares are formatted into files in
-    ``directory``.  The text is the same for every share count.
+    ``cmd_simulate`` returns it bound to ``traj``, as the one file too
+    large to hold as text.  The rows are cut on ``_CHUNK_ROWS`` boundaries
+    into the shares of :func:`forked`, at most one share per whole chunk,
+    so each holds at least ``_CHUNK_ROWS`` rows; forked shares are
+    formatted into files in ``directory``.  The text is the same for
+    every share count.
     """
     n_rows = traj.r.size
     chunks = -(-n_rows // _CHUNK_ROWS)
@@ -111,15 +117,17 @@ def _command(name: str, *options):
     """Register the decorated body as command ``name``.
 
     The command takes --config, --out and ``options``.  It loads the
-    config, puts --seed into it, parses it with ``config.parse_<name>``,
-    calls ``body(config, out_dir, **options)``, which returns the names of
-    the files it wrote, and writes manifest.json with the parser's echo as
-    ``config`` and, as ``environment``, the :func:`usable_cpus` that
-    capped the shares of its :func:`forked` work.  Every error maps to one
-    stderr line and its exit code; numpy's overflow and invalid-value
-    warnings are off, since a non-finite result is refused where a JSON
-    file or a drift row would hold it.  Names are looked up when the
-    command runs, so they can be patched.
+    config, puts --seed into it, parses it with ``config.parse_<name>``
+    and calls ``body(config, **options)``, which returns its ``Files``.
+    Only then does it write them into --out, each atomically and in
+    order, and last manifest.json: the parser's echo as ``config``, the
+    names as ``outputs`` and, as ``environment``, the :func:`usable_cpus`
+    that capped the shares of its :func:`forked` work.  It alone opens
+    output files, so a body that raises leaves none.  Every error maps
+    to one stderr line and its exit code; numpy's overflow and
+    invalid-value warnings are off, since a non-finite result is refused
+    where a JSON file or a drift row would hold it.  Names are looked up
+    when the command runs, so they can be patched.
     """
     def register(body):
         def command(config_path, out_dir, seed=None, **opts):
@@ -133,16 +141,23 @@ def _command(name: str, *options):
                 except ValueError as exc:  # a model type rejected a value
                     raise ConfigError(str(exc)) from exc
                 with np.errstate(over="ignore", invalid="ignore"):
-                    outputs = body(cfg, out_dir, **opts)
-                dump_json(out_dir / "manifest.json", {
-                    "tool_version": __version__,
-                    "command": name,
-                    "config": echo,
-                    "environment": {"usable_cpus": usable_cpus()},
-                    "rng_algorithm": ALGORITHM,
-                    "outputs": outputs,
-                    "duration_s": time.perf_counter() - started,
-                })
+                    files = body(cfg, **opts)
+                    for file_name, content in files.items():
+                        if isinstance(content, str):
+                            atomic_write_text(out_dir / file_name, content)
+                        else:
+                            with atomic_file(out_dir / file_name) as fh:
+                                content(fh, out_dir)
+                atomic_write_text(out_dir / "manifest.json", json_text(
+                    "manifest.json", {
+                        "tool_version": __version__,
+                        "command": name,
+                        "config": echo,
+                        "environment": {"usable_cpus": usable_cpus()},
+                        "rng_algorithm": ALGORITHM,
+                        "outputs": list(files),
+                        "duration_s": time.perf_counter() - started,
+                    }))
             except ConfigError as exc:
                 click.echo(f"config error: {exc}", err=True)
                 sys.exit(EXIT_CONFIG)
@@ -172,14 +187,11 @@ def _command(name: str, *options):
 
 
 @_command("simulate", _SEED)
-def cmd_simulate(sim: SimConfig, out: Path) -> list[str]:
+def cmd_simulate(sim: SimConfig) -> Files:
     """Run one trajectory; write trajectory.csv, stats.json, manifest.json."""
     stats, traj = simulate(sim, return_records=True)
-    stats_text = json_text("stats.json", stats.as_dict())
-    with atomic_file(out / "trajectory.csv") as fh:
-        _write_trajectory(traj, fh, out)
-    atomic_write_text(out / "stats.json", stats_text)
-    return ["trajectory.csv", "stats.json"]
+    return {"trajectory.csv": functools.partial(_write_trajectory, traj),
+            "stats.json": json_text("stats.json", stats.as_dict())}
 
 
 def _sample_points(p: Params, per_region: int, seed: int) -> list[tuple[float, float]]:
@@ -195,7 +207,7 @@ def _sample_points(p: Params, per_region: int, seed: int) -> list[tuple[float, f
 
 
 @_command("drift", _SEED)
-def cmd_drift(cfg: dict, out: Path) -> list[str]:
+def cmd_drift(cfg: dict) -> Files:
     """Cross-check exact, closed-form and Monte Carlo drifts at states."""
     p = cfg["params"]
     points = cfg["points"]
@@ -221,18 +233,16 @@ def cmd_drift(cfg: dict, out: Path) -> list[str]:
                      fmt_float(rep.exact), paper_val, kind,
                      fmt_float(rep.mc_mean), fmt_float(rep.mc_stderr),
                      agree, str(rep.agree_mc).lower()])
-    _write_rows(out / "drift_report.csv",
-                ["r", "z", "region", "exact", "paper_formula", "paper_kind",
-                 "mc_mean", "mc_stderr", "agree_paper", "agree_mc"],
-                rows)
-    return ["drift_report.csv"]
+    return {"drift_report.csv": _csv_text(
+        ["r", "z", "region", "exact", "paper_formula", "paper_kind",
+         "mc_mean", "mc_stderr", "agree_paper", "agree_mc"], rows)}
 
 
 @_command("sweep", _SEED,
           click.option("--threads", type=int, expose_value=False,
                        help="Ignored: the sweep runs one process per usable "
                             "CPU; narrow them with taskset."))
-def cmd_sweep(cfg: dict, out: Path) -> list[str]:
+def cmd_sweep(cfg: dict) -> Files:
     """Stability verdict per grid point; verdicts.csv plus drift geometry."""
     results = sweep(cfg["params"], cfg["grid"], cfg["steps"], cfg["burn_in"],
                     cfg["n_seeds"], cfg["seed"])
@@ -255,19 +265,16 @@ def cmd_sweep(cfg: dict, out: Path) -> list[str]:
                            fmt_float(res.logz_slope), str(res.seeds_used)])
         if p.mu > 0.0:
             geometry[str(sp.index)] = negative_drift_geometry(p).as_dict()
-    geometry_text = json_text("geometry.json", geometry) if geometry else None
-    _write_rows(out / "verdicts.csv",
-                ["mu", "lambda", "r_star", "verdict", "ks_distance",
-                 "logz_slope", "seeds_used"],
-                rows)
-    if geometry_text is None:
-        return ["verdicts.csv"]
-    atomic_write_text(out / "geometry.json", geometry_text)
-    return ["verdicts.csv", "geometry.json"]
+    files = {"verdicts.csv": _csv_text(
+        ["mu", "lambda", "r_star", "verdict", "ks_distance", "logz_slope",
+         "seeds_used"], rows)}
+    if geometry:
+        files["geometry.json"] = json_text("geometry.json", geometry)
+    return files
 
 
 @_command("thermal")
-def cmd_thermal(cfg: tuple, out: Path) -> list[str]:
+def cmd_thermal(cfg: tuple) -> Files:
     """Evaluate the delayed-heating backlog ledger for a scenario.
 
     A scenario with eps_prime runs the heat-pump variant; one without it
@@ -278,12 +285,12 @@ def cmd_thermal(cfg: tuple, out: Path) -> list[str]:
         ledger, mode = run_scenario_pair(building, scenario), "constant-cop"
     else:
         ledger, mode = run_heat_pump_scenario(building, scenario), "heat-pump"
-    dump_json(out / "ledger.json", dict(ledger.as_dict(), mode=mode))
-    return ["ledger.json"]
+    return {"ledger.json": json_text("ledger.json",
+                                     dict(ledger.as_dict(), mode=mode))}
 
 
 @_command("regions")
-def cmd_regions(p: Params, out: Path) -> list[str]:
+def cmd_regions(p: Params) -> Files:
     """Dump region breakpoints and negative-drift geometry for plotting."""
     edges = (None, *breakpoints(p), None)
     doc = {
@@ -298,8 +305,7 @@ def cmd_regions(p: Params, out: Path) -> list[str]:
             g.as_dict(),
             g1_curve=[[float(v), float(g.g1(v))] for v in vs],
             g4_curve=[[float(v), float(g.g4(v))] for v in vs])
-    dump_json(out / "regions.json", doc)
-    return ["regions.json"]
+    return {"regions.json": json_text("regions.json", doc)}
 
 
 if __name__ == "__main__":

@@ -36,7 +36,8 @@ _MISSING = object()
 # formatted 1024 rows at a time, in about 3.4 MB), so one at the cap
 # needs about 2.4 GB.  A drift point holds about 48 bytes per draw (the
 # noise, the stepped states and the lyap_h temporaries), so one at the
-# cap needs about 4.8 GB.
+# cap needs about 4.8 GB.  It caps record_every too: any record_every
+# above steps records x0 alone.
 MAX_DRAWS = 10**8
 
 # The most states a drift run may sample per region: each of its
@@ -185,7 +186,7 @@ def parse_simulate(doc: dict, path: str = "config") -> tuple[SimConfig, dict]:
         steps=sec.take_int("steps", most=MAX_DRAWS),
         burn_in=sec.take_int("burn_in", 0),
         seed=sec.take_int("seed", 0, least=0),
-        record_every=sec.take_int("record_every", 1),
+        record_every=sec.take_int("record_every", 1, least=1, most=MAX_DRAWS),
     )
     echo = sec.finish()
     return SimConfig(**fields), echo
@@ -316,18 +317,12 @@ def atomic_write_text(path: Path, text: str) -> None:
 
 def json_text(name: str, obj: Any) -> str:
     """``obj`` as the text of JSON file ``name``, or raise NonFiniteResult
-    naming the file if it holds a NaN or an infinity.  A command builds
-    every such text before it writes its first file, so a refused result
-    leaves no file behind."""
+    naming the file if it holds a NaN or an infinity.  A command body
+    returns such texts, and the CLI writes none of its files until the
+    body has returned, so a refused result leaves no file behind."""
     try:
         text = json.dumps(obj, indent=2, sort_keys=True, allow_nan=False)
     except ValueError as exc:
         raise NonFiniteResult(f"{name}: a result is NaN or infinite, "
                               "which JSON cannot hold") from exc
     return text + "\n"
-
-
-def dump_json(path: Path, obj: Any) -> None:
-    """Write ``obj`` as standard JSON (:func:`json_text`); nothing is
-    written if it holds a NaN or an infinity."""
-    atomic_write_text(path, json_text(path.name, obj))

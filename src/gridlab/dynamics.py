@@ -351,29 +351,18 @@ def step(p: Params, x: State, n: float, t: int = 0) -> tuple[State, StepRecord]:
     Pure: all randomness is the caller's responsibility.  The update is
     :func:`step_matrix`, which tests pin bit for bit to one step of
     :func:`iterate` without its per-block array work, and the next state
-    is a pair of Python floats.  The record's observables use scalar forms of
-    :func:`expressed_backlog`, :func:`frustrated_demand` and
-    :func:`ramp_control` with the bits of those ufuncs, signed zeros and
-    NaN included.
+    is a pair of Python floats, as are the record's observables.
     """
     r, z = x
     r1, z1 = step_matrix(p, x, n)
-    # np.maximum(-r, 0.0) returns its second argument on a tie, so a zero
-    # reserve gives +0.0; NaN propagates.
-    f = 0.0 if -r <= 0.0 else -r
-    h = p.r_star - r
-    if h < -p.xi:
-        h = -p.xi
-    elif h > p.zeta:
-        h = p.zeta
     record = StepRecord(
         t=t,
         state=(r, z),
         region=classify_region(p, x),
         noise=n,
-        b_expr=p.lam * z,
-        f_frustrated=f,
-        h_control=h,
+        b_expr=float(expressed_backlog(p, z)),
+        f_frustrated=float(frustrated_demand(r)),
+        h_control=float(ramp_control(p, r)),
     )
     return (float(r1), float(z1)), record
 

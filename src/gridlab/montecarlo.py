@@ -552,13 +552,9 @@ def hitting_probability(p: Params, x0: State,
     r_lo, r_hi, z_lo, z_hi = target
     hits = 0
     for k in range(n_seeds):
-        if horizon == 0:
-            inside = r_lo <= x0[0] <= r_hi and z_lo <= x0[1] <= z_hi
-        else:
-            r, z = _run_chain(p, x0, horizon, stream(seed, k))
-            inside = bool(np.any((r >= r_lo) & (r <= r_hi)
-                                 & (z >= z_lo) & (z <= z_hi)))
-        hits += inside
+        r, z = _run_chain(p, x0, horizon, stream(seed, k))
+        hits += bool(np.any((r >= r_lo) & (r <= r_hi)
+                            & (z >= z_lo) & (z <= z_hi)))
     est = hits / n_seeds
     stderr = math.sqrt(est * (1.0 - est) / n_seeds)
     return est, stderr

@@ -14,6 +14,7 @@ from click.testing import CliRunner
 
 import gridlab.cli
 from conftest import count_forks, use_cpus
+from test_golden import CASES as GOLDEN_CASES
 from gridlab import floatfmt, lyap_h, simulate, sweep
 from gridlab.cli import _CHUNK_ROWS, _write_trajectory, main
 from gridlab.config import (MAX_DRAWS, MAX_GRID_POINTS, MAX_GROWTH_COLUMNS,
@@ -50,6 +51,12 @@ def write_config(tmp_path, doc, name="config.json"):
 def read_csv(path):
     with open(path, newline="") as fh:
         return list(csv.reader(fh))
+
+
+def files_in(out):
+    """The sorted names of the files in directory ``out``; none where it
+    does not exist."""
+    return sorted(f.name for f in out.iterdir()) if out.exists() else []
 
 
 class TestSimulate:
@@ -108,6 +115,7 @@ class TestSimulate:
                                    "--out", str(tmp_path / "o")])
         assert res.exit_code == 2
         assert "sigma" in res.output
+        assert files_in(tmp_path / "o") == []
 
     def test_unknown_key_exit_2(self, runner, tmp_path):
         cfg = write_config(tmp_path, {"params": P0, "x0": [0, 0],
@@ -116,6 +124,7 @@ class TestSimulate:
                                    "--out", str(tmp_path / "o")])
         assert res.exit_code == 2
         assert "stepz" in res.output
+        assert files_in(tmp_path / "o") == []
 
     def test_invalid_json_exit_2(self, runner, tmp_path):
         path = tmp_path / "bad.json"
@@ -123,12 +132,14 @@ class TestSimulate:
         res = runner.invoke(main, ["simulate", "--config", str(path),
                                    "--out", str(tmp_path / "o")])
         assert res.exit_code == 2
+        assert files_in(tmp_path / "o") == []
 
     def test_missing_file_exit_2(self, runner, tmp_path):
         res = runner.invoke(main, ["simulate", "--config",
                                    str(tmp_path / "nope.json"),
                                    "--out", str(tmp_path / "o")])
         assert res.exit_code == 2
+        assert files_in(tmp_path / "o") == []
 
     def test_diverged_exit_3(self, runner, tmp_path):
         cfg = write_config(tmp_path, {
@@ -138,6 +149,7 @@ class TestSimulate:
         res = runner.invoke(main, ["simulate", "--config", cfg,
                                    "--out", str(tmp_path / "o")])
         assert res.exit_code == 3
+        assert files_in(tmp_path / "o") == []
 
     def test_diverged_message_shows_plain_floats(self, runner, tmp_path):
         cfg = write_config(tmp_path, {"params": P0, "x0": [0, 1e308],
@@ -148,6 +160,7 @@ class TestSimulate:
         assert res.stdout == ""
         assert res.stderr == ("error: state exceeded overflow guard at step 1: "
                               "R=3e+307, Z=4.0000000000000004e+307\n")
+        assert files_in(tmp_path / "o") == []
 
 
 class TestDrift:
@@ -200,6 +213,7 @@ class TestDrift:
         res = runner.invoke(main, ["drift", "--config", cfg,
                                    "--out", str(tmp_path / "o")])
         assert res.exit_code == 2
+        assert files_in(tmp_path / "o") == []
 
 
 class TestSweep:
@@ -291,6 +305,7 @@ class TestSweep:
         res = runner.invoke(main, ["sweep", "--config", cfg,
                                    "--out", str(tmp_path / "o")])
         assert res.exit_code == 2
+        assert files_in(tmp_path / "o") == []
 
 
 class TestThermal:
@@ -399,6 +414,8 @@ DRIFT = {"params": P0, "mc_samples": 100}
     ("sweep", dict(SWEEP, steps=10**12)),
     ("drift", dict(DRIFT, per_region=1, mc_samples=10**12)),
     ("drift", dict(DRIFT, per_region=10**12)),
+    # Past MAX_DRAWS, and so past any steps, only x0 would be recorded.
+    ("simulate", dict(SIM, record_every=10**30)),
     # Given points, a per_region would be ignored.
     ("drift", dict(DRIFT, points=[[1.0, 1.0]], per_region=50)),
     # Past MAX_GRID_POINTS or MAX_GROWTH_COLUMNS a sweep would not fit in
@@ -420,7 +437,8 @@ DRIFT = {"params": P0, "mc_samples": 100}
         "simulate-negative-seed-option", "sweep-negative-seed-option",
         "drift-negative-seed-option", "simulate-steps-over-limit",
         "sweep-steps-over-limit", "drift-mc-samples-over-limit",
-        "drift-per-region-over-limit", "drift-points-and-per-region",
+        "drift-per-region-over-limit", "simulate-record-every-over-limit",
+        "drift-points-and-per-region",
         "sweep-grid-over-limit", "sweep-columns-over-limit"])
 def test_invalid_config_exit_2_one_line(runner, tmp_path, command, doc):
     cfg = write_config(tmp_path, doc)
@@ -430,6 +448,7 @@ def test_invalid_config_exit_2_one_line(runner, tmp_path, command, doc):
     assert res.stdout == ""
     assert res.stderr.startswith("config error: ")
     assert res.stderr.count("\n") == 1
+    assert files_in(tmp_path / "o") == []
     for key in ("ks_threshold", "slope_threshold"):
         assert (key in doc) == (f"unknown field(s): {key}" in res.stderr)
 
@@ -459,6 +478,11 @@ def test_draw_limit_is_inclusive_and_named():
     assert parse_simulate(dict(SIM, steps=MAX_DRAWS))[0].steps == MAX_DRAWS
     with pytest.raises(ConfigError, match=f"'steps' must be <= {MAX_DRAWS}$"):
         parse_simulate(dict(SIM, steps=MAX_DRAWS + 1))
+    doc = dict(SIM, record_every=MAX_DRAWS)
+    assert parse_simulate(doc)[0].record_every == MAX_DRAWS
+    with pytest.raises(ConfigError,
+                       match=f"'record_every' must be <= {MAX_DRAWS}$"):
+        parse_simulate(dict(doc, record_every=MAX_DRAWS + 1))
     doc = dict(DRIFT, per_region=MAX_PER_REGION)
     assert parse_drift(doc)[0]["per_region"] == MAX_PER_REGION
     with pytest.raises(ConfigError,
@@ -541,6 +565,35 @@ def test_manifest_records_usable_cpus(runner, tmp_path, monkeypatch):
         assert manifest["environment"] == {"usable_cpus": cpus}
 
 
+# The golden cases, and a sweep with no positive mu, so no drift geometry.
+MANIFEST_CASES = dict(GOLDEN_CASES, **{"sweep-no-positive-mu": (
+    "sweep", dict(GOLDEN_CASES["sweep"][1], grid={"mu": [-0.6, -0.1]}))})
+# The files each case writes besides manifest.json, in write order.
+OUTPUTS = {
+    "simulate": ["trajectory.csv", "stats.json"],
+    "drift-points": ["drift_report.csv"],
+    "drift-per-region": ["drift_report.csv"],
+    "sweep": ["verdicts.csv", "geometry.json"],
+    "sweep-no-positive-mu": ["verdicts.csv"],
+    "regions": ["regions.json"],
+    "regions-negative-mu": ["regions.json"],
+    "thermal": ["ledger.json"],
+    "thermal-heat-pump": ["ledger.json"],
+}
+
+
+@pytest.mark.parametrize("case", MANIFEST_CASES)
+def test_manifest_lists_every_file_written(runner, tmp_path, case):
+    command, doc = MANIFEST_CASES[case]
+    out = tmp_path / "o"
+    res = runner.invoke(main, [command, "--config", write_config(tmp_path, doc),
+                               "--out", str(out)])
+    assert res.exit_code == 0, res.output
+    outputs = json.loads((out / "manifest.json").read_text())["outputs"]
+    assert outputs == OUTPUTS[case]
+    assert files_in(out) == sorted([*outputs, "manifest.json"])
+
+
 def test_unexpected_exception_exit_4_one_line(runner, tmp_path, monkeypatch):
     def broken(*args, **kwargs):
         raise RuntimeError("kernel exploded")
@@ -552,6 +605,7 @@ def test_unexpected_exception_exit_4_one_line(runner, tmp_path, monkeypatch):
     assert res.exit_code == 4
     assert res.stdout == ""
     assert res.stderr == "internal error: RuntimeError: kernel exploded\n"
+    assert files_in(tmp_path / "o") == []
 
 
 def reference_trajectory_csv(columns) -> str:

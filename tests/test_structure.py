@@ -68,3 +68,18 @@ def test_cli_does_not_import_tempfile():
         elif isinstance(node, ast.ImportFrom):
             names.add(node.module)
     assert "tempfile" not in names
+
+
+def test_only_command_writes_output_files():
+    # Command bodies return their files; _command alone opens them, and
+    # nothing in cli calls open().
+    writers = {"atomic_file", "atomic_write_text", "open"}
+    callers = {}
+    for top in parse("cli.py").body:
+        for node in ast.walk(top):
+            if isinstance(node, ast.Call):
+                name = getattr(node.func, "id", getattr(node.func, "attr", None))
+                if name in writers:
+                    callers.setdefault(name, set()).add(top.name)
+    assert callers == {"atomic_file": {"_command"},
+                       "atomic_write_text": {"_command"}}
