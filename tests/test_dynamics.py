@@ -27,6 +27,8 @@ from gridlab.dynamics import (
     iterate_columns,
     region_codes,
 )
+from gridlab import SimConfig, SimulationDiverged, simulate
+from gridlab.rng import gaussian, stream
 from conftest import random_params
 
 
@@ -508,3 +510,106 @@ class TestColumnKernel:
             st.floats(-50.0, 50.0, **finite), min_size=steps * k,
             max_size=steps * k))).reshape(steps, k)
         run_columns(ps, r0, z0, noise)
+
+
+# Factors 2^k: a product with one is exact unless it leaves the normal range.
+SCALES = [2.0 ** k for k in (-3, 1, 5, 20)]
+SMALLEST_NORMAL = np.finfo(np.float64).smallest_normal
+
+
+def bits_differ(a, b):
+    """Elementwise: do a and b differ in their IEEE-754 bit patterns?"""
+    return a.view(np.uint64) != b.view(np.uint64)
+
+
+def same_bits(a, b):
+    return not bits_differ(a, b).any()
+
+
+def subnormal(x):
+    return (x != 0.0) & (np.abs(x) < SMALLEST_NORMAL)
+
+
+class TestScaleInvariance:
+    """The map is homogeneous of degree one in (R, Z, zeta, xi, r*, sigma).
+
+    Every kernel operation is a sum, or a product with an unscaled
+    coefficient, and the noise is sigma times a fixed draw.  So scaling
+    (x0, zeta, xi, r*, sigma) by c = 2^k scales every state by c, bit for
+    bit, with two exceptions, each checked here: the 1e300 guard is not
+    scaled, and a product that lands in the subnormal range rounds to
+    fewer bits.
+    """
+
+    X0 = (-5.0, 5.0)
+    SEED = 7
+
+    def params(self, lam, mu, sigma, c):
+        """(zeta, xi, r*) = (1, 1, 3) and sigma, all times c."""
+        return validate_params(lam, mu, c, c, 3.0 * c, sigma * c)
+
+    def simulated(self, lam, mu, sigma, c, steps=20_000):
+        cfg = SimConfig(self.params(lam, mu, sigma, c),
+                        (c * self.X0[0], c * self.X0[1]), steps, seed=self.SEED)
+        _, traj = simulate(cfg, return_records=True)
+        return traj.r, traj.z
+
+    def columns(self, lam, mu, sigma, steps):
+        """iterate_columns with column 0 unscaled and column j scaled by
+        SCALES[j - 1]; every column's noise is c times the same draws."""
+        cs = np.array([1.0, *SCALES])
+        noise = np.outer(gaussian(stream(self.SEED), steps, sigma), cs)
+        out_r = np.empty((steps + 1, len(cs)))
+        out_z = np.empty((steps + 1, len(cs)))
+        guard = iterate_columns([self.params(lam, mu, sigma, c) for c in cs],
+                                cs * self.X0[0], cs * self.X0[1], noise,
+                                out_r, out_z)
+        return out_r, out_z, guard
+
+    @pytest.mark.parametrize("lam, mu", [(0.5, 0.1), (0.3, -0.02)])
+    def test_states_scale_bit_for_bit(self, lam, mu):
+        # At sigma = 2 the reserve dips below 0 often enough to keep Z
+        # away from the subnormal range at every scale (at sigma = 1 and
+        # (0.5, 0.1) it gets there within a few thousand steps).
+        r, z = self.simulated(lam, mu, 2.0, 1.0)
+        for x in (r, z):
+            assert not subnormal(x * min(SCALES)).any()
+        for c in SCALES:
+            rc, zc = self.simulated(lam, mu, 2.0, c)
+            assert same_bits(rc, c * r) and same_bits(zc, c * z), c
+        out_r, out_z, guard = self.columns(lam, mu, 2.0, len(r) - 1)
+        assert guard.tolist() == [-1] * (1 + len(SCALES))
+        assert same_bits(out_r[:, 0], r) and same_bits(out_z[:, 0], z)
+        for j, c in enumerate(SCALES, start=1):
+            assert same_bits(out_r[:, j], c * out_r[:, 0]), c
+            assert same_bits(out_z[:, j], c * out_z[:, 0]), c
+
+    def test_guard_is_not_scaled(self):
+        # Z grows by gamma = 1.2 a step at (0.5, -0.7), so a run meets the
+        # fixed guard sooner at c >= 2 and later at c = 1/8.  The states
+        # before both guard indices still scale bit for bit.
+        steps = 3000
+        out_r, out_z, guard = self.columns(0.5, -0.7, 1.0, steps)
+        assert 0 < guard[0] < steps
+        for j, c in enumerate(SCALES, start=1):
+            assert guard[j] < guard[0] if c >= 2 else guard[j] > guard[0]
+            end = min(guard[j], guard[0])
+            assert same_bits(out_r[:end, j], c * out_r[:end, 0]), c
+            assert same_bits(out_z[:end, j], c * out_z[:end, 0]), c
+            with pytest.raises(SimulationDiverged) as err:
+                self.simulated(0.5, -0.7, 1.0, c, steps)
+            assert err.value.step == guard[j]
+
+    def test_subnormal_states_are_not_scaled(self):
+        # At lambda = 0.9, mu = 0.05 (gamma = 0.05) Z shrinks twentyfold a
+        # step while the reserve stays non-negative, and reaches the
+        # subnormal range within the first few hundred steps.  Every state
+        # before the first subnormal one, in either run, scales bit for
+        # bit; from there on some backlog states differ.
+        r, z = self.simulated(0.9, 0.05, 1.0, 1.0)
+        for c in SCALES:
+            rc, zc = self.simulated(0.9, 0.05, 1.0, c)
+            first = int((subnormal(z) | subnormal(zc)).argmax())
+            assert first > 0
+            differ = bits_differ(rc, c * r) | bits_differ(zc, c * z)
+            assert differ.any() and not differ[:first].any(), c

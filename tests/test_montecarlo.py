@@ -372,6 +372,24 @@ class TestKSStatistic:
         assert math.isnan(_ks_statistic(a, b)) and math.isnan(self.scipy_ks(a, b))
         assert math.isnan(_ks_statistic(b, a)) and math.isnan(self.scipy_ks(b, a))
 
+    @given(st.data())
+    def test_matches_scipy_on_drawn_samples(self, data):
+        # Either heavy ties, -0.0 and 0.0 among them, or any finite floats.
+        pool = st.sampled_from([-2.5, -1.0, -0.0, 0.0, 1.0, 4.0])
+        finite = st.floats(allow_nan=False, allow_infinity=False)
+        values = data.draw(st.sampled_from([pool, finite]), label="values")
+        a, b = (np.array(data.draw(st.lists(values, min_size=1, max_size=300),
+                                   label=name)) for name in ("a", "b"))
+        nan_at = data.draw(st.integers(0, a.size), label="nan at")
+        # scipy's p-value divides by zero for two one-element samples; only
+        # its statistic is compared.
+        with np.errstate(divide="ignore"):
+            assert _ks_statistic(a, b).hex() == self.scipy_ks(a, b).hex()
+            a = np.insert(a, nan_at, np.nan)
+            for x, y in ((a, b), (b, a)):
+                assert math.isnan(_ks_statistic(x, y))
+                assert math.isnan(self.scipy_ks(x, y))
+
     @pytest.mark.parametrize("mu", [-0.1, 0.1])
     def test_sweep_point_chains(self, mu):
         # The two chains of sweep point 0 (seed 5), as _verdict runs them.
