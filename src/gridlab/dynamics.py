@@ -5,11 +5,11 @@ backlogged demand.  On each of the four reserve intervals D1..D4, cut at
 ``breakpoints(p)``, the transition is affine, x' = A_i x + b_i + (N, 0),
 with N a Gaussian noise draw supplied by the caller.
 
-Only this module knows the map, and it has two routes: the branch kernel
-``iterate``, which every single-chain Monte Carlo run uses, and the
-matrix table ``affine_piece``, which ``step_matrix`` (and so ``step``),
-the drift routes and the lockstep kernel ``iterate_columns`` evaluate.
-Tests pin the routes to each other bit for bit, breakpoints included.
+Only this module knows the map, and it defines it once: the table
+``affine_piece`` of (A_i, b_i), on the regions cut by ``breakpoints``.
+The branch kernel ``iterate`` (every single-chain Monte Carlo run)
+evaluates it a scalar step at a time; ``step_matrix`` (and so ``step``),
+the drift routes and the lockstep kernel ``iterate_columns`` as matrices.
 """
 
 from __future__ import annotations
@@ -214,15 +214,15 @@ def affine_piece(p: Params, region: Region) -> AffinePiece:
 
 
 def iterate(p: Params, r0: float, z0: float, noise, out_r, out_z) -> int:
-    """Write the states visited from (r0, z0) under the noise into out_r/out_z.
+    """Write the states visited from (r0, z0) under the noise, any sequence
+    of floats, into out_r/out_z.
 
     Returns -1, or the index of the first state beyond OVERFLOW_GUARD, where
-    the run stops: nothing past that index is written.  Each branch adds in
-    the order of :func:`step_matrix`.  out_z[0] keeps z0 as given, but the
-    run starts from z0 + 0.0, so a backlog of -0.0 steps on as +0.0, as in
-    step_matrix.
-
-    noise may be any sequence of floats.
+    the run stops: nothing past that index is written.  One branch per
+    region evaluates :func:`affine_piece`'s table, which iterate_columns
+    gathers per column, a scalar step at a time, adding in step_matrix's
+    order without the terms of its 0 entries.  out_z[0] keeps z0, but the
+    run starts from z0 + 0.0: a backlog of -0.0 steps on as +0.0.
 
     The loop runs on Python floats (numpy scalar arithmetic costs twice as
     much per step), ``KERNEL_BLOCK`` steps at a time, so its Python
@@ -239,11 +239,9 @@ def iterate(p: Params, r0: float, z0: float, noise, out_r, out_z) -> int:
     raising.  Python floats and numpy float64 are both IEEE binary64,
     round to nearest, with no fused multiply-add: numpy's bits.
     """
-    lam, zeta, xi, gamma = p.lam, p.zeta, p.xi, p.gamma
-    llm = lam * (lam + p.mu)
+    (one_lam, llm), (_, gamma) = affine_piece(p, Region.D1).a
+    zeta, rs, neg_xi = (affine_piece(p, region).b[0] for region in _REGIONS[1:])
     b1, b2, b3 = breakpoints(p)
-    rs = p.r_star
-    one_lam = 1.0 + lam
     guard = OVERFLOW_GUARD
     noise = np.asarray(noise, dtype=np.float64)
     r = float(r0)
@@ -264,7 +262,7 @@ def iterate(p: Params, r0: float, z0: float, noise, out_r, out_z) -> int:
             elif r < b3:
                 r, z = (llm * z + rs) + n, gamma * z
             else:
-                r, z = ((r + llm * z) + (-xi)) + n, gamma * z
+                r, z = ((r + llm * z) + neg_xi) + n, gamma * z
             block_r.append(r)
             block_z.append(z)
         pack = struct.Struct(f"{len(block_r)}d").pack

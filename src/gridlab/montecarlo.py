@@ -314,10 +314,12 @@ def simulate(cfg: SimConfig,
     """Run one chain and summarize it.
 
     Deterministic given the config.  Raises :class:`SimulationDiverged`
-    if |R| or Z exceeds the 1e300 guard.  The records hold views of the
-    chain, every record_every-th state, and no other array: the chain's
-    16 bytes per step stay alive with them.  Summarizing peaks at 24
-    bytes per step, the chain and one temporary.
+    if |R| or Z exceeds the 1e300 guard; a post-burn-in deviation past
+    about 1.3e154 makes r_var and z_var inf, with numpy's "overflow
+    encountered in square" RuntimeWarning (``gridlab simulate`` exits 3).
+    The records hold views of the chain, every record_every-th state, and
+    no other array: the chain's 16 bytes per step stay alive with them.
+    Summarizing peaks at 24 bytes per step, the chain and one temporary.
     """
     p = cfg.params
     rng = stream(cfg.seed)

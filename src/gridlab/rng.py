@@ -187,14 +187,16 @@ def gaussians(rngs: list[Generator], size: int, sigmas: list[float]) -> np.ndarr
     of uniforms strictly inside (0, 1): column c from ``rngs[c]`` and
     ``sigmas[c]``.
 
-    Each generator gives ``size`` integers from [0, 2^53), which
-    :func:`standard_normal` maps to N(0, 1), scaled by the column's
+    Each generator gives ``size`` raw 64-bit Philox words.  Their top 53
+    bits, which ``Generator.integers(0, 2**53)`` would also give, one word
+    each, :func:`standard_normal` maps to N(0, 1), scaled by the column's
     sigma; sigma = 0 gives +0.0 draws.  The map is elementwise, so a
     column has the same bits in any block.
     """
-    k = np.empty((size, len(rngs)), dtype=np.int64)
+    k = np.empty((size, len(rngs)), dtype=np.uint64)
     for c, rng in enumerate(rngs):
-        k[:, c] = rng.integers(0, 1 << 53, size=size)
+        k[:, c] = rng.bit_generator.random_raw(size)
+    k >>= np.uint64(11)
     sigmas = np.array(sigmas, dtype=np.float64)
     out = standard_normal(k)
     out *= sigmas

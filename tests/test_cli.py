@@ -1,16 +1,21 @@
+import copy
 import csv
 import io
 import json
+import math
 import os
 import signal
 import subprocess
 import sys
+import tempfile
 import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 from click.testing import CliRunner
+from hypothesis import given
+from hypothesis import strategies as st
 
 import gridlab.cli
 from conftest import count_forks, use_cpus
@@ -517,13 +522,66 @@ def test_two_mc_samples_accepted(runner, tmp_path):
     assert row[7] != "nan"
 
 
+# Values a mutation may put at any path of a golden config.
+MUTANT_VALUES = [None, True, False, 0, 1, -1, 2 ** 63, 10 ** 400, -10 ** 400,
+                 1e308, -1e308, 5e-324, 0.0, -0.0, math.nan, math.inf,
+                 -math.inf, "", "1.0", "mu", [], [[]], [1.0, [2.0, "x"]], {},
+                 {"mu": {"lambda": [None]}}]
+
+
+def paths(doc, prefix=()):
+    """The path of doc and of every value in it: dict keys, list indices."""
+    yield prefix
+    items = (doc.items() if isinstance(doc, dict)
+             else enumerate(doc) if isinstance(doc, list) else ())
+    for key, value in items:
+        yield from paths(value, (*prefix, key))
+
+
+@pytest.mark.parametrize("case", sorted(GOLDEN_CASES))
+@given(data=st.data())
+def test_mutated_golden_config_keeps_the_exit_contract(case, data):
+    # A golden config with one key dropped, or one value replaced by a
+    # pool value, still exits 0, 2, 3 or 4, with no traceback; a failure
+    # is one stderr line and leaves --out empty.
+    command, doc = GOLDEN_CASES[case]
+    doc = copy.deepcopy(doc)
+    path = data.draw(st.sampled_from(list(paths(doc))), label="path")
+    drop = bool(path) and data.draw(st.booleans(), label="drop")
+    value = None if drop else data.draw(st.sampled_from(MUTANT_VALUES),
+                                        label="value")
+    if path:
+        parent = doc
+        for key in path[:-1]:
+            parent = parent[key]
+        if drop:
+            del parent[path[-1]]
+        else:
+            parent[path[-1]] = value
+    else:
+        doc = value
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg, out = Path(tmp) / "config.json", Path(tmp) / "o"
+        cfg.write_text(json.dumps(doc))
+        res = CliRunner().invoke(main, [command, "--config", str(cfg),
+                                        "--out", str(out)])
+        assert res.exit_code in (0, 2, 3, 4), res.output
+        assert "Traceback" not in res.stdout + res.stderr
+        if res.exit_code:
+            assert res.stderr.count("\n") == 1 and res.stderr.endswith("\n")
+            assert files_in(out) == []
+
+
 @pytest.mark.parametrize("command, doc, name", [
     # mu this small overflows the drift geometry (radius, g1/g4 curves).
     ("regions", {"params": dict(P0, mu=1e-320)}, "regions.json"),
     ("sweep", dict(SWEEP, grid={"mu": [1e-320]}), "geometry.json"),
     # Noise this large overflows the variances in stats.json.
     ("simulate", dict(SIM, params=dict(P0, sigma=1e200)), "stats.json"),
-], ids=["regions", "sweep", "simulate"])
+    # So does a backlog past about 1.3e154 that stays under the guard.
+    ("simulate", {"params": {**P0, "lambda": 0.3, "mu": -0.02, "sigma": 3.0},
+                  "x0": [-5.0, 5.0], "steps": 20000, "seed": 0}, "stats.json"),
+], ids=["regions", "sweep", "simulate", "simulate-growing"])
 def test_non_finite_json_exit_3_one_line(runner, tmp_path, command, doc, name):
     out = tmp_path / "o"
     res = runner.invoke(main, [command, "--config", write_config(tmp_path, doc),

@@ -7,6 +7,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from gridlab import (
+    AffinePiece,
     ParamError,
     Regime,
     Region,
@@ -27,7 +28,7 @@ from gridlab.dynamics import (
     iterate_columns,
     region_codes,
 )
-from gridlab import SimConfig, SimulationDiverged, simulate
+from gridlab import SimConfig, SimulationDiverged, dynamics, simulate
 from gridlab.rng import gaussian, stream
 from conftest import random_params
 
@@ -312,6 +313,36 @@ class TestKernelMatchesMatrixTable:
             for t, n in enumerate(noise.tolist(), start=1):
                 x = step_matrix(p, x, n)
                 assert bits(out_r[t], out_z[t]) == bits(*x)
+
+    @pytest.mark.parametrize("lam, mu", [(0.5, 0.1), (0.3, -0.02)])
+    def test_kernel_reads_its_coefficients_from_the_table(self, monkeypatch,
+                                                          lam, mu):
+        # Move every table entry that is not 0, 1 or -1: the kernel must
+        # follow the moved table step for step, guard index included, on a
+        # run that visits all four regions.
+        real = dynamics.affine_piece
+
+        def moved(p, region):
+            piece = real(p, region)
+            (a00, a01), (a10, a11) = piece.a
+            b0, b1 = piece.b
+            if region is Region.D1:
+                a00 = 1.05 + p.lam
+            return AffinePiece(((a00, 1.1 * a01), (a10, 0.9 * a11)),
+                               (b0 + 0.5, b1))
+
+        p = validate_params(lam, mu, 1.0, 1.0, 3.0, 1.0)
+        steps = 20_000
+        noise = gaussian(stream(0), steps, p.sigma)
+        _, unmoved, _ = reference_run(p, (-5.0, 5.0), noise.tolist())
+        monkeypatch.setattr(dynamics, "affine_piece", moved)
+        bad, rs, zs = reference_run(p, (-5.0, 5.0), noise.tolist())
+        assert rs[1] != unmoved[1]
+        assert set(region_codes(p, np.array(rs)).tolist()) == {0, 1, 2, 3}
+        out_r, out_z = np.empty(steps + 1), np.empty(steps + 1)
+        assert iterate(p, -5.0, 5.0, noise, out_r, out_z) == bad
+        assert bits(*out_r[:len(rs)]) == bits(*rs)
+        assert bits(*out_z[:len(zs)]) == bits(*zs)
 
     def test_region_codes_match_classify_region(self):
         rng = np.random.default_rng(43)

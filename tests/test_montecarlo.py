@@ -24,9 +24,9 @@ from gridlab import (
 )
 from gridlab import montecarlo
 from gridlab.cli import _CHUNK_ROWS
-from gridlab.dynamics import (KERNEL_BLOCK, breakpoints, expressed_backlog,
-                              frustrated_demand, iterate, ramp_control,
-                              region_codes)
+from gridlab.dynamics import (KERNEL_BLOCK, OVERFLOW_GUARD, breakpoints,
+                              expressed_backlog, frustrated_demand, iterate,
+                              ramp_control, region_codes)
 from gridlab.montecarlo import (GROWTH_X0, QUANTILES, _ks_statistic, _quantiles,
                                 _run_chain, _run_chain_raw)
 from gridlab.rng import gaussian, point_seed, stream
@@ -121,14 +121,16 @@ def test_simulate_records_memory_figure(p0, record_every):
 
 class TestGaussian:
     class Integers:
-        """A generator stub whose integers() returns fixed values."""
+        """A generator stub whose raw words have fixed values as their top
+        53 bits."""
 
         def __init__(self, values):
             self.values = values
+            self.bit_generator = self
 
-        def integers(self, lo, hi, size):
-            assert (lo, hi, size) == (0, 1 << 53, len(self.values))
-            return np.array(self.values, dtype=np.int64)
+        def random_raw(self, size):
+            assert size == len(self.values)
+            return np.array(self.values, dtype=np.uint64) << np.uint64(11)
 
     @pytest.mark.parametrize("sigma", [1.0, 2.5])
     def test_top_integer_is_clamped_below_one(self, sigma):
@@ -277,6 +279,19 @@ class TestSimulate:
         with pytest.raises(SimulationDiverged) as exc:
             simulate(SimConfig(p, (-100.0, 50.0), steps=1_000_000, seed=0))
         assert exc.value.step > 0
+
+    @pytest.mark.parametrize("seed", [0, 3])
+    def test_variances_overflow_under_the_guard(self, seed):
+        # The backlog grows past 1e154, where a deviation's square
+        # overflows, but stays under the 1e300 guard: the variances are
+        # inf with numpy's warning, the means finite.
+        p = validate_params(0.3, -0.02, 1.0, 1.0, 3.0, 3.0)
+        cfg = SimConfig(p, (-5.0, 5.0), steps=20_000, seed=seed)
+        with pytest.warns(RuntimeWarning, match="overflow encountered in square"):
+            stats, _ = simulate(cfg)
+        assert 1e154 < stats.z_max < OVERFLOW_GUARD
+        assert stats.r_var == stats.z_var == math.inf
+        assert math.isfinite(stats.r_mean) and math.isfinite(stats.z_mean)
 
 
 class TestMonotoneViolations:

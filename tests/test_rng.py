@@ -63,6 +63,24 @@ def test_branch_edges_match_scipy():
     assert bits(_ndtri(u)) == bits(ndtri(u))
 
 
+def test_raw_words_are_generator_integers(monkeypatch):
+    # gaussians takes each draw's top 53 bits from one raw Philox word,
+    # which is what Generator.integers(0, 2**53) returns, call after call.
+    seen = []
+
+    def recording(k):
+        seen.append(k.copy())
+        return standard_normal(k)
+
+    monkeypatch.setattr(rng, "standard_normal", recording)
+    for seed in range(20):
+        drawn, reference = stream(seed, 3), stream(seed, 3)
+        for size in (0, 1, 3, 500, 4096, 8193) * 3:
+            gaussian(drawn, size, 1.0)
+            want = reference.integers(0, 2 ** 53, size=size)
+            assert seen.pop()[:, 0].tolist() == want.tolist()
+
+
 def test_smallest_and_clamped_integers():
     k = np.array([0, 1, 2 ** 52, 2 ** 53 - 2, 2 ** 53 - 1], dtype=np.int64)
     assert uniforms(k)[0] == 2.0 ** -54 and uniforms(k)[-1] == 1.0 - 2.0 ** -53
