@@ -215,10 +215,23 @@ def empirical_drift(p: Params, x: State, n: int, seed: int) -> tuple[float, floa
     return mean, stderr
 
 
+def _ratio(x: float, y: float) -> float:
+    """x / y, with IEEE 754's inf or NaN where an underflowed y is zero
+    and Python's float division would raise."""
+    if y:
+        return x / y
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return float(np.float64(x) / y)
+
+
 def _dw1(p: Params, y: tuple[float, float]) -> float:
     u, v = y
     mu, zeta, sig = p.mu, p.zeta, p.sigma
-    return (-(mu ** 3) * (2.0 - mu) * v * v
+    try:
+        cube = mu ** 3  # not mu * mu * mu, which rounds differently
+    except OverflowError:  # where * gives inf, ** raises
+        cube = math.copysign(math.inf, mu)
+    return (-cube * (2.0 - mu) * v * v
             + 2.0 * zeta * mu * (1.0 - mu) * v
             - 2.0 * zeta * mu * u
             + 2.0 * (zeta * zeta + sig * sig))
@@ -274,7 +287,11 @@ def drift_paper(p: Params, x: State) -> tuple[float, str]:
 
 
 def negative_drift_geometry(p: Params) -> NegativeDriftGeometry:
-    """Boundary curves of the sets C1..C4; defined only for mu > 0."""
+    """Boundary curves of the sets C1..C4; defined only for mu > 0.
+
+    A mu or zeta so small that a divisor underflows to 0 gives inf or NaN
+    coefficients, as a tiny nonzero divisor gives inf.
+    """
     if p.mu <= 0.0:
         raise GeometryUndefined("negative-drift geometry requires mu > 0")
     lam, mu, zeta, xi, rs, sig = p.lam, p.mu, p.zeta, p.xi, p.r_star, p.sigma
@@ -282,13 +299,13 @@ def negative_drift_geometry(p: Params) -> NegativeDriftGeometry:
 
     g1 = (-mu * mu * (2.0 - mu) / (2.0 * zeta),
           1.0 - mu,
-          (2.0 * (zeta * zeta + sig * sig) + 1.0) / (2.0 * zeta * mu))
+          _ratio(2.0 * (zeta * zeta + sig * sig) + 1.0, 2.0 * zeta * mu))
 
     # D2 bound == -1 is a*v^2 - b*v - c = 0; v_plus is its positive root.
     a = mu * lm * lm * (2.0 - mu)
     b = 2.0 * zeta * (2.0 * lam + mu * p.gamma)
     c = 2.0 * sig * sig - 2.0 * zeta * zeta + 4.0 * zeta * rs + 1.0
-    v_plus = (b + math.sqrt(b * b + 4.0 * a * c)) / (2.0 * a)
+    v_plus = _ratio(b + math.sqrt(b * b + 4.0 * a * c), 2.0 * a)
 
     q = 1.0 / (4.0 * xi)
     g4 = (-q * mu * lm * lm * (2.0 - mu),
@@ -297,7 +314,7 @@ def negative_drift_geometry(p: Params) -> NegativeDriftGeometry:
 
     alpha = lm * lm * mu * (2.0 - mu)
     beta = rs * (lam + lm * (1.0 - mu))
-    radius = 1.0 + 2.0 * rs * rs + 2.0 * sig * sig + beta * beta / alpha
+    radius = 1.0 + 2.0 * rs * rs + 2.0 * sig * sig + _ratio(beta * beta, alpha)
     return NegativeDriftGeometry(g1, v_plus, g4, alpha, beta, radius)
 
 

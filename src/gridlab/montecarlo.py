@@ -18,7 +18,7 @@ import threading
 import warnings
 from dataclasses import dataclass, replace
 from itertools import islice
-from typing import BinaryIO, Callable
+from typing import BinaryIO, Callable, Iterator
 
 import numpy as np
 
@@ -63,6 +63,15 @@ QUANTILES = (0.05, 0.25, 0.5, 0.75, 0.95)
 # above SLOPE_THRESHOLD as growing.
 KS_THRESHOLD = 0.05
 SLOPE_THRESHOLD = 0.03
+
+# Keys of one sample that _ks_sorted compares at a time.
+KS_CHUNK = 8192
+
+# Steps that _column_slices advances its columns at a time: a slice's
+# noise, its draw's integers and the two state buffers take 32 bytes per
+# step and column, 0.5 MB for COLUMN_BLOCK columns.  Slices of 128 steps
+# run no faster and hold twice that; slices of 32 run 15% slower.
+GROWTH_SLICE = 64
 
 # Launch state for growth-rate probes: deep in the frustrated region,
 # where the unstable mode (eigenvalue 1 - mu of A1) is excited.
@@ -264,34 +273,46 @@ class Trajectory:
         return ramp_control(self.params, self.r)
 
 
-def _run_chain_raw(p: Params, x0: State, steps: int,
-                   rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray, int]:
-    """Run the chain; returns (r, z, diverged_at) with diverged_at == -1
-    when the overflow guard never fired.  On divergence the arrays are
-    valid up to and including index diverged_at.
+def _chain_blocks(p: Params, x0: State, steps: int, rng: np.random.Generator
+                  ) -> Iterator[tuple[int, np.ndarray, np.ndarray]]:
+    """The chain runner: run the chain from x0, ``KERNEL_BLOCK`` steps at
+    a time, and yield (lo, r, z) per block.
 
-    The noise is drawn ``KERNEL_BLOCK`` values at a time, which gives the
-    bits of one whole-horizon draw, so no noise array for the whole
-    horizon is held and a diverged chain draws nothing past its block.
+    r and z hold the block's states lo, lo + 1, ..., its start state first
+    (x0 for the first block).  They are views of two buffers of
+    KERNEL_BLOCK + 1 values that the next block overwrites, so the stream
+    holds one block's states, noise and kernel lists whatever ``steps``.
+    The noise is drawn a block at a time, which gives the bits of one
+    whole-horizon draw.  A block in which the overflow guard fires ends at
+    the guard state; the stream then raises :class:`SimulationDiverged`
+    for it, and draws nothing more.
     """
-    out_r = np.empty(steps + 1)
-    out_z = np.empty(steps + 1)
-    out_r[0], out_z[0] = x0
-    for lo in range(0, steps, KERNEL_BLOCK):
-        hi = min(lo + KERNEL_BLOCK, steps)
-        bad = iterate(p, out_r[lo], out_z[lo], gaussian(rng, hi - lo, p.sigma),
-                      out_r[lo:hi + 1], out_z[lo:hi + 1])
+    buf_r = np.empty(KERNEL_BLOCK + 1)
+    buf_z = np.empty(KERNEL_BLOCK + 1)
+    buf_r[0], buf_z[0] = x0
+    for lo in range(0, max(steps, 1), KERNEL_BLOCK):  # x0 alone for 0 steps
+        n = min(KERNEL_BLOCK, steps - lo)
+        r, z = buf_r[:n + 1], buf_z[:n + 1]
+        bad = iterate(p, r[0], z[0], gaussian(rng, n, p.sigma), r, z)
         if bad >= 0:
-            return out_r, out_z, lo + bad
-    return out_r, out_z, -1
+            yield lo, r[:bad + 1], z[:bad + 1]
+            raise SimulationDiverged(lo + bad, (r[bad], z[bad]))
+        yield lo, r, z
+        buf_r[0], buf_z[0] = r[n], z[n]
 
 
-def _run_chain(p: Params, x0: State, steps: int,
-               rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
-    out_r, out_z, bad = _run_chain_raw(p, x0, steps, rng)
-    if bad >= 0:
-        raise SimulationDiverged(bad, (out_r[bad], out_z[bad]))
-    return out_r, out_z
+def _run_chain(p: Params, x0: State, steps: int, rng: np.random.Generator,
+               first: int = 0, z: bool = True) -> list[np.ndarray]:
+    """States first..steps of R, and of Z unless ``z`` is False, collected
+    from :func:`_chain_blocks`: 8 bytes per kept state and array, plus the
+    stream's one block.  Raises :class:`SimulationDiverged`."""
+    outs = [np.empty(steps + 1 - first) for _ in range(1 + z)]
+    for lo, *states in _chain_blocks(p, x0, steps, rng):
+        start, end = max(first, lo), lo + states[0].size
+        if end > start:
+            for out, part in zip(outs, states):
+                out[start - first:end - first] = part[start - lo:]
+    return outs
 
 
 def monotone_violations(p: Params, x0: State, steps: int,
@@ -300,13 +321,18 @@ def monotone_violations(p: Params, x0: State, steps: int,
 
     Returns (violations, steps_simulated); the count covers the prefix up
     to the overflow guard if the chain diverges (expected for mu <= -lam).
+    It is counted a block at a time, so the run holds one block.
     """
     if steps < 0:
         raise ValueError("steps must be >= 0")
-    r, z, bad = _run_chain_raw(p, x0, steps, stream(seed))
-    end = steps + 1 if bad < 0 else bad + 1
-    viol = int(np.count_nonzero(np.diff(z[:end]) < 0.0))
-    return viol, end - 1
+    viol = end = 0
+    try:
+        for lo, _, z in _chain_blocks(p, x0, steps, stream(seed)):
+            viol += int(np.count_nonzero(np.diff(z) < 0.0))
+            end = lo + z.size - 1
+    except SimulationDiverged:
+        pass
+    return viol, end
 
 
 def simulate(cfg: SimConfig,
@@ -356,27 +382,42 @@ def simulate(cfg: SimConfig,
 
 
 def _ks_statistic(a: np.ndarray, b: np.ndarray) -> float:
-    """Two-sample Kolmogorov-Smirnov distance sup |F_a - F_b|.
+    """Two-sample Kolmogorov-Smirnov distance sup |F_a - F_b|: the
+    :func:`_ks_sorted` distance of sorted copies of a and b."""
+    return _ks_sorted(np.sort(a), np.sort(b))
+
+
+def _ks_sorted(a: np.ndarray, b: np.ndarray) -> float:
+    """The KS distance of two sorted samples.
 
     The arithmetic of ``scipy.stats.ks_2samp(a, b).statistic`` step for
     step, so the value is bit-identical, without the p-value or the cost
     of importing ``scipy.stats``.  NaN in either sample gives NaN.  scipy's
-    d, F_a - F_b at a's elements and then at b's, needs two n-key searches.
+    d, F_a - F_b at a's elements and then at b's, is evaluated
+    ``KS_CHUNK`` keys at a time, each key searched once in the other
+    sample, so beyond the two samples the call holds about 50 bytes per
+    chunk key (0.4 MB), whatever their sizes.
     """
-    a, b = np.sort(a), np.sort(b)
     if np.isnan(a[-1]) or np.isnan(b[-1]):  # sorting puts NaN last
         return float("nan")
-    d_a = _tie_ends(a) / a.size - np.searchsorted(b, a, side="right") / b.size
-    d_b = np.searchsorted(a, b, side="right") / a.size - _tie_ends(b) / b.size
-    lo = np.clip(-min(d_a.min(), d_b.min()), 0, 1)
-    hi = max(d_a.max(), d_b.max())
-    return float(lo if lo > hi else hi)
+    d_min, d_max = math.inf, -math.inf
+    for x, y, x_is_a in ((a, b, True), (b, a, False)):
+        for lo in range(0, x.size, KS_CHUNK):
+            own = _tie_ends(x, lo, lo + KS_CHUNK) / x.size
+            other = np.searchsorted(y, x[lo:lo + KS_CHUNK], side="right") / y.size
+            d = own - other if x_is_a else other - own
+            d_min, d_max = min(d_min, d.min()), max(d_max, d.max())
+    lo = np.clip(-d_min, 0, 1)
+    return float(lo if lo > d_max else d_max)
 
 
-def _tie_ends(x: np.ndarray) -> np.ndarray:
-    """``np.searchsorted(x, x, side="right")`` of a sorted x without NaN."""
-    ends = np.arange(1, x.size + 1)
-    ends[:-1][x[1:] == x[:-1]] = x.size  # not the last of its tie run
+def _tie_ends(x: np.ndarray, lo: int, hi: int) -> np.ndarray:
+    """``np.searchsorted(x, x[lo:hi], side="right")`` of a sorted x
+    without NaN: one search, for the tie run at the slice's end."""
+    keys = x[lo:hi]
+    ends = np.arange(lo + 1, lo + keys.size + 1)
+    ends[:-1][keys[1:] == keys[:-1]] = x.size  # not the last of its tie run
+    ends[-1] = np.searchsorted(x, keys[-1], side="right")
     return np.minimum.accumulate(ends[::-1])[::-1]
 
 
@@ -386,14 +427,19 @@ def two_chain_convergence(p: Params, x0a: State, x0b: State, steps: int,
 
     Empirical proxy for total-variation convergence to a unique
     stationary law; meaningful for mu > 0 but runs for any parameters.
+    Each chain keeps only its post-burn-in R, sorted in place, so the call
+    holds 16 bytes per post-burn-in step, plus one kernel block while a
+    chain runs and one KS chunk while the two are compared.
     """
     check_horizon(steps, burn_in)
-    ra, _ = _run_chain(p, x0a, steps, stream(seed, 0))
     # Identical initial conditions share the stream, so the distance is
     # exactly 0 (a determinism check); distinct ones get independent noise.
-    chain_b = 0 if x0b == x0a else 1
-    rb, _ = _run_chain(p, x0b, steps, stream(seed, chain_b))
-    return _ks_statistic(ra[burn_in:], rb[burn_in:])
+    samples = []
+    for x0, chain in ((x0a, 0), (x0b, 0 if x0b == x0a else 1)):
+        [r] = _run_chain(p, x0, steps, stream(seed, chain), burn_in, z=False)
+        r.sort()
+        samples.append(r)
+    return _ks_sorted(*samples)
 
 
 @dataclass(frozen=True)
@@ -435,32 +481,63 @@ def _slope_fit(ts: np.ndarray) -> Callable[[np.ndarray], float]:
     return slope
 
 
+def _column_slices(columns: list[tuple[Params, int, int]], x0: State, steps: int
+                   ) -> Iterator[tuple[int, np.ndarray, np.ndarray, np.ndarray]]:
+    """The column runner: run (params, seed, k) columns from x0 in
+    lockstep through :func:`iterate_columns`, ``GROWTH_SLICE`` steps at a
+    time, and yield (lo, r, z, bad) per time slice.
+
+    Row i of r and z holds every column's state lo + i, row 0 the slice's
+    start (x0 for the first).  They are views of two buffers of
+    GROWTH_SLICE + 1 rows that the next slice overwrites.  bad is what
+    iterate_columns returns for the slice: per column -1, or the row of
+    its first state beyond the guard.  Column c draws each slice from its
+    own ``stream(seed, k)`` as a column of one :func:`gaussians` block, so
+    its noise has the bits of ``gaussian(stream(seed, k), steps,
+    p.sigma)`` whatever the slicing.
+    """
+    ps = [p for p, _, _ in columns]
+    rngs = [stream(seed, k) for _, seed, k in columns]
+    sigmas = [p.sigma for p in ps]
+    buf_r = np.empty((GROWTH_SLICE + 1, len(columns)))
+    buf_z = np.empty((GROWTH_SLICE + 1, len(columns)))
+    buf_r[0], buf_z[0] = x0
+    for lo in range(0, steps, GROWTH_SLICE):
+        n = min(GROWTH_SLICE, steps - lo)
+        r, z = buf_r[:n + 1], buf_z[:n + 1]
+        bad = iterate_columns(ps, r[0], z[0], gaussians(rngs, n, sigmas), r, z)
+        yield lo, r, z, bad
+        buf_r[0], buf_z[0] = r[n], z[n]
+
+
 def _growth_block(columns: list[tuple[Params, int, int]], x0: State, t_lo: int,
                   t_hi: int) -> list[float | SimulationDiverged | None]:
     """Run and fit one block of (params, seed, k) growth columns in lockstep.
 
     Each column gets the slope of its fit, None when its backlog touches 0
-    in the window, or the SimulationDiverged of its guard step.  Column c
-    draws its noise from ``stream(seed, k)`` as a column of one
-    :func:`gaussians` block, which gives it the bits of
-    ``gaussian(stream(seed, k), t_hi, p.sigma)``.  The block's arrays are
-    freed on return, before the next block draws.
+    in the window, or the SimulationDiverged of its guard step.  The
+    columns run through :func:`_column_slices`; the block keeps only each
+    column's fit window of Z, one contiguous row per column (the layout
+    each fit had when every seed ran alone), and its guard step and state.
+    So it holds 8 bytes per window step and column plus one slice's noise
+    and states, and frees them on return, before the next block draws.
     """
-    noise = gaussians([stream(seed, k) for _, seed, k in columns], t_hi,
-                      [p.sigma for p, _, _ in columns])
-    out_r = np.empty((t_hi + 1, len(columns)))
-    out_z = np.empty((t_hi + 1, len(columns)))
-    guard = iterate_columns([p for p, _, _ in columns], x0[0], x0[1], noise,
-                            out_r, out_z)
-    # One contiguous row per column, the layout each fit had when every
-    # seed ran alone.
-    windows = out_z[t_lo:].T.copy()
+    windows = np.empty((len(columns), t_hi - t_lo + 1))
+    guard = np.full(len(columns), -1)
+    at_guard = np.empty((2, len(columns)))
+    for lo, r, z, bad in _column_slices(columns, x0, t_hi):
+        new = np.flatnonzero((bad >= 0) & (guard < 0))
+        guard[new] = lo + bad[new]
+        at_guard[:, new] = r[bad[new], new], z[bad[new], new]
+        start, end = max(t_lo, lo), lo + len(z)
+        if end > start:
+            windows[:, start - t_lo:end - t_lo] = z[start - lo:].T
     touches_zero = (windows <= 0.0).any(axis=1)
     slope = _slope_fit(np.arange(t_lo, t_hi + 1))
     fits: list[float | SimulationDiverged | None] = []
     for c, bad in enumerate(guard.tolist()):
         if bad >= 0:
-            fits.append(SimulationDiverged(bad, (out_r[bad, c], out_z[bad, c])))
+            fits.append(SimulationDiverged(bad, at_guard[:, c]))
         elif touches_zero[c]:
             fits.append(None)
         else:

@@ -542,8 +542,8 @@ def paths(doc, prefix=()):
 @given(data=st.data())
 def test_mutated_golden_config_keeps_the_exit_contract(case, data):
     # A golden config with one key dropped, or one value replaced by a
-    # pool value, still exits 0, 2, 3 or 4, with no traceback; a failure
-    # is one stderr line and leaves --out empty.
+    # pool value, still exits 0, 2 or 3, never 4 (an internal error), with
+    # no traceback; a failure is one stderr line and leaves --out empty.
     command, doc = GOLDEN_CASES[case]
     doc = copy.deepcopy(doc)
     path = data.draw(st.sampled_from(list(paths(doc))), label="path")
@@ -565,7 +565,7 @@ def test_mutated_golden_config_keeps_the_exit_contract(case, data):
         cfg.write_text(json.dumps(doc))
         res = CliRunner().invoke(main, [command, "--config", str(cfg),
                                         "--out", str(out)])
-        assert res.exit_code in (0, 2, 3, 4), res.output
+        assert res.exit_code in (0, 2, 3), res.output
         assert "Traceback" not in res.stdout + res.stderr
         if res.exit_code:
             assert res.stderr.count("\n") == 1 and res.stderr.endswith("\n")
@@ -576,12 +576,18 @@ def test_mutated_golden_config_keeps_the_exit_contract(case, data):
     # mu this small overflows the drift geometry (radius, g1/g4 curves).
     ("regions", {"params": dict(P0, mu=1e-320)}, "regions.json"),
     ("sweep", dict(SWEEP, grid={"mu": [1e-320]}), "geometry.json"),
+    # At 5e-324 a divisor of the geometry underflows to 0: inf, not a
+    # ZeroDivisionError (exit 4).
+    ("regions", {"params": dict(P0, mu=5e-324)}, "regions.json"),
+    ("regions", {"params": dict(P0, zeta=5e-324)}, "regions.json"),
+    ("sweep", dict(SWEEP, grid={"mu": [5e-324]}), "geometry.json"),
     # Noise this large overflows the variances in stats.json.
     ("simulate", dict(SIM, params=dict(P0, sigma=1e200)), "stats.json"),
     # So does a backlog past about 1.3e154 that stays under the guard.
     ("simulate", {"params": {**P0, "lambda": 0.3, "mu": -0.02, "sigma": 3.0},
                   "x0": [-5.0, 5.0], "steps": 20000, "seed": 0}, "stats.json"),
-], ids=["regions", "sweep", "simulate", "simulate-growing"])
+], ids=["regions", "sweep", "regions-subnormal-mu", "regions-subnormal-zeta",
+        "sweep-subnormal-mu", "simulate", "simulate-growing"])
 def test_non_finite_json_exit_3_one_line(runner, tmp_path, command, doc, name):
     out = tmp_path / "o"
     res = runner.invoke(main, [command, "--config", write_config(tmp_path, doc),
@@ -608,6 +614,22 @@ def test_non_finite_drift_exit_3_one_line(runner, tmp_path, point, index):
     assert res.stdout == ""
     assert res.stderr == (f"error: drift_report.csv: point {index} has a NaN "
                           "or infinite result\n")
+    assert not out.exists() or list(out.iterdir()) == []
+
+
+@pytest.mark.parametrize("case", ["drift-points", "drift-per-region"])
+def test_huge_negative_mu_drift_exit_3_one_line(runner, tmp_path, case):
+    # mu ** 3 overflows at mu = -1e308: the D1 paper drift is then inf, not
+    # an OverflowError (exit 4).  Point 0 lies in D1 in both configs.
+    command, doc = GOLDEN_CASES[case]
+    doc = dict(doc, params=dict(doc["params"], mu=-1e308))
+    out = tmp_path / "o"
+    res = runner.invoke(main, [command, "--config", write_config(tmp_path, doc),
+                               "--out", str(out)])
+    assert res.exit_code == 3, res.output
+    assert res.stdout == ""
+    assert res.stderr == ("error: drift_report.csv: point 0 has a NaN or "
+                          "infinite result\n")
     assert not out.exists() or list(out.iterdir()) == []
 
 

@@ -27,8 +27,9 @@ from gridlab.cli import _CHUNK_ROWS
 from gridlab.dynamics import (KERNEL_BLOCK, OVERFLOW_GUARD, breakpoints,
                               expressed_backlog, frustrated_demand, iterate,
                               ramp_control, region_codes)
-from gridlab.montecarlo import (GROWTH_X0, QUANTILES, _ks_statistic, _quantiles,
-                                _run_chain, _run_chain_raw)
+from gridlab.montecarlo import (GROWTH_SLICE, GROWTH_X0, KS_CHUNK, QUANTILES,
+                                _growth_block, _growth_probe, _ks_statistic,
+                                _quantiles, _run_chain)
 from gridlab.rng import gaussian, point_seed, stream
 from conftest import random_params
 
@@ -49,7 +50,7 @@ B = KERNEL_BLOCK
 
 
 class TestRunChainBlocks:
-    """_run_chain_raw draws its noise one kernel block at a time."""
+    """The chain runner draws its noise one kernel block at a time."""
 
     @pytest.mark.parametrize("steps", [B - 1, B, B + 1, 2 * B + 1])
     def test_blocks_equal_one_draw(self, p0, steps, monkeypatch):
@@ -60,13 +61,13 @@ class TestRunChainBlocks:
             return blocks[-1]
 
         monkeypatch.setattr(montecarlo, "gaussian", recording)
-        r, z, bad = _run_chain_raw(p0, (-3.0, 2.0), steps, stream(21, 4))
+        r, z = _run_chain(p0, (-3.0, 2.0), steps, stream(21, 4))
         noise = gaussian(stream(21, 4), steps, p0.sigma)
         assert max(b.size for b in blocks) <= B
         assert np.concatenate(blocks).view(np.uint64).tolist() \
             == noise.view(np.uint64).tolist()
         want_r, want_z = np.empty(steps + 1), np.empty(steps + 1)
-        assert bad == iterate(p0, -3.0, 2.0, noise, want_r, want_z) == -1
+        assert iterate(p0, -3.0, 2.0, noise, want_r, want_z) == -1
         assert r.view(np.uint64).tolist() == want_r.view(np.uint64).tolist()
         assert z.view(np.uint64).tolist() == want_z.view(np.uint64).tolist()
 
@@ -74,8 +75,9 @@ class TestRunChainBlocks:
         # gamma = 1.5, so Z passes the guard within a few steps.
         p = validate_params(0.5, -1.0, 1.0, 1.0, 3.0, 1.0)
         rng = stream(22)
-        _, _, bad = _run_chain_raw(p, (0.0, 1e299), 3 * B, rng)
-        assert 0 < bad < B
+        with pytest.raises(SimulationDiverged) as diverged:
+            _run_chain(p, (0.0, 1e299), 3 * B, rng)
+        assert 0 < diverged.value.step < B
         ref = stream(22)
         gaussian(ref, B, p.sigma)
         assert repr(rng.bit_generator.state) == repr(ref.bit_generator.state)
@@ -90,7 +92,7 @@ def test_max_draws_memory_figures(p0):
     steps = draws = 200_000
     tracemalloc.start()
     try:
-        _run_chain_raw(p0, (0.0, 0.0), steps, stream(23))
+        _run_chain(p0, (0.0, 0.0), steps, stream(23))
         _, chain_peak = tracemalloc.get_traced_memory()
         tracemalloc.reset_peak()
         empirical_drift(p0, (-2.0, 3.0), draws, 1)
@@ -99,6 +101,37 @@ def test_max_draws_memory_figures(p0):
         tracemalloc.stop()
     assert chain_peak <= 16 * (steps + 1) + 128 * B
     assert drift_peak <= 50 * draws
+
+
+def test_two_chain_memory_figure(p0):
+    # Each chain keeps its post-burn-in R alone, sorted in place: 16 bytes
+    # per post-burn-in step for the two, plus a kernel block and a KS
+    # chunk.  Whole chains and whole-sample KS temporaries took 78.
+    steps, burn_in = 200_000, 40_000
+    tracemalloc.start()
+    try:
+        two_chain_convergence(p0, (0.0, 0.0), (-50.0, 100.0), steps, burn_in, 3)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 24 * (steps + 1 - burn_in) + 2_000_000
+
+
+def test_growth_probe_memory_figure():
+    # 16 points x 64 seeds, four blocks of 256 columns over 500 steps: a
+    # block holds its fit windows (0.6 MB) and one time slice's noise and
+    # states, not its whole horizon (3.85 MB).
+    points = [(validate_params(lam, mu, 1.0, 1.0, 3.0, 1.0), 9 + i)
+              for i, (lam, mu) in enumerate(
+                  (lam, mu) for mu in (-0.7, -0.5, -0.3, -0.1, 0.05, 0.1, 0.2, 0.3)
+                  for lam in (0.3, 0.5))]
+    tracemalloc.start()
+    try:
+        _growth_probe(points, GROWTH_X0, 200, 500, 64)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2_500_000
 
 
 @pytest.mark.parametrize("record_every", [1, 10])
@@ -310,6 +343,23 @@ class TestMonotoneViolations:
         with pytest.raises(ValueError, match="steps must be >= 0"):
             monotone_violations(p0, (0.0, 0.0), -3, seed=3)
 
+    @pytest.mark.parametrize("mu, block", [(0.1, B), (-1.0, 100)],
+                             ids=["stable", "diverging"])
+    def test_block_counts_equal_the_whole_chain(self, mu, block, monkeypatch):
+        # Counted a block at a time, each block's first step against the
+        # previous block's last state; a diverging chain counts up to its
+        # guard step (1001 here), ten 100-step blocks in.
+        monkeypatch.setattr(montecarlo, "KERNEL_BLOCK", block)
+        p = validate_params(0.5, mu, 1.0, 1.0, 3.0, 1.0)
+        steps = 3 * B + 5
+        noise = gaussian(stream(3), steps, p.sigma)
+        r, z = np.empty(steps + 1), np.empty(steps + 1)
+        bad = iterate(p, 0.0, 0.0, noise, r, z)
+        end = steps if bad < 0 else bad
+        assert (bad < 0) == (mu > 0) and (bad < 0 or bad > 10 * block)
+        want = int(np.count_nonzero(np.diff(z[:end + 1]) < 0.0))
+        assert monotone_violations(p, (0.0, 0.0), steps, seed=3) == (want, end)
+
 
 class TestEmpiricalDrift:
     def test_matches_exact_within_stderr(self, p0):
@@ -352,6 +402,23 @@ class TestTwoChainConvergence:
         with pytest.raises(ValueError, match="steps > burn_in >= 0"):
             two_chain_convergence(p0, (0.0, 0.0), (1.0, 1.0), steps, burn_in,
                                   seed=0)
+
+
+class TestTwoChainBlocks:
+    @pytest.mark.parametrize("burn_in", [1, B - 1, B, B + 17, 2 * B + 4])
+    def test_burn_in_off_block_edges(self, burn_in):
+        # The post-burn-in samples are cut from the block stream; the
+        # distance equals scipy's on slices of the whole chains.
+        p = validate_params(0.5, 0.1, 1.0, 1.0, 3.0, 1.0)
+        steps = 2 * B + 5
+        ra, _ = _run_chain(p, (0.0, 0.0), steps, stream(31, 0))
+        rb, _ = _run_chain(p, (-50.0, 100.0), steps, stream(31, 1))
+        want = TestKSStatistic.scipy_ks(ra[burn_in:], rb[burn_in:])
+        got = two_chain_convergence(p, (0.0, 0.0), (-50.0, 100.0), steps,
+                                    burn_in, 31)
+        assert got.hex() == want.hex()
+        [tail] = _run_chain(p, (0.0, 0.0), steps, stream(31, 0), burn_in, z=False)
+        assert bits(tail) == bits(ra[burn_in:])
 
 
 class TestKSStatistic:
@@ -405,6 +472,36 @@ class TestKSStatistic:
                 assert math.isnan(_ks_statistic(x, y))
                 assert math.isnan(self.scipy_ks(x, y))
 
+    @pytest.mark.parametrize("size_a, size_b", [
+        (KS_CHUNK - 1, KS_CHUNK + 1), (KS_CHUNK, 2 * KS_CHUNK + 1),
+        (2 * KS_CHUNK + 1, 5)])
+    @pytest.mark.parametrize("values", ["ties", "distinct"])
+    def test_matches_scipy_at_chunk_edges(self, size_a, size_b, values):
+        # With 40 values a tie run crosses every chunk edge of both samples.
+        rng = np.random.default_rng(size_a + size_b)
+        if values == "ties":
+            a, b = (rng.integers(0, 40, n).astype(float) for n in (size_a, size_b))
+            for x in (a, b):
+                ordered = np.sort(x)
+                assert x.size <= KS_CHUNK or ordered[KS_CHUNK - 1] == ordered[KS_CHUNK]
+        else:
+            a, b = rng.normal(size=size_a), rng.normal(0.1, size=size_b)
+        for x, y in ((a, b), (b, a)):
+            assert _ks_statistic(x, y).hex() == self.scipy_ks(x, y).hex()
+
+    @pytest.mark.parametrize("chunk", [1, 2, 3, 7])
+    def test_small_chunks_match_scipy(self, chunk, monkeypatch):
+        # Chunks shorter than a tie run: a run spans whole chunks.
+        monkeypatch.setattr(montecarlo, "KS_CHUNK", chunk)
+        rng = np.random.default_rng(chunk)
+        cases = [(rng.integers(0, 4, 30).astype(float),
+                  rng.integers(1, 6, 17).astype(float)),
+                 (np.zeros(9), np.array([-0.0, 0.0, 1.0])),
+                 (rng.normal(size=23), rng.normal(size=8))]
+        for a, b in cases:
+            for x, y in ((a, b), (b, a)):
+                assert _ks_statistic(x, y).hex() == self.scipy_ks(x, y).hex()
+
     @pytest.mark.parametrize("mu", [-0.1, 0.1])
     def test_sweep_point_chains(self, mu):
         # The two chains of sweep point 0 (seed 5), as _verdict runs them.
@@ -446,6 +543,30 @@ class TestGrowthSlope:
         assert [s.hex() for s in res.slopes] == [s.hex() for s in slopes]
         assert res.excluded == excluded
         assert res.median_slope.hex() == float(np.median(slopes)).hex()
+
+    def test_slices_equal_per_column_iterate(self):
+        # Columns that pass the guard in different time slices and some
+        # that never do, t_hi not a multiple of the slice: each column's
+        # guard step and state, or its fit, are those of iterate on its
+        # whole noise.
+        t_lo, t_hi = 300, 11 * GROWTH_SLICE + 13
+        columns = [(validate_params(0.5, mu, 1.0, 1.0, 3.0, 1.0), 40 + k, k)
+                   for k, mu in enumerate((-9.0, -5.0, -3.0, -2.0, -0.1, 0.1))]
+        fits = _growth_block(columns, GROWTH_X0, t_lo, t_hi)
+        slices = set()
+        for (p, seed, k), fit in zip(columns, fits):
+            noise = gaussian(stream(seed, k), t_hi, p.sigma)
+            r, z = np.empty(t_hi + 1), np.empty(t_hi + 1)
+            bad = iterate(p, *GROWTH_X0, noise, r, z)
+            if bad >= 0:
+                assert isinstance(fit, SimulationDiverged)
+                assert fit.step == bad
+                assert [v.hex() for v in fit.state] == [r[bad].hex(), z[bad].hex()]
+                slices.add((bad - 1) // GROWTH_SLICE)
+            else:
+                want = np.polyfit(np.arange(t_lo, t_hi + 1), np.log(z[t_lo:]), 1)[0]
+                assert fit.hex() == float(want).hex()
+        assert len(slices) >= 3 and sum(isinstance(f, float) for f in fits) == 2
 
     def test_lowest_diverging_seed_is_raised(self):
         # Seed 0 stays under the guard up to step 990; seeds 1-3 pass it

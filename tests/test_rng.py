@@ -10,7 +10,7 @@ from hypothesis import given, strategies as st
 from scipy.special import ndtri
 
 from gridlab import montecarlo, rng, validate_params
-from gridlab.montecarlo import GROWTH_X0, _growth_block, _slope_fit
+from gridlab.montecarlo import GROWTH_SLICE, GROWTH_X0, _growth_block, _slope_fit
 from gridlab.rng import _log, _ndtri, gaussian, standard_normal, stream
 
 
@@ -136,7 +136,10 @@ def test_growth_block_draws_each_columns_gaussian(monkeypatch):
     real = montecarlo.iterate_columns
     monkeypatch.setattr(montecarlo, "iterate_columns", recording)
     _growth_block(columns, GROWTH_X0, 100, t_hi)
-    [noise] = seen
+    # One time slice per call, t_hi = 300 not a multiple of the slice.
+    assert [len(n) for n in seen] == [min(GROWTH_SLICE, t_hi - lo)
+                                      for lo in range(0, t_hi, GROWTH_SLICE)]
+    noise = np.concatenate(seen)
     for c, (p, seed, k) in enumerate(columns):
         draws = standard_normal(stream(seed, k).integers(0, 1 << 53, size=t_hi))
         want = draws * p.sigma if p.sigma else np.zeros(t_hi)

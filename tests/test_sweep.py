@@ -61,10 +61,10 @@ def growth_peak_bytes(points, n_seeds):
 
 
 def test_growth_memory_stays_one_block(p0):
-    # One block of 256 columns over 500 steps holds its noise, both state
-    # arrays and the fit windows: about 3.8 MB.  Four times the columns,
-    # as more seeds or as more points, add only their slopes (about 40
-    # bytes a column), not another block.
+    # One block of 256 columns over 500 steps holds its fit windows and
+    # one time slice's noise and states: about 1.9 MB.  Four times the
+    # columns, as more seeds or as more points, add only their slopes
+    # (about 40 bytes a column), not another block.
     bound = 4_500_000
     one = growth_peak_bytes([(p0, 1)], COLUMN_BLOCK)
     more_seeds = growth_peak_bytes([(p0, 1)], 4 * COLUMN_BLOCK)
