@@ -189,7 +189,7 @@ def _command(name: str, *options):
 @_command("simulate", _SEED)
 def cmd_simulate(sim: SimConfig) -> Files:
     """Run one trajectory; write trajectory.csv, stats.json, manifest.json."""
-    stats, traj = simulate(sim, return_records=True)
+    stats, traj = simulate(sim)
     return {"trajectory.csv": functools.partial(_write_trajectory, traj),
             "stats.json": json_text("stats.json", stats.as_dict())}
 

@@ -173,13 +173,13 @@ def parse_params(sec: _Section) -> Params:
     return validate_params(**vals)
 
 
-def parse_regions(doc: dict, path: str = "config") -> tuple[Params, dict]:
-    sec = _Section(doc, path)
+def parse_regions(doc: dict) -> tuple[Params, dict]:
+    sec = _Section(doc, "config")
     return parse_params(sec), sec.finish()
 
 
-def parse_simulate(doc: dict, path: str = "config") -> tuple[SimConfig, dict]:
-    sec = _Section(doc, path)
+def parse_simulate(doc: dict) -> tuple[SimConfig, dict]:
+    sec = _Section(doc, "config")
     fields = dict(
         params=parse_params(sec),
         x0=_pair(sec.take("x0"), "field 'x0'"),
@@ -192,22 +192,22 @@ def parse_simulate(doc: dict, path: str = "config") -> tuple[SimConfig, dict]:
     return SimConfig(**fields), echo
 
 
-def parse_drift(doc: dict, path: str = "config") -> tuple[dict, dict]:
-    sec = _Section(doc, path)
+def parse_drift(doc: dict) -> tuple[dict, dict]:
+    sec = _Section(doc, "config")
     params = parse_params(sec)
     points = sec.take("points", None)
     if points is not None:
         if not (isinstance(points, list) and points):
             raise ConfigError(
-                f"{path}: 'points' must be a non-empty list of [r, z] pairs")
-        points = [_pair(pt, f"{path}: points[{i}]")
+                "config: 'points' must be a non-empty list of [r, z] pairs")
+        points = [_pair(pt, f"config: points[{i}]")
                   for i, pt in enumerate(points)]
         for i, (_, z) in enumerate(points):
             # SimConfig's rule for x0: states lie in R x R+ (-0.0 included).
             if z < 0.0:
-                raise ConfigError(f"{path}: points[{i}]: backlog z must be >= 0")
+                raise ConfigError(f"config: points[{i}]: backlog z must be >= 0")
         if "per_region" in doc:
-            raise ConfigError(f"{path}: give 'points' or 'per_region', not both")
+            raise ConfigError("config: give 'points' or 'per_region', not both")
     out = {
         "params": params,
         "points": points,
@@ -221,22 +221,22 @@ def parse_drift(doc: dict, path: str = "config") -> tuple[dict, dict]:
     }
     echo = sec.finish()
     if out["points"] is None and out["per_region"] <= 0:
-        raise ConfigError(f"{path}: provide 'points' or a positive 'per_region'")
+        raise ConfigError("config: provide 'points' or a positive 'per_region'")
     return out, echo
 
 
-def parse_sweep(doc: dict, path: str = "config") -> tuple[dict, dict]:
-    sec = _Section(doc, path)
+def parse_sweep(doc: dict) -> tuple[dict, dict]:
+    sec = _Section(doc, "config")
     params = parse_params(sec)
     grid_sec = sec.section("grid")
     axes = {name: vals for name in ("mu", "lambda", "r_star")
             if (vals := grid_sec.take_numbers(name, None)) is not None}
     grid_sec.finish()
     if not axes:
-        raise ConfigError(f"{path}.grid: must name at least one axis")
+        raise ConfigError("config.grid: must name at least one axis")
     n_points = math.prod(map(len, axes.values()))
     if n_points > MAX_GRID_POINTS:
-        raise ConfigError(f"{path}.grid: {n_points} points is more than "
+        raise ConfigError(f"config.grid: {n_points} points is more than "
                           f"{MAX_GRID_POINTS}")
     out = {
         "params": params,
@@ -248,7 +248,7 @@ def parse_sweep(doc: dict, path: str = "config") -> tuple[dict, dict]:
     echo = sec.finish()
     check_horizon(out["steps"], out["burn_in"])
     if n_points * out["n_seeds"] > MAX_GROWTH_COLUMNS:
-        raise ConfigError(f"{path}: {n_points} points x {out['n_seeds']} seeds "
+        raise ConfigError(f"config: {n_points} points x {out['n_seeds']} seeds "
                           f"is more than {MAX_GROWTH_COLUMNS} growth columns")
     # Cartesian product in a fixed axis order keeps row indices stable.
     out["grid"] = [dict(zip(axes, vals))
@@ -256,10 +256,9 @@ def parse_sweep(doc: dict, path: str = "config") -> tuple[dict, dict]:
     return out, echo
 
 
-def parse_thermal(doc: dict, path: str = "scenario"
-                  ) -> tuple[tuple[Building, ThermalScenario], dict]:
+def parse_thermal(doc: dict) -> tuple[tuple[Building, ThermalScenario], dict]:
     """The building and scenario; ``eps_prime`` selects the heat-pump variant."""
-    sec = _Section(doc, path)
+    sec = _Section(doc, "scenario")
     bsec = sec.section("building")
     building = Building(
         k_leak=bsec.take_number("k_leak"),

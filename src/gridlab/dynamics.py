@@ -10,6 +10,14 @@ Only this module knows the map, and it defines it once: the table
 The branch kernel ``iterate`` (every single-chain Monte Carlo run)
 evaluates it a scalar step at a time; ``step_matrix`` (and so ``step``),
 the drift routes and the lockstep kernel ``iterate_columns`` as matrices.
+
+The two kernels share one contract.  Each is a generator that takes
+(params, r0, z0, blocks), a stream of noise blocks, sets itself up once
+and carries the chain from block to block, and yields (r, z, bad) per
+block: the block's states, its start state first (z0 as given, though a
+backlog of -0.0 steps on as +0.0), and -1 or the row of the first state
+beyond OVERFLOW_GUARD, by the one guard rule of ``_first_beyond``.  The
+caller chooses the block sizes.
 """
 
 from __future__ import annotations
@@ -19,6 +27,7 @@ import math
 import struct
 from bisect import bisect_right
 from dataclasses import dataclass
+from typing import Iterator
 
 import numpy as np
 
@@ -49,14 +58,6 @@ __all__ = [
 
 # The kernel stops a trajectory once |R| or Z exceeds this.
 OVERFLOW_GUARD = 1e300
-
-# Noise steps that iterate converts to Python floats at a time.
-KERNEL_BLOCK = 4096
-
-# Chains that callers of iterate_columns advance at a time: enough to
-# spread numpy's per-call cost, few enough that one block's noise and
-# states (about 3 MB at 500 steps) leave peak RSS where it was.
-COLUMN_BLOCK = 256
 
 
 class Regime(str, enum.Enum):
@@ -213,46 +214,48 @@ def affine_piece(p: Params, region: Region) -> AffinePiece:
     return AffinePiece(((1.0, llm), (0.0, g)), (-p.xi, 0.0))
 
 
-def iterate(p: Params, r0: float, z0: float, noise, out_r, out_z) -> int:
-    """Write the states visited from (r0, z0) under the noise, any sequence
-    of floats, into out_r/out_z.
+def _first_beyond(r: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """The guard rule, per column of the states r and z (rows are steps):
+    -1, or the first row after row 0 with R > G, R < -G or Z > G, G =
+    OVERFLOW_GUARD.  A NaN alone never counts.  No abs() copy of R."""
+    beyond = r > OVERFLOW_GUARD
+    beyond |= r < -OVERFLOW_GUARD
+    beyond |= z > OVERFLOW_GUARD
+    beyond[0] = False
+    return np.where(beyond.any(axis=0), beyond.argmax(axis=0), -1)
 
-    Returns -1, or the index of the first state beyond OVERFLOW_GUARD, where
-    the run stops: nothing past that index is written.  One branch per
-    region evaluates :func:`affine_piece`'s table, which iterate_columns
-    gathers per column, a scalar step at a time, adding in step_matrix's
-    order without the terms of its 0 entries.  out_z[0] keeps z0, but the
-    run starts from z0 + 0.0: a backlog of -0.0 steps on as +0.0.
 
-    The loop runs on Python floats (numpy scalar arithmetic costs twice as
-    much per step), ``KERNEL_BLOCK`` steps at a time, so its Python
-    objects stay one block's worth.  Iterating a memoryview of the noise
-    makes each draw a float as it is read, 7 ns a step less than
-    ``tolist``.  The states go to two lists through ``block_r.append(r)``,
-    a call form the interpreter specialises (a bound ``append`` in a local
-    is not), cheaper than one item store per step into the outputs.
-    ``struct`` packs each list into C doubles that ``np.frombuffer`` views
-    (6 to 8 ns per state against 15 to 21 for ``np.fromiter``, with the
-    floats' own bits), and one slice store writes them.  One vectorised
-    scan per block finds the first guard step; states computed past it
-    are dropped, as float ``+`` and ``*`` give inf or NaN there without
-    raising.  Python floats and numpy float64 are both IEEE binary64,
-    round to nearest, with no fused multiply-add: numpy's bits.
+def iterate(p: Params, r0: float, z0: float, blocks
+            ) -> Iterator[tuple[np.ndarray, np.ndarray, int]]:
+    """The kernel contract (see the module) for one chain: 1-D noise
+    blocks, and bad a number.  The block in which the guard fires ends at
+    that state, and no further block is read.
+
+    One branch per region evaluates :func:`affine_piece`'s table, which
+    iterate_columns gathers per column, a scalar step at a time, adding in
+    step_matrix's order without the terms of its 0 entries.  The loop runs
+    on Python floats (numpy scalar arithmetic costs twice as much per
+    step), so the caller's block size bounds its Python objects.
+    Iterating a memoryview of the noise makes each draw a float as it is
+    read, 7 ns a step less than ``tolist``.  The states go to two lists
+    through ``block_r.append(r)``, a call form the interpreter specialises
+    (a bound ``append`` in a local is not).  ``struct`` packs each list
+    into C doubles that ``np.frombuffer`` views (6 to 8 ns per state
+    against 15 to 21 for ``np.fromiter``, with the floats' own bits).
+    States computed past the guard are dropped, as float ``+`` and ``*``
+    give inf or NaN there without raising.  Python floats and numpy
+    float64 are both IEEE binary64, round to nearest, with no fused
+    multiply-add: numpy's bits.  A block's noise and lists are let go
+    before the next block is read.
     """
     (one_lam, llm), (_, gamma) = affine_piece(p, Region.D1).a
     zeta, rs, neg_xi = (affine_piece(p, region).b[0] for region in _REGIONS[1:])
     b1, b2, b3 = breakpoints(p)
-    guard = OVERFLOW_GUARD
-    noise = np.asarray(noise, dtype=np.float64)
-    r = float(r0)
-    z = float(z0)
-    out_r[0] = r
-    out_z[0] = z
-    z += 0.0
-    for lo in range(0, len(noise), KERNEL_BLOCK):
-        block_r = []
-        block_z = []
-        for n in memoryview(noise[lo:lo + KERNEL_BLOCK]):
+    r, z = float(r0), float(z0)
+    for noise in blocks:
+        block_r, block_z = [r], [z]
+        z += 0.0  # a backlog of -0.0 steps on as +0.0
+        for n in memoryview(noise):
             # A NaN reserve fails every test and steps as D4.
             if r < b2:
                 if r < b1:
@@ -265,41 +268,34 @@ def iterate(p: Params, r0: float, z0: float, noise, out_r, out_z) -> int:
                 r, z = ((r + llm * z) + neg_xi) + n, gamma * z
             block_r.append(r)
             block_z.append(z)
+        del noise
         pack = struct.Struct(f"{len(block_r)}d").pack
         states_r = np.frombuffer(pack(*block_r))
         states_z = np.frombuffer(pack(*block_z))
-        # fmax skips a NaN operand, so this is |R| > guard or Z > guard at
-        # every step, NaN included.
-        beyond = np.fmax(np.abs(states_r), states_z) > guard
-        first = int(beyond.argmax())
-        if beyond[first]:
-            out_r[lo + 1:lo + first + 2] = states_r[:first + 1]
-            out_z[lo + 1:lo + first + 2] = states_z[:first + 1]
-            return lo + first + 1
-        out_r[lo + 1:lo + len(block_r) + 1] = states_r
-        out_z[lo + 1:lo + len(block_r) + 1] = states_z
-    return -1
+        del block_r, block_z
+        bad = int(_first_beyond(states_r, states_z))
+        if bad >= 0:
+            yield states_r[:bad + 1], states_z[:bad + 1], bad
+            return
+        yield states_r, states_z, bad
 
 
-def iterate_columns(ps, r0, z0, noise, out_r, out_z) -> np.ndarray:
-    """Run one chain per column in lockstep, column c with params ps[c].
+def iterate_columns(ps, r0, z0, blocks
+                    ) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """The kernel contract (see the module) for one chain per column, in
+    lockstep: column c has params ps[c], noise blocks have shape (steps,
+    K), K = len(ps), r0 and z0 are scalars or K values, and bad has one
+    row per column.
 
-    noise has shape (steps, K) and out_r/out_z shape (steps + 1, K), with
-    K = len(ps); r0 and z0 are the start states, scalars or K values.
-    Column c gets the states that ``iterate(ps[c], r0[c], z0[c],
-    noise[:, c], ...)`` writes, and the returned array holds, per column,
-    what that call returns: -1, or the index of the first state beyond
-    OVERFLOW_GUARD.  Past that index a column steps on, with numpy's
-    overflow and invalid warnings off, so its later rows are no result.
-
-    Each step gathers every column's piece of :func:`affine_piece` by its
-    region and evaluates it as :func:`step_matrix` does.
+    Column c gets the states that :func:`iterate` gives it.  Past its
+    guard row a column steps on, with numpy's overflow and invalid
+    warnings off, so its later rows are no result.  r and z are views of
+    two buffers that the next block overwrites, allocated for the first
+    block and again only for a longer one.  Each step gathers every
+    column's piece of :func:`affine_piece` by its region and evaluates it
+    as :func:`step_matrix` does.
     """
     k = len(ps)
-    out_r[0] = r0
-    out_z[0] = z0
-    if len(noise) == 0:
-        return np.full(k, -1)
     # The table is built once per distinct Params (a sweep's seeds share
     # them).  Row 4c + j holds column c's piece for the region with j of
     # its breakpoints above the reserve: D4, D3, D2, D1 for j = 0..3.  A
@@ -319,30 +315,39 @@ def iterate_columns(ps, r0, z0, noise, out_r, out_z) -> np.ndarray:
     j = np.empty(k, dtype=np.uint8)
     rows = np.empty(k, dtype=np.intp)
     term = np.empty(k)
-    with np.errstate(over="ignore", invalid="ignore"):
-        for t in range(1, len(noise) + 1):
-            r, z, rp, zp = out_r[t - 1], out_z[t - 1], out_r[t], out_z[t]
-            np.greater(cuts, r, out=above)
-            np.add(count[0], count[1], out=j)
-            np.add(j, count[2], out=j)
-            np.add(first_row, j, out=rows)
-            a00, a01, a10, a11, b0, b1 = table.take(rows, axis=0).T
-            np.multiply(a00, r, out=rp)
-            np.multiply(a01, z, out=term)
-            rp += term
-            rp += b0
-            rp += noise[t - 1]
-            np.multiply(a11, z, out=zp)
-            # step_matrix drops a zero a10 term, which keeps Z finite past
-            # a NaN reserve.
-            np.multiply(a10, r, out=term)
-            np.add(term, zp, out=zp, where=a10 != 0.0)
-            zp += b1
-    beyond = out_r[1:] > OVERFLOW_GUARD  # |R| > guard without an abs() copy
-    beyond |= out_r[1:] < -OVERFLOW_GUARD
-    beyond |= out_z[1:] > OVERFLOW_GUARD
-    first = beyond.argmax(axis=0)
-    return np.where(beyond[first, np.arange(k)], first + 1, -1)
+    buf_r, buf_z = np.empty((1, k)), np.empty((1, k))
+    buf_r[0], buf_z[0] = r0, z0
+    last = 0
+    for noise in blocks:
+        steps = len(noise)
+        start = buf_r[last], buf_z[last]
+        if steps >= len(buf_r):
+            buf_r, buf_z = np.empty((steps + 1, k)), np.empty((steps + 1, k))
+        buf_r[0], buf_z[0] = start
+        # Not around the yield, which would lend it to the caller.
+        with np.errstate(over="ignore", invalid="ignore"):
+            for t in range(1, steps + 1):
+                r, z, rp, zp = buf_r[t - 1], buf_z[t - 1], buf_r[t], buf_z[t]
+                np.greater(cuts, r, out=above)
+                np.add(count[0], count[1], out=j)
+                np.add(j, count[2], out=j)
+                np.add(first_row, j, out=rows)
+                a00, a01, a10, a11, b0, b1 = table.take(rows, axis=0).T
+                np.multiply(a00, r, out=rp)
+                np.multiply(a01, z, out=term)
+                rp += term
+                rp += b0
+                rp += noise[t - 1]
+                np.multiply(a11, z, out=zp)
+                # step_matrix drops a zero a10 term, which keeps Z finite
+                # past a NaN reserve.
+                np.multiply(a10, r, out=term)
+                np.add(term, zp, out=zp, where=a10 != 0.0)
+                zp += b1
+        del noise
+        last = steps
+        r, z = buf_r[:steps + 1], buf_z[:steps + 1]
+        yield r, z, _first_beyond(r, z)
 
 
 def step(p: Params, x: State, n: float, t: int = 0) -> tuple[State, StepRecord]:

@@ -23,8 +23,6 @@ from typing import BinaryIO, Callable, Iterator
 import numpy as np
 
 from .dynamics import (
-    COLUMN_BLOCK,
-    KERNEL_BLOCK,
     Params,
     Region,
     State,
@@ -66,6 +64,15 @@ SLOPE_THRESHOLD = 0.03
 
 # Keys of one sample that _ks_sorted compares at a time.
 KS_CHUNK = 8192
+
+# Steps of one chain that _chain_blocks draws and iterate runs at a time,
+# so the kernel's Python floats stay one block's worth.
+KERNEL_BLOCK = 4096
+
+# Chains that the growth probe advances at a time: enough to spread
+# numpy's per-call cost, few enough that one block's noise and states
+# leave peak RSS where it was.
+COLUMN_BLOCK = 256
 
 # Steps that _column_slices advances its columns at a time: a slice's
 # noise, its draw's integers and the two state buffers take 32 bytes per
@@ -275,30 +282,22 @@ class Trajectory:
 
 def _chain_blocks(p: Params, x0: State, steps: int, rng: np.random.Generator
                   ) -> Iterator[tuple[int, np.ndarray, np.ndarray]]:
-    """The chain runner: run the chain from x0, ``KERNEL_BLOCK`` steps at
-    a time, and yield (lo, r, z) per block.
+    """The chain runner: run the chain from x0 through :func:`iterate`,
+    ``KERNEL_BLOCK`` steps at a time, and yield (lo, r, z) per block.
 
     r and z hold the block's states lo, lo + 1, ..., its start state first
-    (x0 for the first block).  They are views of two buffers of
-    KERNEL_BLOCK + 1 values that the next block overwrites, so the stream
-    holds one block's states, noise and kernel lists whatever ``steps``.
-    The noise is drawn a block at a time, which gives the bits of one
-    whole-horizon draw.  A block in which the overflow guard fires ends at
-    the guard state; the stream then raises :class:`SimulationDiverged`
-    for it, and draws nothing more.
+    (x0 for the first block), so the stream holds one block's states,
+    noise and kernel lists whatever ``steps``.  The noise is drawn a block
+    at a time, which gives the bits of one whole-horizon draw.  A block in
+    which the overflow guard fires ends at the guard state; the stream
+    then raises :class:`SimulationDiverged` for it, and draws nothing more.
     """
-    buf_r = np.empty(KERNEL_BLOCK + 1)
-    buf_z = np.empty(KERNEL_BLOCK + 1)
-    buf_r[0], buf_z[0] = x0
-    for lo in range(0, max(steps, 1), KERNEL_BLOCK):  # x0 alone for 0 steps
-        n = min(KERNEL_BLOCK, steps - lo)
-        r, z = buf_r[:n + 1], buf_z[:n + 1]
-        bad = iterate(p, r[0], z[0], gaussian(rng, n, p.sigma), r, z)
-        if bad >= 0:
-            yield lo, r[:bad + 1], z[:bad + 1]
-            raise SimulationDiverged(lo + bad, (r[bad], z[bad]))
+    starts = range(0, max(steps, 1), KERNEL_BLOCK)  # x0 alone for 0 steps
+    noise = (gaussian(rng, min(KERNEL_BLOCK, steps - lo), p.sigma) for lo in starts)
+    for lo, (r, z, bad) in zip(starts, iterate(p, *x0, noise)):
         yield lo, r, z
-        buf_r[0], buf_z[0] = r[n], z[n]
+        if bad >= 0:
+            raise SimulationDiverged(lo + bad, (r[bad], z[bad]))
 
 
 def _run_chain(p: Params, x0: State, steps: int, rng: np.random.Generator,
@@ -335,9 +334,8 @@ def monotone_violations(p: Params, x0: State, steps: int,
     return viol, end
 
 
-def simulate(cfg: SimConfig,
-             return_records: bool = False) -> tuple[TrajectoryStats, Trajectory | None]:
-    """Run one chain and summarize it.
+def simulate(cfg: SimConfig) -> tuple[TrajectoryStats, Trajectory]:
+    """Run one chain; return its summary and its recorded trajectory.
 
     Deterministic given the config.  Raises :class:`SimulationDiverged`
     if |R| or Z exceeds the 1e300 guard; a post-burn-in deviation past
@@ -374,11 +372,8 @@ def simulate(cfg: SimConfig,
         n_samples=int(rs_.size),
     )
 
-    traj = None
-    if return_records:
-        traj = Trajectory(p, cfg.record_every, r[::cfg.record_every],
-                          z[::cfg.record_every])
-    return stats, traj
+    return stats, Trajectory(p, cfg.record_every, r[::cfg.record_every],
+                             z[::cfg.record_every])
 
 
 def _ks_statistic(a: np.ndarray, b: np.ndarray) -> float:
@@ -488,26 +483,20 @@ def _column_slices(columns: list[tuple[Params, int, int]], x0: State, steps: int
     time, and yield (lo, r, z, bad) per time slice.
 
     Row i of r and z holds every column's state lo + i, row 0 the slice's
-    start (x0 for the first).  They are views of two buffers of
-    GROWTH_SLICE + 1 rows that the next slice overwrites.  bad is what
-    iterate_columns returns for the slice: per column -1, or the row of
-    its first state beyond the guard.  Column c draws each slice from its
-    own ``stream(seed, k)`` as a column of one :func:`gaussians` block, so
-    its noise has the bits of ``gaussian(stream(seed, k), steps,
-    p.sigma)`` whatever the slicing.
+    start (x0 for the first); the next slice overwrites them.  bad is what
+    iterate_columns yields for the slice: per column -1, or the row of its
+    first state beyond the guard.  Column c draws each slice from its own
+    ``stream(seed, k)`` as a column of one :func:`gaussians` block, so its
+    noise has the bits of ``gaussian(stream(seed, k), steps, p.sigma)``
+    whatever the slicing.
     """
     ps = [p for p, _, _ in columns]
     rngs = [stream(seed, k) for _, seed, k in columns]
     sigmas = [p.sigma for p in ps]
-    buf_r = np.empty((GROWTH_SLICE + 1, len(columns)))
-    buf_z = np.empty((GROWTH_SLICE + 1, len(columns)))
-    buf_r[0], buf_z[0] = x0
-    for lo in range(0, steps, GROWTH_SLICE):
-        n = min(GROWTH_SLICE, steps - lo)
-        r, z = buf_r[:n + 1], buf_z[:n + 1]
-        bad = iterate_columns(ps, r[0], z[0], gaussians(rngs, n, sigmas), r, z)
-        yield lo, r, z, bad
-        buf_r[0], buf_z[0] = r[n], z[n]
+    starts = range(0, steps, GROWTH_SLICE)
+    noise = (gaussians(rngs, min(GROWTH_SLICE, steps - lo), sigmas) for lo in starts)
+    for lo, states in zip(starts, iterate_columns(ps, *x0, noise)):
+        yield lo, *states
 
 
 def _growth_block(columns: list[tuple[Params, int, int]], x0: State, t_lo: int,
@@ -630,7 +619,10 @@ def hitting_probability(p: Params, x0: State,
                         seed: int = 0) -> tuple[float, float]:
     """Fraction of seeds entering the rectangle within the horizon.
 
-    target is (r_min, r_max, z_min, z_max), boundaries inclusive.
+    target is (r_min, r_max, z_min, z_max), boundaries inclusive.  Each
+    seed's chain is scanned a block at a time, to the horizon, so a seed
+    that passes the overflow guard raises :class:`SimulationDiverged`
+    even after a hit, and the call holds one block.
     """
     if n_seeds < 1:
         raise ValueError("n_seeds must be >= 1")
@@ -639,9 +631,11 @@ def hitting_probability(p: Params, x0: State,
     r_lo, r_hi, z_lo, z_hi = target
     hits = 0
     for k in range(n_seeds):
-        r, z = _run_chain(p, x0, horizon, stream(seed, k))
-        hits += bool(np.any((r >= r_lo) & (r <= r_hi)
-                            & (z >= z_lo) & (z <= z_hi)))
+        hit = False
+        for _, r, z in _chain_blocks(p, x0, horizon, stream(seed, k)):
+            hit |= bool(np.any((r >= r_lo) & (r <= r_hi)
+                               & (z >= z_lo) & (z <= z_hi)))
+        hits += hit
     est = hits / n_seeds
     stderr = math.sqrt(est * (1.0 - est) / n_seeds)
     return est, stderr

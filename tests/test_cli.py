@@ -305,6 +305,38 @@ class TestSweep:
         assert res.exit_code == 0, res.output
         assert [r[6] for r in read_csv(out / "verdicts.csv")[1:]] == ["3", "0"]
 
+    def test_non_finite_fields_are_the_documented_ones(self, runner, tmp_path):
+        # README's cases, at both lambdas: every growth seed excluded
+        # (0.9, 0.09); a probe past the guard and a KS leg past it (-3); an
+        # error row, lambda + mu >= 1 (0.6); a KS leg past the guard while
+        # the probe stays under it (-0.7).  Every other field is finite.
+        cfg = self.sweep_config(tmp_path, None, steps=2_000, burn_in=200,
+                                n_seeds=8, seed=0,
+                                grid={"mu": [0.09, -3.0, 0.6, -0.7],
+                                      "lambda": [0.9, 0.5]})
+        out = tmp_path / "out"
+        res = runner.invoke(main, ["sweep", "--config", cfg, "--out", str(out)])
+        assert res.exit_code == 0, res.output
+        header, *rows = read_csv(out / "verdicts.csv")
+        cases = {-3.0: {"ks_distance": "nan", "logz_slope": "inf"},
+                 0.6: {"r_star": "", "verdict": "error", "ks_distance": "",
+                       "logz_slope": "", "seeds_used": "0"},
+                 -0.7: {"ks_distance": "nan"}}
+        found = []
+        for row in rows:
+            fields = dict(zip(header, row))
+            mu, lam = float(fields["mu"]), float(fields["lambda"])
+            want = ({"logz_slope": "nan", "seeds_used": "0"}
+                    if (lam, mu) == (0.9, 0.09) else cases.get(mu, {}))
+            assert {k: fields[k] for k in want} == want, (lam, mu)
+            for key in ("mu", "lambda", "r_star", "ks_distance", "logz_slope"):
+                if key not in want:
+                    assert math.isfinite(float(fields[key])), (lam, mu, key)
+            if "seeds_used" not in want:
+                assert int(fields["seeds_used"]) == 8, (lam, mu)
+            found.append((lam, mu))
+        assert len(found) == 8 and (0.5, 0.09) in found
+
     def test_empty_grid_exit_2(self, runner, tmp_path):
         cfg = write_config(tmp_path, {"params": P0, "grid": {}})
         res = runner.invoke(main, ["sweep", "--config", cfg,
@@ -730,7 +762,7 @@ def test_paper_default_trajectory_makes_no_scalar_call(tmp_path, monkeypatch):
     # 1e-9 of a half-integer, about 2e-9 of fields) would still go to
     # fmt_float; this fixed run has none.
     sim, _ = parse_simulate({"params": P0, "x0": [0, 5], "steps": 10_000, "seed": 0})
-    _, traj = simulate(sim, return_records=True)
+    _, traj = simulate(sim)
     assert ((traj.z > 0.0) & (traj.z < 2.0 ** -1022)).any()
     calls = []
     monkeypatch.setattr(floatfmt, "fmt_float", lambda x: calls.append(x) or fmt_float(x))

@@ -19,7 +19,6 @@ from gridlab import (
     validate_params,
 )
 from gridlab.dynamics import (
-    KERNEL_BLOCK,
     OVERFLOW_GUARD,
     breakpoints,
     expressed_backlog,
@@ -29,6 +28,7 @@ from gridlab.dynamics import (
     region_codes,
 )
 from gridlab import SimConfig, SimulationDiverged, dynamics, simulate
+from gridlab.montecarlo import KERNEL_BLOCK
 from gridlab.rng import gaussian, stream
 from conftest import random_params
 
@@ -249,8 +249,8 @@ class TestKernelMatchesMatrixTable:
             p = random_params(rng)
             for x in edge_states(rng, p):
                 n = float(rng.normal(0.0, p.sigma))
-                out_r, out_z = np.empty(2), np.empty(2)
-                assert iterate(p, x[0], x[1], [n], out_r, out_z) == -1
+                [(out_r, out_z, bad)] = iterate(p, x[0], x[1], [np.array([n])])
+                assert bad == -1
                 want = bits(*step_matrix(p, x, n))
                 assert bits(out_r[1], out_z[1]) == want
                 assert bits(*step(p, x, n)[0]) == want
@@ -259,8 +259,7 @@ class TestKernelMatchesMatrixTable:
         # A backlog of -0.0 is kept as given at index 0 and steps on as
         # +0.0 on every route.
         for r in (-2.0, 1.0, 2.5, 9.0):
-            out_r, out_z = np.empty(3), np.empty(3)
-            iterate(p0, r, -0.0, [0.0, 0.0], out_r, out_z)
+            [(out_r, out_z, _)] = iterate(p0, r, -0.0, [np.zeros(2)])
             x1 = step_matrix(p0, (r, -0.0), 0.0)
             x2 = step_matrix(p0, x1, 0.0)
             assert bits(*out_r) == bits(r, x1[0], x2[0])
@@ -276,8 +275,7 @@ class TestKernelMatchesMatrixTable:
             p = random_params(rng)
             for z in [0.0, float(rng.uniform(0.0, 50.0))]:
                 n = float(rng.normal(0.0, p.sigma))
-                out_r, out_z = np.empty(2), np.empty(2)
-                iterate(p, r, z, [n], out_r, out_z)
+                [(out_r, out_z, _)] = iterate(p, r, z, [np.array([n])])
                 want = bits(*step_matrix(p, (r, z), n))
                 assert bits(out_r[1], out_z[1]) == want
                 assert bits(*step(p, (r, z), n)[0]) == want
@@ -295,8 +293,7 @@ class TestKernelMatchesMatrixTable:
             for r in reserves:
                 for z in (0.0, -0.0, float(rng.uniform(0.0, 50.0))):
                     n = float(rng.normal(0.0, p.sigma))
-                    out_r, out_z = np.empty(2), np.empty(2)
-                    iterate(p, r, z, [n], out_r, out_z)
+                    [(out_r, out_z, _)] = iterate(p, r, z, [np.array([n])])
                     (r1, z1), _ = step(p, (r, z), n)
                     assert type(r1) is float and type(z1) is float
                     assert bits(r1, z1) == bits(out_r[1], out_z[1])
@@ -307,9 +304,9 @@ class TestKernelMatchesMatrixTable:
         for _ in range(50):
             p = random_params(rng)
             noise = rng.normal(0.0, p.sigma, 200)
-            out_r, out_z = np.empty(201), np.empty(201)
             x = (float(rng.uniform(-50, 50)), float(rng.uniform(0, 50)))
-            assert iterate(p, x[0], x[1], noise, out_r, out_z) == -1
+            [(out_r, out_z, bad)] = iterate(p, x[0], x[1], [noise])
+            assert bad == -1
             for t, n in enumerate(noise.tolist(), start=1):
                 x = step_matrix(p, x, n)
                 assert bits(out_r[t], out_z[t]) == bits(*x)
@@ -339,8 +336,8 @@ class TestKernelMatchesMatrixTable:
         bad, rs, zs = reference_run(p, (-5.0, 5.0), noise.tolist())
         assert rs[1] != unmoved[1]
         assert set(region_codes(p, np.array(rs)).tolist()) == {0, 1, 2, 3}
-        out_r, out_z = np.empty(steps + 1), np.empty(steps + 1)
-        assert iterate(p, -5.0, 5.0, noise, out_r, out_z) == bad
+        [(out_r, out_z, got)] = iterate(p, -5.0, 5.0, [noise])
+        assert got == bad
         assert bits(*out_r[:len(rs)]) == bits(*rs)
         assert bits(*out_z[:len(zs)]) == bits(*zs)
 
@@ -375,8 +372,35 @@ def reference_run(p, x, noise):
 B = KERNEL_BLOCK
 
 
+def iterate_in_blocks(p, x, noise):
+    """iterate over the noise in B-step blocks, joined as a caller joins
+    them: (bad, r, z, read), bad counted from the run's start and read the
+    number of blocks the kernel took from the stream.  Each block after the
+    first must start from the state the block before ended on."""
+    read = 0
+
+    def blocks():
+        nonlocal read
+        for lo in range(0, max(len(noise), 1), B):
+            read += 1
+            yield noise[lo:lo + B]
+
+    rs, zs, bad, lo = [], [], -1, 0
+    for r, z, bad in iterate(p, x[0], x[1], blocks()):
+        if rs:
+            assert bits(r[0], z[0]) == bits(rs[-1], zs[-1])
+            r, z = r[1:], z[1:]
+        rs += r.tolist()
+        zs += z.tolist()
+        if bad >= 0:
+            bad += lo
+        lo += B
+    return bad, rs, zs, read
+
+
 class TestKernelBlocks:
-    """The kernel converts its noise in blocks; block edges change nothing."""
+    """The caller's noise blocks change nothing: the kernel carries the
+    chain from one block to the next."""
 
     @pytest.mark.parametrize("steps", [B - 1, B, B + 1, 2 * B + 1])
     def test_trajectory_bitwise_across_blocks(self, steps):
@@ -386,10 +410,10 @@ class TestKernelBlocks:
             p = random_params(rng, mu_sign="positive")
             noise = rng.normal(0.0, p.sigma, steps)
             x = (float(rng.uniform(-50, 50)), float(rng.uniform(0, 50)))
-            out_r, out_z = np.empty(steps + 1), np.empty(steps + 1)
             bad, rs, zs = reference_run(p, x, noise.tolist())
             assert bad == -1
-            assert iterate(p, x[0], x[1], noise, out_r, out_z) == -1
+            got, out_r, out_z, _ = iterate_in_blocks(p, x, noise)
+            assert got == -1
             assert bits(*out_r) == bits(*rs) and bits(*out_z) == bits(*zs)
 
     @pytest.mark.parametrize("steps", [B, B + 1, 2 * B + 1])
@@ -415,38 +439,29 @@ class TestKernelBlocks:
                 continue
             noise = rng.normal(0.0, 1.0, steps)
             noise[at - 1:at - 1 + len(kick)] = kick
-            out_r = np.full(steps + 1, -7.0)
-            out_z = np.full(steps + 1, -7.0)
             bad, rs, zs = reference_run(p0, (0.0, 0.0), noise.tolist())
             assert bad == (-1 if offset is None else at + offset)
-            assert iterate(p0, 0.0, 0.0, noise, out_r, out_z) == bad
+            got, out_r, out_z, read = iterate_in_blocks(p0, (0.0, 0.0), noise)
+            assert got == bad
             if kick[0] == -1e299:
                 assert abs(rs[bad]) < OVERFLOW_GUARD < zs[bad]
-            end = len(rs)
-            assert bits(*out_r[:end]) == bits(*rs)
-            assert bits(*out_z[:end]) == bits(*zs)
-            # Nothing is written past the state where the run stopped.
-            assert (out_r[end:] == -7.0).all() and (out_z[end:] == -7.0).all()
-
-    @pytest.mark.parametrize("container", [tuple, list])
-    def test_accepts_sequence_noise(self, p0, container):
-        noise = np.random.default_rng(8).normal(0.0, 1.0, B + 1)
-        want_r, want_z = np.empty(B + 2), np.empty(B + 2)
-        iterate(p0, -3.0, 2.0, noise, want_r, want_z)
-        out_r, out_z = [None] * (B + 2), [None] * (B + 2)
-        assert iterate(p0, -3.0, 2.0, container(noise.tolist()),
-                       out_r, out_z) == -1
-        assert bits(*out_r) == bits(*want_r) and bits(*out_z) == bits(*want_z)
+            # No state is returned past the one where the run stopped, and
+            # no block past the guard's is read.
+            assert bits(*out_r) == bits(*rs)
+            assert bits(*out_z) == bits(*zs)
+            assert read == (-(-steps // B) if bad < 0 else (bad - 1) // B + 1)
 
     def test_memory_stays_one_block(self, p0):
-        # Converting the whole noise array to a list at once would take
-        # about 32 bytes per step (6 MB here); one block takes about 0.13 MB.
+        # The kernel lets go of each block's lists and states: over 2e5
+        # steps in B-step views it peaks at about 0.43 MB, where keeping
+        # every block's states would take 16 bytes per step (3.5 MB here).
         steps = 200_000
         noise = np.random.default_rng(9).normal(0.0, 1.0, steps)
-        out_r, out_z = np.empty(steps + 1), np.empty(steps + 1)
+        blocks = (noise[lo:lo + B] for lo in range(0, steps, B))
         tracemalloc.start()
         try:
-            assert iterate(p0, 0.0, 0.0, noise, out_r, out_z) == -1
+            for _, _, bad in iterate(p0, 0.0, 0.0, blocks):
+                assert bad == -1
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -454,18 +469,17 @@ class TestKernelBlocks:
 
 
 def run_columns(ps, r0, z0, noise):
-    """iterate_columns on fresh outputs; checks each column against iterate.
+    """iterate_columns over the noise as one block; checks each column
+    against iterate.
 
     Returns the guard indices.  Rows past a column's guard index are not
     part of its result, so only the rows up to it are compared.
     """
     steps, k = noise.shape
-    out_r, out_z = np.empty((steps + 1, k)), np.empty((steps + 1, k))
-    guard = iterate_columns(ps, r0, z0, noise, out_r, out_z)
+    [(out_r, out_z, guard)] = iterate_columns(ps, r0, z0, [noise])
     assert guard.shape == (k,)
     for c, p in enumerate(ps):
-        want_r, want_z = np.empty(steps + 1), np.empty(steps + 1)
-        bad = iterate(p, r0[c], z0[c], noise[:, c], want_r, want_z)
+        [(want_r, want_z, bad)] = iterate(p, r0[c], z0[c], [noise[:, c]])
         assert guard[c] == bad, c
         end = steps + 1 if bad < 0 else bad + 1
         assert bits(*out_r[:end, c]) == bits(*want_r[:end]), c
@@ -514,10 +528,32 @@ class TestColumnKernel:
         guard = run_columns([p0] * 5, [0.0] * 5, [0.0] * 5, noise)
         assert guard.tolist() == [-1, 5, 10, 15, -1]
 
+    def test_blocks_of_any_size_carry_the_chain(self, p0):
+        # Blocks longer than the first (the state rows grow), empty ones
+        # and a guard step in a later block: joined, they are the one-block
+        # run, and each block starts from the row the one before ended on.
+        noise = np.random.default_rng(54).normal(0.0, 1.0, (60, 3))
+        noise[40, 2] = 1e301
+        [(want_r, want_z, want_bad)] = iterate_columns([p0] * 3, -3.0, -0.0,
+                                                       [noise])
+        want_r, want_z = want_r.copy(), want_z.copy()
+        cuts = [0, 0, 1, 6, 8, 25, 25, 60]
+        blocks = [noise[lo:hi] for lo, hi in zip(cuts, cuts[1:])]
+        lo = 0
+        guard = np.full(3, -1)
+        for (r, z, bad), block in zip(iterate_columns([p0] * 3, -3.0, -0.0,
+                                                      blocks), blocks):
+            assert r.shape == z.shape == (len(block) + 1, 3)
+            assert bits(*r.ravel()) == bits(*want_r[lo:lo + len(r)].ravel())
+            assert bits(*z.ravel()) == bits(*want_z[lo:lo + len(z)].ravel())
+            new = (bad >= 0) & (guard < 0)
+            guard[new] = lo + bad[new]
+            lo += len(block)
+        assert guard.tolist() == want_bad.tolist() == [-1, -1, 41]
+
     def test_zero_steps_writes_the_start(self, p0):
-        out_r, out_z = np.empty((1, 2)), np.empty((1, 2))
-        guard = iterate_columns([p0, p0], [1.0, 2.0], 3.0,
-                                np.empty((0, 2)), out_r, out_z)
+        [(out_r, out_z, guard)] = iterate_columns([p0, p0], [1.0, 2.0], 3.0,
+                                                  [np.empty((0, 2))])
         assert guard.tolist() == [-1, -1]
         assert out_r.tolist() == [[1.0, 2.0]] and out_z.tolist() == [[3.0, 3.0]]
 
@@ -582,7 +618,7 @@ class TestScaleInvariance:
     def simulated(self, lam, mu, sigma, c, steps=20_000):
         cfg = SimConfig(self.params(lam, mu, sigma, c),
                         (c * self.X0[0], c * self.X0[1]), steps, seed=self.SEED)
-        _, traj = simulate(cfg, return_records=True)
+        _, traj = simulate(cfg)
         return traj.r, traj.z
 
     def columns(self, lam, mu, sigma, steps):
@@ -590,12 +626,9 @@ class TestScaleInvariance:
         SCALES[j - 1]; every column's noise is c times the same draws."""
         cs = np.array([1.0, *SCALES])
         noise = np.outer(gaussian(stream(self.SEED), steps, sigma), cs)
-        out_r = np.empty((steps + 1, len(cs)))
-        out_z = np.empty((steps + 1, len(cs)))
-        guard = iterate_columns([self.params(lam, mu, sigma, c) for c in cs],
-                                cs * self.X0[0], cs * self.X0[1], noise,
-                                out_r, out_z)
-        return out_r, out_z, guard
+        [states] = iterate_columns([self.params(lam, mu, sigma, c) for c in cs],
+                                   cs * self.X0[0], cs * self.X0[1], [noise])
+        return states
 
     @pytest.mark.parametrize("lam, mu", [(0.5, 0.1), (0.3, -0.02)])
     def test_states_scale_bit_for_bit(self, lam, mu):

@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+from collections import Counter
 from dataclasses import replace
 
 import numpy as np
@@ -22,12 +23,13 @@ from gridlab import (
     two_chain_convergence,
     validate_params,
 )
-from gridlab import montecarlo
+from gridlab import dynamics, montecarlo
 from gridlab.cli import _CHUNK_ROWS
-from gridlab.dynamics import (KERNEL_BLOCK, OVERFLOW_GUARD, breakpoints,
-                              expressed_backlog, frustrated_demand, iterate,
-                              ramp_control, region_codes)
-from gridlab.montecarlo import (GROWTH_SLICE, GROWTH_X0, KS_CHUNK, QUANTILES,
+from gridlab.dynamics import (OVERFLOW_GUARD, breakpoints, expressed_backlog,
+                              frustrated_demand, iterate, ramp_control,
+                              region_codes)
+from gridlab.montecarlo import (GROWTH_SLICE, GROWTH_X0, KERNEL_BLOCK, KS_CHUNK,
+                                QUANTILES,
                                 _growth_block, _growth_probe, _ks_statistic,
                                 _quantiles, _run_chain)
 from gridlab.rng import gaussian, point_seed, stream
@@ -66,8 +68,8 @@ class TestRunChainBlocks:
         assert max(b.size for b in blocks) <= B
         assert np.concatenate(blocks).view(np.uint64).tolist() \
             == noise.view(np.uint64).tolist()
-        want_r, want_z = np.empty(steps + 1), np.empty(steps + 1)
-        assert iterate(p0, -3.0, 2.0, noise, want_r, want_z) == -1
+        [(want_r, want_z, bad)] = iterate(p0, -3.0, 2.0, [noise])
+        assert bad == -1
         assert r.view(np.uint64).tolist() == want_r.view(np.uint64).tolist()
         assert z.view(np.uint64).tolist() == want_z.view(np.uint64).tolist()
 
@@ -144,7 +146,7 @@ def test_simulate_records_memory_figure(p0, record_every):
     tracemalloc.start()
     try:
         sim = SimConfig(p0, (0.0, 0.0), steps, record_every=record_every)
-        _, traj = simulate(sim, return_records=True)
+        _, traj = simulate(sim)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -244,7 +246,7 @@ class TestSimulate:
         # parks at r_star; Z stays at 0 throughout.
         p = validate_params(0.5, 0.1, 1.0, 1.0, 3.0, 0.0)
         cfg = SimConfig(p, (0.0, 0.0), steps=4, seed=0)
-        stats, traj = simulate(cfg, return_records=True)
+        stats, traj = simulate(cfg)
         assert traj.r.tolist() == [0.0, 1.0, 2.0, 3.0, 3.0]
         assert traj.z.tolist() == [0.0] * 5
         assert stats.final_state == (3.0, 0.0)
@@ -252,8 +254,8 @@ class TestSimulate:
 
     def test_seed_determinism(self, p0):
         cfg = SimConfig(p0, (0.0, 0.0), steps=1000, burn_in=100, seed=42)
-        s1, t1 = simulate(cfg, return_records=True)
-        s2, t2 = simulate(cfg, return_records=True)
+        s1, t1 = simulate(cfg)
+        s2, t2 = simulate(cfg)
         assert s1 == s2
         assert np.array_equal(t1.r, t2.r) and np.array_equal(t1.z, t2.z)
         s3, _ = simulate(SimConfig(p0, (0.0, 0.0), steps=1000, burn_in=100, seed=43))
@@ -261,10 +263,10 @@ class TestSimulate:
 
     def test_trajectories_compare_by_value(self, p0):
         cfg = SimConfig(p0, (0.0, 0.0), steps=1000, seed=42, record_every=3)
-        traj = simulate(cfg, return_records=True)[1]
-        assert (traj == simulate(cfg, return_records=True)[1]) is True
+        traj = simulate(cfg)[1]
+        assert (traj == simulate(cfg)[1]) is True
         for change in ({"seed": 43}, {"record_every": 1}):
-            other = simulate(replace(cfg, **change), return_records=True)[1]
+            other = simulate(replace(cfg, **change))[1]
             assert (traj == other) is False
         # NaN equals NaN; a copy of the chain is as good as the view.
         nan = montecarlo.Trajectory(p0, 1, np.array([np.nan, 1.0]), np.zeros(2))
@@ -273,7 +275,7 @@ class TestSimulate:
 
     def test_record_thinning(self, p0):
         cfg = SimConfig(p0, (0.0, 0.0), steps=100, seed=1, record_every=10)
-        _, traj = simulate(cfg, return_records=True)
+        _, traj = simulate(cfg)
         assert traj.t.tolist() == list(range(0, 101, 10))
         assert len(traj.r) == 11
 
@@ -353,8 +355,7 @@ class TestMonotoneViolations:
         p = validate_params(0.5, mu, 1.0, 1.0, 3.0, 1.0)
         steps = 3 * B + 5
         noise = gaussian(stream(3), steps, p.sigma)
-        r, z = np.empty(steps + 1), np.empty(steps + 1)
-        bad = iterate(p, 0.0, 0.0, noise, r, z)
+        [(r, z, bad)] = iterate(p, 0.0, 0.0, [noise])
         end = steps if bad < 0 else bad
         assert (bad < 0) == (mu > 0) and (bad < 0 or bad > 10 * block)
         want = int(np.count_nonzero(np.diff(z[:end + 1]) < 0.0))
@@ -556,8 +557,7 @@ class TestGrowthSlope:
         slices = set()
         for (p, seed, k), fit in zip(columns, fits):
             noise = gaussian(stream(seed, k), t_hi, p.sigma)
-            r, z = np.empty(t_hi + 1), np.empty(t_hi + 1)
-            bad = iterate(p, *GROWTH_X0, noise, r, z)
+            [(r, z, bad)] = iterate(p, *GROWTH_X0, [noise])
             if bad >= 0:
                 assert isinstance(fit, SimulationDiverged)
                 assert fit.step == bad
@@ -567,6 +567,19 @@ class TestGrowthSlope:
                 want = np.polyfit(np.arange(t_lo, t_hi + 1), np.log(z[t_lo:]), 1)[0]
                 assert fit.hex() == float(want).hex()
         assert len(slices) >= 3 and sum(isinstance(f, float) for f in fits) == 2
+
+    def test_column_table_is_built_once_per_run(self, monkeypatch):
+        # One block of three distinct Params over five time slices reads
+        # affine_piece's four regions once per Params, not once per slice.
+        calls = []
+        real = dynamics.affine_piece
+        monkeypatch.setattr(dynamics, "affine_piece",
+                            lambda p, region: calls.append(p) or real(p, region))
+        ps = [validate_params(0.5, mu, 1.0, 1.0, 3.0, 1.0) for mu in (0.1, -0.1, 0.3)]
+        t_hi = 300
+        assert len(range(0, t_hi, GROWTH_SLICE)) == 5
+        _growth_block([(p, 9, k) for p in ps for k in range(4)], GROWTH_X0, 100, t_hi)
+        assert Counter(calls) == {p: 4 for p in ps}
 
     def test_lowest_diverging_seed_is_raised(self):
         # Seed 0 stays under the guard up to step 990; seeds 1-3 pass it
@@ -642,6 +655,35 @@ class TestHittingProbability:
                                           (1e6, 2e6, 0.0, 1.0),
                                           horizon=100, n_seeds=8, seed=15)
         assert est == 0.0 and stderr == 0.0
+
+    def test_scans_one_block_at_a_time(self, p0):
+        # Each seed's chain is tested a block at a time: two seeds over a
+        # 2e5-step horizon hold one block (about 0.4 MB), where collecting
+        # each chain whole took 6.9 MB.  The estimate, one hit in two, is
+        # the whole chains'.
+        box, horizon, n_seeds = (-7.0, -6.0, 0.0, 100.0), 200_000, 2
+        tracemalloc.start()
+        try:
+            est, stderr = hitting_probability(p0, (0.0, 0.0), box, horizon,
+                                              n_seeds, seed=17)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1_000_000
+        r_lo, r_hi, z_lo, z_hi = box
+        hits = [bool(np.any((r >= r_lo) & (r <= r_hi) & (z >= z_lo) & (z <= z_hi)))
+                for r, z in (_run_chain(p0, (0.0, 0.0), horizon, stream(17, k))
+                             for k in range(n_seeds))]
+        assert hits == [True, False]
+        assert (est, stderr) == (0.5, math.sqrt(0.25 / n_seeds))
+
+    def test_guard_after_a_hit_still_raises(self):
+        # The launch state is in the box, and the chain passes the guard
+        # later in the horizon: the scan goes on to the guard and raises.
+        p = validate_params(0.5, -1.0, 1.0, 1.0, 3.0, 1.0)
+        with pytest.raises(SimulationDiverged):
+            hitting_probability(p, (0.0, 0.0), (-1.0, 1.0, 0.0, 1.0),
+                                horizon=3 * B, n_seeds=2, seed=18)
 
 
 class TestSweep:

@@ -129,14 +129,14 @@ def test_growth_block_draws_each_columns_gaussian(monkeypatch):
                                   (0.0, 3, 4), (0.3, 9, 1)]]
     seen = []
 
-    def recording(params, r0, z0, noise, out_r, out_z):
-        seen.append(noise.copy())
-        return real(params, r0, z0, noise, out_r, out_z)
+    def recording(rngs, size, sigmas):
+        seen.append(real(rngs, size, sigmas))
+        return seen[-1]
 
-    real = montecarlo.iterate_columns
-    monkeypatch.setattr(montecarlo, "iterate_columns", recording)
+    real = montecarlo.gaussians
+    monkeypatch.setattr(montecarlo, "gaussians", recording)
     _growth_block(columns, GROWTH_X0, 100, t_hi)
-    # One time slice per call, t_hi = 300 not a multiple of the slice.
+    # One noise block per time slice, t_hi = 300 not a multiple of the slice.
     assert [len(n) for n in seen] == [min(GROWTH_SLICE, t_hi - lo)
                                       for lo in range(0, t_hi, GROWTH_SLICE)]
     noise = np.concatenate(seen)

@@ -1,6 +1,6 @@
 """The package's structure: every import at module level, the chain
-experiments independent of the Lyapunov module, and one function that
-forks child processes."""
+experiments independent of the Lyapunov module, one function that forks
+child processes, and one that compares states with the overflow guard."""
 
 import ast
 from pathlib import Path
@@ -83,3 +83,25 @@ def test_only_command_writes_output_files():
                     callers.setdefault(name, set()).add(top.name)
     assert callers == {"atomic_file": {"_command"},
                        "atomic_write_text": {"_command"}}
+
+
+def test_one_function_compares_the_overflow_guard():
+    # Every function of src/ that compares a value with OVERFLOW_GUARD,
+    # directly or through a local name bound to it: the guard rule is
+    # written once.
+    comparers = set()
+    for path in sorted(SRC.glob("*.py")):
+        for fn in ast.walk(parse(path.name)):
+            if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            guard = {"OVERFLOW_GUARD"}
+            guard |= {target.id for node in ast.walk(fn)
+                      if isinstance(node, ast.Assign)
+                      and getattr(node.value, "id", None) == "OVERFLOW_GUARD"
+                      for target in node.targets if isinstance(target, ast.Name)}
+            if any(isinstance(node, ast.Compare)
+                   and any(getattr(name, "id", None) in guard
+                           for name in ast.walk(node))
+                   for node in ast.walk(fn)):
+                comparers.add(f"{path.stem}.{fn.name}")
+    assert comparers == {"dynamics._first_beyond"}

@@ -14,9 +14,8 @@ import pytest
 import gridlab.montecarlo
 from conftest import count_forks, use_cpus
 from gridlab import GridlabError, growth_slope, sweep, validate_params
-from gridlab.dynamics import COLUMN_BLOCK
-from gridlab.montecarlo import (GROWTH_X0, _growth_probe, _median, forked,
-                                 usable_cpus)
+from gridlab.montecarlo import (COLUMN_BLOCK, GROWTH_X0, _growth_probe, _median,
+                                forked, usable_cpus)
 from gridlab.rng import point_seed
 
 # Every sweep here may fork; each test ends with all its children reaped.
