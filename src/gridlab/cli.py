@@ -46,52 +46,59 @@ def _csv_text(header: list[str], rows: list[list[str]]) -> str:
     return "".join([",".join(row) + "\n" for row in [header, *rows]])
 
 
+# trajectory.csv rows per share unit of forked(); nothing else is cut by it.
 _CHUNK_ROWS = 8192
-# Rows laid out at a time: fmt_floats and the row bytes take about 2.3 KB
-# a row, so with a chunk's columns the writer peaks near 3.4 MB.
+# Rows derived and formatted at a time: their columns, fmt_floats'
+# temporaries and the row bytes take about 1.1 KB a row, so the writer
+# peaks near 1.2 MB whatever the row count.
 _BLOCK_ROWS = 1024
 # Region code 0..3 -> its name and comma, as ASCII.
 _REGION_FIELDS = np.frombuffer(b"D1,D2,D3,D4,", np.uint8).reshape(4, 3)
 
 
 def _rows(traj: Trajectory, lo: int, hi: int) -> Iterator[bytes]:
-    """trajectory.csv rows lo..hi-1 as ASCII, at most ``_BLOCK_ROWS`` rows
-    at a time.
+    """trajectory.csv rows lo..hi-1 as ASCII, ``_BLOCK_ROWS`` rows at a
+    time, each block's columns derived from its slice of the chain
+    (:meth:`Trajectory.columns`, then ``lyap_h``) into one reused buffer
+    just before :func:`_layout` formats them."""
+    numbers = np.empty((_BLOCK_ROWS, 7))
+    for a in range(lo, hi, _BLOCK_ROWS):
+        t, r, z, region, *rest = traj.columns(a, min(a + _BLOCK_ROWS, hi))
+        block = numbers[:r.size]
+        np.stack([t, r, z, *rest, lyap_h(traj.params, (r, z))], axis=1, out=block)
+        yield _layout(block, region)
 
-    Each ``_CHUNK_ROWS`` chunk's columns are derived from its slice of the
-    chain (:meth:`Trajectory.columns`, then ``lyap_h`` for H_lyap) just
-    before they are formatted.  A block's numbers are formatted together,
-    column by column, by :func:`fmt_floats`: t and the six floats (t is an
+
+def _layout(numbers: np.ndarray, region: np.ndarray) -> bytes:
+    """One block's rows as ASCII; its temporaries die on return.
+
+    :func:`fmt_floats` formats t and the six floats together (t is an
     integer below 2**53, so its float formats as its decimal).  A comma
     or the newline goes into each field's spare last byte, the region's
     name and comma, looked up by its code, come after Z, and one
     ``translate`` drops the NUL padding.
     """
-    for a in range(lo, hi, _CHUNK_ROWS):
-        t, r, z, region, *rest = traj.columns(a, min(a + _CHUNK_ROWS, hi))
-        rest.append(lyap_h(traj.params, (r, z)))
-        numbers = np.stack([t, r, z, *rest], axis=1)
-        names = _REGION_FIELDS[region]
-        for b in range(0, r.size, _BLOCK_ROWS):
-            fields = fmt_floats(numbers[b:b + _BLOCK_ROWS])
-            fields[..., -1] = ord(",")
-            fields[:, -1, -1] = ord("\n")
-            n = len(fields)
-            row = np.concatenate([fields[:, :3].reshape(n, -1),
-                                  names[b:b + n],
-                                  fields[:, 3:].reshape(n, -1)], axis=1)
-            yield row.tobytes().translate(None, b"\0")
+    fields = fmt_floats(numbers)
+    fields[..., -1] = ord(",")
+    fields[:, -1, -1] = ord("\n")
+    n = len(fields)
+    row = np.concatenate([fields[:, :3].reshape(n, -1), _REGION_FIELDS[region],
+                          fields[:, 3:].reshape(n, -1)], axis=1)
+    del fields  # gone before the row is copied to bytes
+    return row.tobytes().translate(None, b"\0")
 
 
 def _write_trajectory(traj: Trajectory, fh: BinaryIO, directory: Path) -> None:
     """Write trajectory.csv into ``fh``: the header, then every row.
 
     ``cmd_simulate`` returns it bound to ``traj``, as the one file too
-    large to hold as text.  The rows are cut on ``_CHUNK_ROWS`` boundaries
-    into the shares of :func:`forked`, at most one share per whole chunk,
-    so each holds at least ``_CHUNK_ROWS`` rows; forked shares are
-    formatted into files in ``directory``.  The text is the same for
-    every share count.
+    large to hold as text.  ``_CHUNK_ROWS`` is only the share unit: the
+    rows are cut on its boundaries into the shares of :func:`forked`, at
+    most one share per whole chunk, so each holds at least ``_CHUNK_ROWS``
+    rows, and :func:`_rows` formats a share ``_BLOCK_ROWS`` rows at a
+    time.  fmt_floats' tables are built before the fork, once; forked
+    shares are formatted into files in ``directory``.  The text is the
+    same for every share count.
     """
     n_rows = traj.r.size
     chunks = -(-n_rows // _CHUNK_ROWS)
@@ -101,6 +108,7 @@ def _write_trajectory(traj: Trajectory, fh: BinaryIO, directory: Path) -> None:
         fh.writelines(_rows(traj, lo, hi))
 
     fh.write(b"t,R,Z,region,B,F,H_control,H_lyap\n")
+    fmt_floats(np.empty(0))  # builds its tables here, not once per share
     forked("trajectory.csv", n_rows // _CHUNK_ROWS, part, fh, directory)
 
 

@@ -32,12 +32,12 @@ _MISSING = object()
 # chain kernel holds 16 bytes per step (R and Z; its noise is drawn a
 # block at a time), and `simulate` peaks at 24 bytes per step whatever
 # its record_every (the chain and one summary temporary; the records are
-# views of the chain, and trajectory.csv is derived 8192 rows and
-# formatted 1024 rows at a time, in about 3.4 MB), so one at the cap
-# needs about 2.4 GB.  A drift point holds about 48 bytes per draw (the
-# noise, the stepped states and the lyap_h temporaries), so one at the
-# cap needs about 4.8 GB.  It caps record_every too: any record_every
-# above steps records x0 alone.
+# views of the chain, and trajectory.csv is derived and formatted 1024
+# rows at a time, in about 1.2 MB), so one at the cap needs about 2.4 GB.
+# A drift point holds about 48 bytes per draw (the noise, the stepped
+# states and the lyap_h temporaries), so one at the cap needs about
+# 4.8 GB.  It caps record_every too: any record_every above steps
+# records x0 alone.
 MAX_DRAWS = 10**8
 
 # The most states a drift run may sample per region: each of its

@@ -171,6 +171,7 @@ def fmt_floats(x: np.ndarray) -> np.ndarray:
     slow = (~fast & (flat != 0.0) | _outside(p, q)
             | inexact & (np.abs(q - r) > 0.5 - 1e-9))
     d = p.astype(np.int64) + r.astype(np.int64)
+    del a, p, q, r, inexact  # each temporary goes as soon as it is dead
     carry = d == 10 ** 17  # rounded up to 10**17: one digit more
     ok = fast & ~slow
     d = np.where(ok, np.where(carry, 10 ** 16, d), 0)
@@ -179,6 +180,7 @@ def fmt_floats(x: np.ndarray) -> np.ndarray:
     lead, rest = _divmod(d, 10 ** 16)
     upper, lower = _divmod(rest, 10 ** 8)
     groups = [*_divmod(upper, 10_000), *_divmod(lower, 10_000)]
+    del d, rest, upper, lower
     words = np.empty((flat.size, FIELD_BYTES // 8), np.uint64)
     group_words, group_zeros = _group_tables()
     words[:, 0] = _LEAD[lead]
@@ -190,8 +192,10 @@ def fmt_floats(x: np.ndarray) -> np.ndarray:
     zeros = np.full(flat.size, 16)
     for i, group in enumerate(groups):
         zeros = np.where(group != 0, group_zeros[group] + 12 - 4 * i, zeros)
+    del lead, groups
     layout = np.where((e >= -4) & (e <= 16), e + 4, _LAYOUTS - 1)
     shape = (layout * 17 + 16 - zeros) * 2 + np.signbit(flat)
+    del e, zeros, layout
     words &= _keep_table().take(shape, axis=0)
 
     fields = words.view(np.uint8)

@@ -253,10 +253,10 @@ class Trajectory:
     def columns(self, lo: int, hi: int) -> list[np.ndarray]:
         """Rows lo..hi-1 of t, r, z, the region code (0..3 for D1..D4),
         b_expr, f_frustrated and h_control."""
-        part = replace(self, r=self.r[lo:hi], z=self.z[lo:hi])
-        return [np.arange(lo, lo + part.r.size) * self.record_every,
-                part.r, part.z, region_codes(self.params, part.r),
-                part.b_expr, part.f_frustrated, part.h_control]
+        p, r, z = self.params, self.r[lo:hi], self.z[lo:hi]
+        return [np.arange(lo, lo + r.size) * self.record_every, r, z,
+                region_codes(p, r), expressed_backlog(p, z),
+                frustrated_demand(r), ramp_control(p, r)]
 
     @property
     def t(self) -> np.ndarray:

@@ -772,6 +772,31 @@ def test_paper_default_trajectory_makes_no_scalar_call(tmp_path, monkeypatch):
     assert calls == []
 
 
+def test_trajectory_h_lyap_may_read_inf(runner, tmp_path):
+    # H_lyap overflows to inf once |R + lambda Z| or |R + (lambda + mu) Z|
+    # passes about 1.3e154; R and Z stay inside the 1e300 guard, so the run
+    # exits 0.  README lists H_lyap as the one field that can be inf.
+    cfg = write_config(tmp_path, {"params": P0, "x0": [1e160, 0.0], "steps": 20})
+    out = tmp_path / "o"
+    res = runner.invoke(main, ["simulate", "--config", cfg, "--out", str(out)])
+    assert res.exit_code == 0, res.output
+    sim, _ = parse_simulate(json.loads(Path(cfg).read_text()))
+    _, traj = simulate(sim)
+    with np.errstate(over="ignore"):
+        h = lyap_h(traj.params, (traj.r, traj.z))
+    assert np.isinf(h).all()
+    columns = [traj.t, traj.r, traj.z, traj.region, traj.b_expr,
+               traj.f_frustrated, traj.h_control, h]
+    text = (out / "trajectory.csv").read_text()
+    assert text == reference_trajectory_csv(columns)
+    rows = list(csv.DictReader(io.StringIO(text)))
+    assert len(rows) == 21
+    assert {row["H_lyap"] for row in rows} == {fmt_float(math.inf)} == {"inf"}
+    for row in rows:
+        assert all(math.isfinite(float(v)) for k, v in row.items()
+                   if k not in ("region", "H_lyap"))
+
+
 def test_import_leaves_scipy_stats_out():
     # No scipy module at all: the package needs numpy and click only.
     src = str(Path(gridlab.__file__).resolve().parent.parent)
@@ -970,10 +995,10 @@ class TestTrajectoryParts:
 
     def test_writer_memory_does_not_grow_with_rows(self, tmp_path, monkeypatch,
                                                    p0):
-        # Each chunk's columns are derived just before it is formatted, so
-        # the writer peaks the same at 4 and at 40 chunks, within the eight
-        # 8-byte columns of one chunk.  One whole-horizon column held at 40
-        # chunks would add 36 chunks of it.
+        # Each block's columns are derived just before it is formatted, so
+        # the writer peaks the same at 4 and at 40 chunks, well within the
+        # eight 8-byte columns of one chunk.  One whole-horizon column held
+        # at 40 chunks would add 36 chunks of it.
         use_cpus(monkeypatch, 1)
         rng = np.random.default_rng(6)
         peaks = []
@@ -990,3 +1015,43 @@ class TestTrajectoryParts:
                     tracemalloc.stop()
             peaks.append(peak)
         assert abs(peaks[1] - peaks[0]) <= 64 * _CHUNK_ROWS
+
+    def test_writer_peak_above_the_chain(self, tmp_path, monkeypatch, p0):
+        # Four chunks in one part: columns derived a block at a time and
+        # fmt_floats' temporaries let go once dead hold about 1.1 MB above
+        # the chain.  A writer that derives each 8192-row chunk's columns
+        # whole peaks near 3.3 MB.
+        use_cpus(monkeypatch, 1)
+        rng = np.random.default_rng(6)
+        n = 4 * _CHUNK_ROWS
+        traj = Trajectory(p0, 1, rng.normal(size=n) * 4.0,
+                          rng.exponential(size=n) * 4.0)
+        floatfmt.fmt_floats(np.empty(0))  # its tables, built once per process
+        with open(tmp_path / "trajectory.csv", "wb") as fh:
+            tracemalloc.start()
+            try:
+                _write_trajectory(traj, fh, tmp_path)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+        assert peak <= 1.5e6
+
+    def test_tables_built_once_before_the_fork(self, runner, tmp_path,
+                                               monkeypatch):
+        # The parent builds fmt_floats' lookup tables before forked()
+        # starts the shares, so no share builds its own copy.
+        tables = [floatfmt._pow10_table, floatfmt._group_tables,
+                  floatfmt._keep_table]
+        for table in tables:
+            table.cache_clear()
+        built, real_forked = [], gridlab.cli.forked
+
+        def forked(*args):
+            built.append([table.cache_info().currsize for table in tables])
+            return real_forked(*args)
+
+        monkeypatch.setattr(gridlab.cli, "forked", forked)
+        use_cpus(monkeypatch, 4)
+        res, _ = self.simulate(runner, tmp_path, 3 * _CHUNK_ROWS + 5)
+        assert res.exit_code == 0, res.output
+        assert built == [[1, 1, 1]]

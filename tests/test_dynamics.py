@@ -677,3 +677,37 @@ class TestScaleInvariance:
             assert first > 0
             differ = bits_differ(rc, c * r) | bits_differ(zc, c * z)
             assert differ.any() and not differ[:first].any(), c
+
+
+@pytest.mark.parametrize("lam", [0.3, 0.5, 0.9])
+def test_mu_zero_d1_sojourn_is_a_jordan_block(lam):
+    # At mu = 0 D1's matrix has the double eigenvalue 1: with s = R + lam Z
+    # the map is s' = s + zeta + N and Z' = Z - s.  At sigma = 0 a sojourn
+    # from (-L, 0) follows s_t = s_0 + t zeta and
+    # Z_t = Z_0 - t s_0 - zeta t (t - 1) / 2 until R reaches D2, near
+    # t = 2 L / zeta.  Both kernels must follow it to REL_TOL of the peak
+    # backlog L^2 / (2 zeta): the Jordan block turns each step's rounding
+    # in s into an error in Z that grows with t, up to about t^2 ulps of
+    # the peak (9e-10 at 2857 steps; at most 2.4e-10 of it here).
+    REL_TOL = 1e-8
+    cases = [(1.0, 1e3), (2.5, 1e2), (0.7, 1e3)]
+    ps = [validate_params(lam, 0.0, zeta, 1.0, 3.0, 0.0) for zeta, _ in cases]
+    launch = np.array([-size for _, size in cases])
+    steps = 3000
+    [(cols_r, cols_z, _)] = iterate_columns(ps, launch, 0.0,
+                                            [np.zeros((steps, len(ps)))])
+    for c, (p, (zeta, size)) in enumerate(zip(ps, cases)):
+        [(r, z, bad)] = iterate(p, -size, 0.0, [np.zeros(steps)])
+        assert bad == -1
+        assert r.tolist() == cols_r[:, c].tolist()
+        assert z.tolist() == cols_z[:, c].tolist()
+        # States 0..n are in D1; the closed form holds for each of them and
+        # for the first state out of D1.
+        n = int(np.argmax(r >= breakpoints(p)[0])) - 1
+        assert n >= 2 * size / zeta - 4
+        t = np.arange(n + 2)
+        s_want = -size + t * zeta
+        z_want = t * size - zeta * t * (t - 1) / 2
+        peak = size ** 2 / (2 * zeta)
+        assert np.abs(r[:n + 2] + lam * z[:n + 2] - s_want).max() <= REL_TOL * peak
+        assert np.abs(z[:n + 2] - z_want).max() <= REL_TOL * peak
