@@ -43,6 +43,7 @@ MAX_DRAWS = 10**8
 # The most states a drift run may sample per region: each of its
 # 4 * per_region points is held as a tuple, a report row and a manifest
 # entry, about 1.2 KB in all, so this is about 4 * 5e5 * 1.2 KB = 2.4 GB.
+# An explicit point costs the same, so 'points' may hold 4 * this many.
 MAX_PER_REGION = 500_000
 
 # The most points a sweep grid may have, counted as the product of its
@@ -200,6 +201,9 @@ def parse_drift(doc: dict) -> tuple[dict, dict]:
         if not (isinstance(points, list) and points):
             raise ConfigError(
                 "config: 'points' must be a non-empty list of [r, z] pairs")
+        if len(points) > 4 * MAX_PER_REGION:
+            raise ConfigError(f"config: {len(points)} points is more than "
+                              f"{4 * MAX_PER_REGION}")
         points = [_pair(pt, f"config: points[{i}]")
                   for i, pt in enumerate(points)]
         for i, (_, z) in enumerate(points):

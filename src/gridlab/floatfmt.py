@@ -1,9 +1,10 @@
 """fmt_float for whole arrays: the float fields of trajectory.csv.
 
 :func:`fmt_floats` lays out ``config.fmt_float(x)`` for every element
-of an array, byte for byte, from an exact decimal scaling of each value
-and a few lookup tables.  It falls back to ``fmt_float`` itself only for
-NaN, the infinities and the near-ties the scaling cannot settle.
+of an array, byte for byte, from one decimal scaling of each value and
+a few lookup tables.  Every value that scaling cannot settle goes to
+``fmt_float`` itself: NaN, the infinities, and each finite value whose
+scaling lands off its decade, on or near a rounding tie, or on 10**17.
 """
 
 from __future__ import annotations
@@ -19,12 +20,13 @@ from .config import fmt_float
 FIELD_BYTES = 48
 
 # fmt_floats scales by 10**k for _P10_MIN <= k <= _P10_MAX (k = 16 - e for
-# decimal exponents -325 <= e <= 309).  Outside _P10_UNSCALED (e < -270
-# or e > 299) it first scales the value by 2**_PRE or 2**-_PRE, exactly,
-# so that it, 10**k and their Veltkamp splits are finite normal doubles.
+# the decimal exponents -324 <= e <= 308 of nonzero doubles).  Outside
+# _P10_UNSCALED (e < -270 or e > 299) it first scales the value by 2**_PRE
+# or 2**-_PRE, exactly, so that it, 10**k and their Veltkamp splits are
+# finite normal doubles.
 # The tables are built on fmt_floats' first call, so a command that
 # writes no trajectory pays for none of them.
-_P10_MIN, _P10_MAX = -293, 341
+_P10_MIN, _P10_MAX = -292, 340
 _P10_UNSCALED = range(-283, 287)
 _PRE = 200
 _VELTKAMP = 134217729.0  # 2**27 + 1
@@ -108,11 +110,9 @@ def _keep_table() -> np.ndarray:
     return (keep * np.uint8(0xFF)).reshape(-1, FIELD_BYTES).view(np.uint64)
 
 
-def _scaled(a: np.ndarray, e: np.ndarray
-            ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(p, q, inexact): p + q is a * 10**(16 - e), p is it rounded to a
-    double, and ``inexact`` marks where the table's 10**(16 - e) / pre
-    is not a double.  The sum is exact where ``inexact`` is false
+def _scaled(a: np.ndarray, e: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(p, q): p + q is a * 10**(16 - e) and p is it rounded to a double.
+    The sum is exact where the table's 10**(16 - e) / pre is a double
     (Dekker's product) and within 1e-14 of the product elsewhere."""
     k = 16 - _P10_MIN - e
     pre, hi, b_hi, b_lo, lo = (table[k] for table in _pow10_table())
@@ -121,7 +121,7 @@ def _scaled(a: np.ndarray, e: np.ndarray
     a_hi, a_lo = _veltkamp(a)
     q = ((a_hi * b_hi - p) + a_hi * b_lo + a_lo * b_hi) + a_lo * b_lo + a * lo
     s = p + q
-    return s, q - (s - p), lo != 0.0
+    return s, q - (s - p)
 
 
 def _divmod(a: np.ndarray, b: int) -> tuple[np.ndarray, np.ndarray]:
@@ -145,16 +145,18 @@ def fmt_floats(x: np.ndarray) -> np.ndarray:
     ``field.tobytes().translate(None, b"\\0")`` is that text.  Its last
     three bytes are always NUL.
 
-    The 17 correctly rounded digits come from the exact decimal scaling
+    The 17 correctly rounded digits come from the decimal scaling
     p + q = |x| * 10**(16 - e), e = floor(log10|x|): d = p + rint(q),
     half to even, since p is an even integer in [1e16, 1e17).  Values
     below 1e-270, subnormals included, and from 1e300 up are first
     scaled by a power of two, exactly, and multiplied by 10**(16 - e)
-    over that power.  Where the factor is not a double, p + q may be off by 1e-14,
-    so near-ties go to ``fmt_float``: an element whose q lies within 1e-9
-    of a half-integer, or whose p + q that error leaves outside
-    [1e16, 1e17) at both exponents it tries (1e20 is one).  So do NaN and
-    the infinities, and nothing else.
+    over that power.  Where the factor is not a double, p + q may be off
+    by 1e-14.  So ``fmt_float`` lays out, and nothing else does, the
+    elements that are NaN or infinite, those whose p + q lies outside
+    [1e16, 1e17) (log10 rounded across a power of ten, or the error did,
+    as for 1e20), those whose q lies within 1e-9 of a half-integer (exact
+    ties too, as half the doubles from 1.2e15 to 2.2e15 are), and those
+    whose d rounds up to 10**17.
     """
     x = np.asarray(x, dtype=np.float64)
     flat = x.ravel()
@@ -162,20 +164,13 @@ def fmt_floats(x: np.ndarray) -> np.ndarray:
     fast = (a > 0.0) & (a < np.inf)  # finite and nonzero
     a = np.where(fast, a, 1.0)
     e = np.floor(np.log10(a)).astype(np.int64)
-    p, q, inexact = _scaled(a, e)
-    # log10 may round across a power of ten: move e by one and scale again.
-    off = np.flatnonzero(_outside(p, q))
-    e[off] += np.where(p[off] <= 1e16, -1, 1)
-    p[off], q[off], inexact[off] = _scaled(a[off], e[off])
+    p, q = _scaled(a, e)
     r = np.rint(q)
-    slow = (~fast & (flat != 0.0) | _outside(p, q)
-            | inexact & (np.abs(q - r) > 0.5 - 1e-9))
     d = p.astype(np.int64) + r.astype(np.int64)
-    del a, p, q, r, inexact  # each temporary goes as soon as it is dead
-    carry = d == 10 ** 17  # rounded up to 10**17: one digit more
-    ok = fast & ~slow
-    d = np.where(ok, np.where(carry, 10 ** 16, d), 0)
-    e = np.where(ok, e + carry, 0)
+    slow = (~fast & (flat != 0.0) | _outside(p, q)
+            | (np.abs(q - r) > 0.5 - 1e-9) | (d == 10 ** 17))
+    del a, p, q, r  # each temporary goes as soon as it is dead
+    d = np.where(fast & ~slow, d, 0)  # a zero's e is 0, from a = 1
 
     lead, rest = _divmod(d, 10 ** 16)
     upper, lower = _divmod(rest, 10 ** 8)

@@ -527,6 +527,22 @@ def test_draw_limit_is_inclusive_and_named():
         parse_drift(dict(doc, per_region=MAX_PER_REGION + 1))
 
 
+def test_drift_points_limit_is_inclusive_and_named(runner, tmp_path,
+                                                   monkeypatch):
+    # An explicit point costs what a sampled one does, so 'points' may
+    # hold 4 * MAX_PER_REGION of them; patched small, the lists run.
+    monkeypatch.setattr(gridlab.config, "MAX_PER_REGION", 2)
+    at_cap = write_config(tmp_path, dict(DRIFT, points=[[1.0, 1.0]] * 8), "8.json")
+    res = runner.invoke(main, ["drift", "--config", at_cap, "--out", str(tmp_path / "a")])
+    assert res.exit_code == 0, res.output
+    assert len(read_csv(tmp_path / "a" / "drift_report.csv")) == 1 + 8
+    past = write_config(tmp_path, dict(DRIFT, points=[[1.0, 1.0]] * 9), "9.json")
+    res = runner.invoke(main, ["drift", "--config", past, "--out", str(tmp_path / "b")])
+    assert res.exit_code == 2, res.output
+    assert res.stderr == "config error: config: 9 points is more than 8\n"
+    assert files_in(tmp_path / "b") == []
+
+
 def test_sweep_limits_are_inclusive_and_named():
     # Parses only; no point runs.
     seeds = MAX_GROWTH_COLUMNS // MAX_GRID_POINTS
@@ -757,18 +773,21 @@ def test_trajectory_chunks_match_csv_writer(tmp_path, p0, n_rows):
 
 def test_paper_default_trajectory_makes_no_scalar_call(tmp_path, monkeypatch):
     # At the paper's defaults the backlog contracts outside D1, so Z and
-    # B = lambda Z pass below 1e-270 into subnormals; fmt_floats lays out
-    # every field of such a run without fmt_float.  A near-tie (q within
-    # 1e-9 of a half-integer, about 2e-9 of fields) would still go to
-    # fmt_float; this fixed run has none.
+    # B = lambda Z pass below 1e-270 into subnormals and reach 0, and are
+    # written in e-notation; fmt_floats lays out every field of such a run
+    # without fmt_float.  A near-tie (q within 1e-9 of a half-integer,
+    # about 2e-9 of fields) would still go to fmt_float; this fixed run
+    # has none.
     sim, _ = parse_simulate({"params": P0, "x0": [0, 5], "steps": 10_000, "seed": 0})
     _, traj = simulate(sim)
     assert ((traj.z > 0.0) & (traj.z < 2.0 ** -1022)).any()
+    assert (traj.z == 0.0).any()
     calls = []
     monkeypatch.setattr(floatfmt, "fmt_float", lambda x: calls.append(x) or fmt_float(x))
     use_cpus(monkeypatch, 1)  # one share, formatted in this process
     with open(tmp_path / "trajectory.csv", "wb") as fh:
         _write_trajectory(traj, fh, tmp_path)
+    assert b"e-" in (tmp_path / "trajectory.csv").read_bytes()
     assert calls == []
 
 
@@ -795,6 +814,37 @@ def test_trajectory_h_lyap_may_read_inf(runner, tmp_path):
     for row in rows:
         assert all(math.isfinite(float(v)) for k, v in row.items()
                    if k not in ("region", "H_lyap"))
+
+
+def test_drift_report_blank_only_where_not_applicable(runner, tmp_path):
+    # README's field list: paper_formula and agree_paper are blank just
+    # where paper_kind reads not-applicable (D1 at mu = 0), and no field is
+    # nan or inf.  The two golden drift configs, and mu = 0 at a D1 and a
+    # D3 point.
+    docs = [GOLDEN_CASES["drift-points"][1], GOLDEN_CASES["drift-per-region"][1],
+            dict(DRIFT, params=dict(P0, mu=0.0), points=[[-1.0, 2.0], [2.5, 1.0]])]
+    kinds = []
+    for i, doc in enumerate(docs):
+        cfg = write_config(tmp_path, doc, f"drift-{i}.json")
+        out = tmp_path / f"o{i}"
+        res = runner.invoke(main, ["drift", "--config", cfg, "--out", str(out)])
+        assert res.exit_code == 0, res.output
+        text = (out / "drift_report.csv").read_text()
+        for row in csv.DictReader(io.StringIO(text)):
+            assert all(math.isfinite(float(row[k]))
+                       for k in ("r", "z", "exact", "mc_mean", "mc_stderr"))
+            assert row["region"] in ("D1", "D2", "D3", "D4")
+            assert row["agree_mc"] in ("true", "false")
+            kinds.append(row["paper_kind"])
+            if row["paper_kind"] == "not-applicable":
+                assert row["region"] == "D1" and doc["params"]["mu"] == 0.0
+                assert row["paper_formula"] == row["agree_paper"] == ""
+            else:
+                assert row["paper_kind"] in ("exact", "upper_bound")
+                assert math.isfinite(float(row["paper_formula"]))
+                assert row["agree_paper"] in ("true", "false")
+    assert set(kinds) == {"exact", "upper_bound", "not-applicable"}
+    assert kinds[-2:] == ["not-applicable", "upper_bound"]
 
 
 def test_import_leaves_scipy_stats_out():

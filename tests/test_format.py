@@ -1,11 +1,13 @@
 """fmt_floats, the array formatter of trajectory.csv, against fmt_float."""
 
 import math
+from fractions import Fraction
 
 import numpy as np
 from hypothesis import given
 from hypothesis import strategies as st
 
+from gridlab import floatfmt
 from gridlab.config import fmt_float
 from gridlab.floatfmt import FIELD_BYTES, fmt_floats
 
@@ -98,3 +100,19 @@ def test_fields_follow_the_array_shape():
     x = np.array([[1.0, -0.0, 1e-7], [np.nan, 2.0 ** -25, 1e22]])
     assert [texts(row) for row in x] == [[fmt_float(v) for v in row] for row in x]
     assert fmt_floats(np.empty((0, 7))).shape == (0, 7, FIELD_BYTES)
+
+
+def test_only_exact_ties_of_ordinary_values_reach_fmt_float(monkeypatch):
+    # N(0, 1) * 10**k over the decimal exponents scaled without a power of
+    # two first (-270 <= e <= 299).  The one scaling settles every value
+    # but the exact ties, |x| * 10**(16 - e) = n + 1/2, which doubles of
+    # few fraction bits are (a third of those near 1e15).
+    calls = []
+    monkeypatch.setattr(floatfmt, "fmt_float", lambda v: calls.append(v) or fmt_float(v))
+    rng = np.random.default_rng(27)
+    for k in range(-270, 300):
+        fmt_floats(rng.standard_normal(500) * 10.0 ** k)
+    assert len(calls) < 1000
+    for v in calls:
+        scaled = Fraction(abs(v)) * Fraction(10) ** (16 - math.floor(math.log10(abs(v))))
+        assert 10 ** 16 <= scaled < 10 ** 17 and scaled.denominator == 2, v
