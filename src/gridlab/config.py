@@ -31,9 +31,10 @@ _MISSING = object()
 # The most steps one chain, or draws one drift estimate, may take.  The
 # chain kernel holds 16 bytes per step (R and Z; its noise is drawn a
 # block at a time), and `simulate` peaks at 24 bytes per step whatever
-# its record_every (the chain and one summary temporary; the records are
-# views of the chain, and trajectory.csv is derived and formatted 1024
-# rows at a time, in about 1.2 MB), so one at the cap needs about 2.4 GB.
+# its record_every (the chain and the one chain-sized array its summary
+# works in; the records are views of the chain, and trajectory.csv is
+# derived and formatted 1024 rows at a time, in about 1.2 MB), so one at
+# the cap needs about 2.4 GB.
 # A drift point holds about 48 bytes per draw (the noise, the stepped
 # states and the lyap_h temporaries), so one at the cap needs about
 # 4.8 GB.  It caps record_every too: any record_every above steps
@@ -290,7 +291,7 @@ def fmt_float(x: float) -> str:
 
     This is the one scalar formatter: :func:`gridlab.floatfmt.fmt_floats`
     gives its bytes for a whole array, and falls back to it element by
-    element for NaN, the infinities and near-ties.
+    element for NaN, the infinities and what its scaling cannot settle.
     """
     return format(float(x), ".17g")
 

@@ -4,7 +4,8 @@
 of an array, byte for byte, from one decimal scaling of each value and
 a few lookup tables.  Every value that scaling cannot settle goes to
 ``fmt_float`` itself: NaN, the infinities, and each finite value whose
-scaling lands off its decade, on or near a rounding tie, or on 10**17.
+scaling lands off its decade or on 10**17, or is inexact and lands near
+a rounding tie.
 """
 
 from __future__ import annotations
@@ -154,9 +155,10 @@ def fmt_floats(x: np.ndarray) -> np.ndarray:
     by 1e-14.  So ``fmt_float`` lays out, and nothing else does, the
     elements that are NaN or infinite, those whose p + q lies outside
     [1e16, 1e17) (log10 rounded across a power of ten, or the error did,
-    as for 1e20), those whose q lies within 1e-9 of a half-integer (exact
-    ties too, as half the doubles from 1.2e15 to 2.2e15 are), and those
-    whose d rounds up to 10**17.
+    as for 1e20), those whose d rounds up to 10**17, and those whose q
+    lies within 1e-9 of a half-integer where 10**(16 - e) is not a double
+    (e outside -6..16).  Inside that range p + q is exact, so rint
+    settles an exact tie, as half the doubles from 1.2e15 to 2.2e15 are.
     """
     x = np.asarray(x, dtype=np.float64)
     flat = x.ravel()
@@ -167,8 +169,8 @@ def fmt_floats(x: np.ndarray) -> np.ndarray:
     p, q = _scaled(a, e)
     r = np.rint(q)
     d = p.astype(np.int64) + r.astype(np.int64)
-    slow = (~fast & (flat != 0.0) | _outside(p, q)
-            | (np.abs(q - r) > 0.5 - 1e-9) | (d == 10 ** 17))
+    slow = (~fast & (flat != 0.0) | _outside(p, q) | (d == 10 ** 17)
+            | (np.abs(q - r) > 0.5 - 1e-9) & ((e < -6) | (e > 16)))
     del a, p, q, r  # each temporary goes as soon as it is dead
     d = np.where(fast & ~slow, d, 0)  # a zero's e is 0, from a = 1
 

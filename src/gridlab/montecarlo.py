@@ -26,6 +26,7 @@ from .dynamics import (
     Params,
     Region,
     State,
+    breakpoints,
     expressed_backlog,
     frustrated_demand,
     iterate,
@@ -343,27 +344,33 @@ def simulate(cfg: SimConfig) -> tuple[TrajectoryStats, Trajectory]:
     encountered in square" RuntimeWarning (``gridlab simulate`` exits 3).
     The records hold views of the chain, every record_every-th state, and
     no other array: the chain's 16 bytes per step stay alive with them.
-    Summarizing peaks at 24 bytes per step, the chain and one temporary.
+    The summary works in one scratch array of a double per post-burn-in
+    step, so it peaks at 24 bytes per step, the chain and that array.
     """
     p = cfg.params
     rng = stream(cfg.seed)
     r, z = _run_chain(p, cfg.x0, cfg.steps, rng)
 
     rs_, zs_ = r[cfg.burn_in:], z[cfg.burn_in:]
-    counts = np.bincount(region_codes(p, rs_), minlength=len(Region))
-    # frustrated_demand(rs_) in one temporary instead of two: the same
-    # ufuncs, so the same bits.  It is freed before var and quantile take
-    # theirs.
-    frustrated = np.negative(rs_)
-    mean_frustrated = float(np.maximum(frustrated, 0.0, out=frustrated).mean())
-    del frustrated
+    # region_codes' counts without its int64 array: a state's code is the
+    # number of breakpoints at or below it, and NaN's is 3 (D4).
+    below = [np.count_nonzero(rs_ < b) for b in breakpoints(p)]
+    counts = np.diff([0, *below, rs_.size])
+    # The rest fills one scratch array in turn, with the ufuncs of
+    # frustrated_demand, ndarray.var (numpy's _var) and np.quantile in
+    # their order, so the same bits and warnings.
+    scratch = np.empty(rs_.size)
+    np.negative(rs_, out=scratch)
+    mean_frustrated = float(np.maximum(scratch, 0.0, out=scratch).mean())
+    r_var, r_quantiles = _spread(rs_, scratch)
+    z_var, z_quantiles = _spread(zs_, scratch)
     stats = TrajectoryStats(
-        r_mean=float(rs_.mean()), r_var=float(rs_.var()),
+        r_mean=float(rs_.mean()), r_var=r_var,
         r_min=float(rs_.min()), r_max=float(rs_.max()),
-        r_quantiles=dict(zip(QUANTILES, _quantiles(rs_, QUANTILES).tolist())),
-        z_mean=float(zs_.mean()), z_var=float(zs_.var()),
+        r_quantiles=r_quantiles,
+        z_mean=float(zs_.mean()), z_var=z_var,
         z_min=float(zs_.min()), z_max=float(zs_.max()),
-        z_quantiles=dict(zip(QUANTILES, _quantiles(zs_, QUANTILES).tolist())),
+        z_quantiles=z_quantiles,
         occupancy={region.value: float(c) / rs_.size
                    for region, c in zip(Region, counts)},
         mean_frustrated=mean_frustrated,
@@ -374,6 +381,16 @@ def simulate(cfg: SimConfig) -> tuple[TrajectoryStats, Trajectory]:
 
     return stats, Trajectory(p, cfg.record_every, r[::cfg.record_every],
                              z[::cfg.record_every])
+
+
+def _spread(x: np.ndarray, scratch: np.ndarray) -> tuple[float, dict[float, float]]:
+    """(``x.var()``, x's QUANTILES as ``np.quantile`` gives them), bit for
+    bit, in scratch, an array of x's size: the deviations squared in
+    place, as numpy's _var squares them, then a copy of x to partition."""
+    np.square(np.subtract(x, x.mean(keepdims=True), out=scratch), out=scratch)
+    var = float(scratch.sum() / x.size)
+    np.copyto(scratch, x)
+    return var, dict(zip(QUANTILES, _select_quantiles(scratch, QUANTILES).tolist()))
 
 
 def _ks_statistic(a: np.ndarray, b: np.ndarray) -> float:
@@ -580,6 +597,11 @@ def _quantiles(x: np.ndarray, qs: tuple[float, ...]) -> np.ndarray:
     lerp, which counts back from the upper value where the weight is at
     least 0.5.  A NaN sorts last and becomes every quantile.
     """
+    return _select_quantiles(x.copy(), qs)
+
+
+def _select_quantiles(x: np.ndarray, qs: tuple[float, ...]) -> np.ndarray:
+    """:func:`_quantiles` of x, which it partitions in place."""
     n = x.size
     virtual = (n - 1) * np.asarray(qs, dtype=np.float64)
     lower = np.floor(virtual)
@@ -587,14 +609,14 @@ def _quantiles(x: np.ndarray, qs: tuple[float, ...]) -> np.ndarray:
     last = virtual >= n - 1
     lower[last] = upper[last] = -1
     lower, upper = lower.astype(np.intp), upper.astype(np.intp)
-    ordered = np.partition(x, sorted({0, -1, *lower.tolist(), *upper.tolist()}))
-    a, b = ordered[lower], ordered[upper]
+    x.partition(sorted({0, -1, *lower.tolist(), *upper.tolist()}))
+    a, b = x[lower], x[upper]
     t = virtual - lower
     diff = b - a
     out = a + diff * t
     np.subtract(b, diff * (1 - t), out=out, where=t >= 0.5)
-    if np.isnan(ordered[-1]):
-        out[:] = ordered[-1]
+    if np.isnan(x[-1]):
+        out[:] = x[-1]
     return out
 
 

@@ -105,8 +105,8 @@ def test_fields_follow_the_array_shape():
 def test_only_exact_ties_of_ordinary_values_reach_fmt_float(monkeypatch):
     # N(0, 1) * 10**k over the decimal exponents scaled without a power of
     # two first (-270 <= e <= 299).  The one scaling settles every value
-    # but the exact ties, |x| * 10**(16 - e) = n + 1/2, which doubles of
-    # few fraction bits are (a third of those near 1e15).
+    # but the exact ties, |x| * 10**(16 - e) = n + 1/2, where that scaling
+    # is inexact (e outside -6..16).
     calls = []
     monkeypatch.setattr(floatfmt, "fmt_float", lambda v: calls.append(v) or fmt_float(v))
     rng = np.random.default_rng(27)
@@ -116,3 +116,20 @@ def test_only_exact_ties_of_ordinary_values_reach_fmt_float(monkeypatch):
     for v in calls:
         scaled = Fraction(abs(v)) * Fraction(10) ** (16 - math.floor(math.log10(abs(v))))
         assert 10 ** 16 <= scaled < 10 ** 17 and scaled.denominator == 2, v
+
+
+def test_exact_ties_of_an_exact_scaling_stay_in_the_vector_path(monkeypatch):
+    # Where 10**(16 - e) is a double (-6 <= e <= 16), p + q is exact and
+    # rint rounds an exact tie half to even, as %.17g does.  N(0, 1) *
+    # 10**k for 12 <= k <= 16 holds many ties (a third of the draws near
+    # 1e15), and none of its values reaches fmt_float.
+    calls = []
+    monkeypatch.setattr(floatfmt, "fmt_float", lambda v: calls.append(v) or fmt_float(v))
+    rng = np.random.default_rng(28)
+    x = np.concatenate([rng.standard_normal(2000) * 10.0 ** k for k in range(12, 17)])
+    assert texts(x) == [fmt_float(v) for v in x]
+    assert calls == []
+    exponents = np.floor(np.log10(np.abs(x))).astype(int)
+    assert (exponents >= -6).all() and (exponents <= 16).all()
+    scaled = [Fraction(abs(v)) * Fraction(10) ** (16 - int(e)) for v, e in zip(x, exponents)]
+    assert sum(s.denominator == 2 for s in scaled) > 500

@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+import warnings
 from collections import Counter
 from dataclasses import replace
 
@@ -327,6 +328,52 @@ class TestSimulate:
         assert 1e154 < stats.z_max < OVERFLOW_GUARD
         assert stats.r_var == stats.z_var == math.inf
         assert math.isfinite(stats.r_mean) and math.isfinite(stats.z_mean)
+
+    @given(st.data())
+    def test_summary_has_numpys_bits(self, data):
+        # Short chains: any burn_in, record_every above 1, an x0 backlog of
+        # -0.0, and far launches whose deviations pass 1.3e154, so that
+        # their variances overflow (mu < 0 ones among them).  Every field
+        # equals numpy's reduction of the post-burn-in chain, bit for bit,
+        # with the same warnings.
+        lam, mu = data.draw(st.sampled_from(
+            [(0.5, 0.1), (0.3, -0.02), (0.5, -0.3), (0.9, 0.05), (0.3, 0.6)]))
+        p = validate_params(lam, mu, 1.0, 1.0, 3.0, data.draw(st.sampled_from([0.0, 1.0, 3.0])))
+        x0 = (data.draw(st.sampled_from([0.0, -5.0, 3.5, 1e7, -1e156])),
+              data.draw(st.sampled_from([-0.0, 0.0, 5.0, 1e156])))
+        steps = data.draw(st.integers(1, 300))
+        cfg = SimConfig(p, x0, steps, burn_in=data.draw(st.integers(0, steps - 1)),
+                        seed=data.draw(st.integers(0, 2 ** 32 - 1)),
+                        record_every=data.draw(st.integers(1, 5)))
+        with warnings.catch_warnings(record=True) as got_warnings:
+            warnings.simplefilter("always")
+            got, _ = simulate(cfg)
+        r, z = _run_chain(p, x0, steps, stream(cfg.seed))
+        rs, zs = r[cfg.burn_in:], z[cfg.burn_in:]
+        with warnings.catch_warnings(record=True) as want_warnings:
+            warnings.simplefilter("always")
+            counts = np.bincount(region_codes(p, rs), minlength=4)
+            want = montecarlo.TrajectoryStats(
+                r_mean=np.mean(rs), r_var=rs.var(), r_min=rs.min(), r_max=rs.max(),
+                r_quantiles=dict(zip(QUANTILES, np.quantile(rs, QUANTILES))),
+                z_mean=np.mean(zs), z_var=zs.var(), z_min=zs.min(), z_max=zs.max(),
+                z_quantiles=dict(zip(QUANTILES, np.quantile(zs, QUANTILES))),
+                occupancy={region: float(c) / rs.size
+                           for region, c in zip(["D1", "D2", "D3", "D4"], counts)},
+                mean_frustrated=np.maximum(-rs, 0).mean(),
+                mean_expressed=expressed_backlog(p, np.mean(zs)),
+                final_state=(r[-1], z[-1]), n_samples=rs.size)
+
+        def bits(x):
+            if isinstance(x, dict):
+                return {k: bits(v) for k, v in x.items()}
+            if isinstance(x, (list, tuple)):
+                return [bits(v) for v in x]
+            return np.float64(x).view(np.uint64).item()
+
+        assert bits(got.as_dict()) == bits(want.as_dict())
+        assert ({str(w.message) for w in got_warnings}
+                == {str(w.message) for w in want_warnings})
 
 
 class TestMonotoneViolations:
