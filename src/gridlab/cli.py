@@ -236,7 +236,8 @@ def cmd_drift(cfg: dict) -> Files:
         else:
             paper_val = fmt_float(rep.paper_formula)
             kind = rep.paper_kind
-            agree = str(rep.agree_paper).lower()
+            agree = ("" if rep.agree_paper is None
+                     else str(rep.agree_paper).lower())
         rows.append([fmt_float(x[0]), fmt_float(x[1]), rep.region.value,
                      fmt_float(rep.exact), paper_val, kind,
                      fmt_float(rep.mc_mean), fmt_float(rep.mc_stderr),

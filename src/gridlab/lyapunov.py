@@ -7,7 +7,7 @@ computes the drift three independent ways:
 * ``drift_exact``      -- closed form H(A_i x + b_i) + 2 sigma^2 - H(x);
 * ``drift_paper``      -- the region-wise expressions written in the
                           eigenbasis of each affine piece (exact in D1 and
-                          D2, upper bounds in D3 and D4);
+                          D2, upper bounds in D3 and D4 for mu > 0);
 * ``empirical_drift``  -- Monte Carlo sampling of one step.
 
 It also exposes the geometry of the sets C1..C4 where the drift may exceed
@@ -91,10 +91,10 @@ class DriftReport:
     region: Region
     exact: float
     paper_formula: float | None  # None when undefined (mu == 0 in D1)
-    paper_kind: str | None       # "exact" or "upper_bound"
+    paper_kind: str | None       # "exact", "upper_bound" or "expression"
     mc_mean: float
     mc_stderr: float
-    agree_paper: bool
+    agree_paper: bool | None     # None for an "expression", which claims nothing
     agree_mc: bool
 
 
@@ -273,17 +273,19 @@ def drift_paper(p: Params, x: State) -> tuple[float, str]:
     """The region-specific drift expression at x.
 
     Returns (value, kind): the expression is the exact drift in D1 and D2
-    and an upper bound in D3 and D4.  D1 needs the M1 coordinates, hence
-    mu != 0.
+    ("exact"), and in D3 and D4 an upper bound for mu > 0 ("upper_bound")
+    and an "expression" that bounds nothing otherwise.  D1 needs the M1
+    coordinates, hence mu != 0.
     """
     region = classify_region(p, x)
     if region is Region.D1:
         return _dw1(p, to_y1(p, x)), "exact"
     if region is Region.D2:
         return _dw2(p, to_y2(p, x)), "exact"
+    kind = "upper_bound" if p.mu > 0.0 else "expression"
     if region is Region.D3:
-        return _d3_bound(p, x), "upper_bound"
-    return _d4_bound(p, to_y2(p, x)), "upper_bound"
+        return _d3_bound(p, x), kind
+    return _d4_bound(p, to_y2(p, x)), kind
 
 
 def negative_drift_geometry(p: Params) -> NegativeDriftGeometry:
@@ -377,8 +379,10 @@ def drift_report(p: Params, x: State, n_samples: int, seed: int) -> DriftReport:
         scale = max(1.0, abs(exact), abs(paper_val))
         if kind == "exact":
             agree_paper = abs(exact - paper_val) <= PAPER_REL_TOL * scale
-        else:
+        elif kind == "upper_bound":
             agree_paper = exact <= paper_val + PAPER_REL_TOL * scale
+        else:
+            agree_paper = None
     mc_mean, mc_stderr = empirical_drift(p, x, n_samples, seed)
     agree_mc = abs(exact - mc_mean) <= MC_SIGMAS * mc_stderr
     return DriftReport(x, region, exact, paper_val, kind,

@@ -24,10 +24,11 @@ ALGORITHM = "philox4x64 + inverse-cdf gaussian"
 _TWO53 = float(1 << 53)
 _BELOW_ONE = 1.0 - 2.0 ** -53
 
-# Uniforms mapped through the ndtri port at a time.  A block's uniforms
+# Uniforms mapped through the ndtri port at a time, as many as the chain
+# runner draws at once (``montecarlo.KERNEL_BLOCK``).  A block's uniforms
 # and the port's temporaries take about 55 bytes per element, so about
-# 0.45 MB whatever the size of the draw.
-_NDTRI_BLOCK = 8192
+# 0.23 MB whatever the size of the draw.
+_NDTRI_BLOCK = 4096
 
 # cephes ndtri: its coefficients, highest power first, and branch points.
 # Q0, Q1 and Q2 omit their leading coefficient 1.

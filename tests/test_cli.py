@@ -817,10 +817,10 @@ def test_trajectory_h_lyap_may_read_inf(runner, tmp_path):
 
 
 def test_drift_report_blank_only_where_not_applicable(runner, tmp_path):
-    # README's field list: paper_formula and agree_paper are blank just
-    # where paper_kind reads not-applicable (D1 at mu = 0), and no field is
-    # nan or inf.  The two golden drift configs, and mu = 0 at a D1 and a
-    # D3 point.
+    # README's field list: paper_formula is blank just where paper_kind
+    # reads not-applicable (D1 at mu = 0), agree_paper there and where it
+    # reads expression (D3 and D4 at mu <= 0), and no field is nan or inf.
+    # The two golden drift configs, and mu = 0 at a D1 and a D3 point.
     docs = [GOLDEN_CASES["drift-points"][1], GOLDEN_CASES["drift-per-region"][1],
             dict(DRIFT, params=dict(P0, mu=0.0), points=[[-1.0, 2.0], [2.5, 1.0]])]
     kinds = []
@@ -835,16 +835,23 @@ def test_drift_report_blank_only_where_not_applicable(runner, tmp_path):
                        for k in ("r", "z", "exact", "mc_mean", "mc_stderr"))
             assert row["region"] in ("D1", "D2", "D3", "D4")
             assert row["agree_mc"] in ("true", "false")
-            kinds.append(row["paper_kind"])
-            if row["paper_kind"] == "not-applicable":
+            kind = row["paper_kind"]
+            kinds.append(kind)
+            if kind == "not-applicable":
                 assert row["region"] == "D1" and doc["params"]["mu"] == 0.0
                 assert row["paper_formula"] == row["agree_paper"] == ""
+                continue
+            assert math.isfinite(float(row["paper_formula"]))
+            if kind == "expression":
+                assert row["region"] in ("D3", "D4")
+                assert doc["params"]["mu"] <= 0.0
+                assert row["agree_paper"] == ""
             else:
-                assert row["paper_kind"] in ("exact", "upper_bound")
-                assert math.isfinite(float(row["paper_formula"]))
+                assert kind in ("exact", "upper_bound")
                 assert row["agree_paper"] in ("true", "false")
-    assert set(kinds) == {"exact", "upper_bound", "not-applicable"}
-    assert kinds[-2:] == ["not-applicable", "upper_bound"]
+    assert set(kinds) == {"exact", "upper_bound", "expression",
+                          "not-applicable"}
+    assert kinds[-2:] == ["not-applicable", "expression"]
 
 
 def test_import_leaves_scipy_stats_out():

@@ -47,7 +47,7 @@ CASES = {
 GOLDEN = {
     "drift-per-region": {
         "drift_report.csv":
-            "beaa5e6820564f28d4dcdb4ac6ffd176489955402fb25be2e09cf180408f42b9",
+            "9c64eaec12419f7c4073fe5f3ede3db22ddde9f4d9a39fd7129ee512e9a88df1",
     },
     "drift-points": {
         "drift_report.csv":

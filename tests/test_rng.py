@@ -11,7 +11,8 @@ from scipy.special import ndtri
 
 from gridlab import montecarlo, rng, validate_params
 from gridlab.montecarlo import GROWTH_SLICE, GROWTH_X0, _growth_block, _slope_fit
-from gridlab.rng import _log, _ndtri, gaussian, standard_normal, stream
+from gridlab.rng import (_log, _ndtri, gaussian, gaussians, standard_normal,
+                         stream)
 
 
 def bits(a) -> list[int]:
@@ -117,6 +118,28 @@ def test_memory_is_bounded_by_a_block():
     finally:
         tracemalloc.stop()
     assert peak <= 16 * n + 100 * rng._NDTRI_BLOCK
+
+
+def traced_peak(f, *args) -> int:
+    """The tracemalloc peak, in bytes, of the call f(*args)."""
+    tracemalloc.start()
+    try:
+        f(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_draws_hold_one_small_block_of_port_temporaries():
+    # The output and the integers, 16 bytes a draw, plus one block of the
+    # port's temporaries at about 55 bytes an element: within 64 * 4096
+    # bytes, which a block of 8192 elements exceeds.  First a growth slice
+    # of 64 steps by 256 columns, then one long column.
+    rngs = [stream(0, c) for c in range(256)]
+    assert traced_peak(gaussians, rngs, 64, [1.0] * 256) \
+        <= 16 * 64 * 256 + 64 * 4096
+    n = 10 ** 6
+    assert traced_peak(gaussian, stream(0), n, 1.0) <= 16 * n + 64 * 4096
 
 
 def test_growth_block_draws_each_columns_gaussian(monkeypatch):
