@@ -64,7 +64,6 @@ from .thermal import (
     Building,
     EvaporationLedger,
     ThermalScenario,
-    affine_cop,
     run_heat_pump_scenario,
     run_scenario_pair,
     temp_step,

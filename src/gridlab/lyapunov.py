@@ -94,7 +94,7 @@ class DriftReport:
     paper_kind: str | None       # "exact", "upper_bound" or "expression"
     mc_mean: float
     mc_stderr: float
-    agree_paper: bool | None     # None for an "expression", which claims nothing
+    agree_paper: bool | None     # None where nothing is claimed
     agree_mc: bool
 
 
@@ -372,8 +372,7 @@ def drift_report(p: Params, x: State, n_samples: int, seed: int) -> DriftReport:
     region = classify_region(p, x)
     exact = drift_exact(p, x)
     if region is Region.D1 and p.mu == 0.0:
-        paper_val, kind = None, None
-        agree_paper = False
+        paper_val, kind, agree_paper = None, None, None
     else:
         paper_val, kind = drift_paper(p, x)
         scale = max(1.0, abs(exact), abs(paper_val))

@@ -28,11 +28,8 @@ from .dynamics import (
     State,
     breakpoints,
     expressed_backlog,
-    frustrated_demand,
     iterate,
     iterate_columns,
-    ramp_control,
-    region_codes,
     validate_params,
 )
 from .errors import GridlabError, SimulationDiverged
@@ -221,21 +218,15 @@ class TrajectoryStats:
         }
 
 
-_REGION_NAMES = np.array([region.value for region in Region])
-
-
 @dataclass(frozen=True)
 class Trajectory:
-    """Thinned per-step records of one chain.
+    """The thinned chain of one run: ``r`` and ``z`` hold R and Z at steps
+    0, record_every, 2 * record_every, ...
 
-    Only the chain is stored: ``r`` and ``z`` hold R and Z at steps 0,
-    record_every, 2 * record_every, ...  Every other column is a function
-    of the state, derived when it is read: for every row from the
-    attributes (``t``, ``region``, ``b_expr``, ``f_frustrated``,
-    ``h_control``), or for a row range from :meth:`columns`, which gives
-    each element the same bits, the region as its code.  Two trajectories
-    are equal when their params, record_every and chains are, NaN equal
-    to NaN.
+    Every other trajectory.csv column is a function of the state, which
+    the ``gridlab.dynamics`` helpers give for any slice of the chain.  Two
+    trajectories are equal when their params, record_every and chains
+    are, NaN equal to NaN.
     """
 
     params: Params
@@ -250,35 +241,6 @@ class Trajectory:
                 and self.record_every == other.record_every
                 and np.array_equal(self.r, other.r, equal_nan=True)
                 and np.array_equal(self.z, other.z, equal_nan=True))
-
-    def columns(self, lo: int, hi: int) -> list[np.ndarray]:
-        """Rows lo..hi-1 of t, r, z, the region code (0..3 for D1..D4),
-        b_expr, f_frustrated and h_control."""
-        p, r, z = self.params, self.r[lo:hi], self.z[lo:hi]
-        return [np.arange(lo, lo + r.size) * self.record_every, r, z,
-                region_codes(p, r), expressed_backlog(p, z),
-                frustrated_demand(r), ramp_control(p, r)]
-
-    @property
-    def t(self) -> np.ndarray:
-        return np.arange(self.r.size) * self.record_every
-
-    @property
-    def region(self) -> np.ndarray:
-        """Region names "D1".."D4"."""
-        return _REGION_NAMES[region_codes(self.params, self.r)]
-
-    @property
-    def b_expr(self) -> np.ndarray:
-        return expressed_backlog(self.params, self.z)
-
-    @property
-    def f_frustrated(self) -> np.ndarray:
-        return frustrated_demand(self.r)
-
-    @property
-    def h_control(self) -> np.ndarray:
-        return ramp_control(self.params, self.r)
 
 
 def _chain_blocks(p: Params, x0: State, steps: int, rng: np.random.Generator
@@ -336,14 +298,15 @@ def monotone_violations(p: Params, x0: State, steps: int,
 
 
 def simulate(cfg: SimConfig) -> tuple[TrajectoryStats, Trajectory]:
-    """Run one chain; return its summary and its recorded trajectory.
+    """Run one chain; return its summary and its thinned chain.
 
     Deterministic given the config.  Raises :class:`SimulationDiverged`
     if |R| or Z exceeds the 1e300 guard; a post-burn-in deviation past
     about 1.3e154 makes r_var and z_var inf, with numpy's "overflow
     encountered in square" RuntimeWarning (``gridlab simulate`` exits 3).
-    The records hold views of the chain, every record_every-th state, and
-    no other array: the chain's 16 bytes per step stay alive with them.
+    The :class:`Trajectory` holds views of the chain, every
+    record_every-th state, and no other array: the chain's 16 bytes per
+    step stay alive with it.
     The summary works in one scratch array of a double per post-burn-in
     step, so it peaks at 24 bytes per step, the chain and that array.
     """
@@ -391,12 +354,6 @@ def _spread(x: np.ndarray, scratch: np.ndarray) -> tuple[float, dict[float, floa
     var = float(scratch.sum() / x.size)
     np.copyto(scratch, x)
     return var, dict(zip(QUANTILES, _select_quantiles(scratch, QUANTILES).tolist()))
-
-
-def _ks_statistic(a: np.ndarray, b: np.ndarray) -> float:
-    """Two-sample Kolmogorov-Smirnov distance sup |F_a - F_b|: the
-    :func:`_ks_sorted` distance of sorted copies of a and b."""
-    return _ks_sorted(np.sort(a), np.sort(b))
 
 
 def _ks_sorted(a: np.ndarray, b: np.ndarray) -> float:
@@ -586,10 +543,10 @@ def _median(values: tuple[float, ...]) -> float:
     return ordered[mid] if len(values) % 2 else (ordered[mid - 1] + ordered[mid]) / 2
 
 
-def _quantiles(x: np.ndarray, qs: tuple[float, ...]) -> np.ndarray:
+def _select_quantiles(x: np.ndarray, qs: tuple[float, ...]) -> np.ndarray:
     """``np.quantile(x, qs)`` of a non-empty 1-D float array, bit for bit,
-    without the numpy.ma import np.quantile's ``np.unique`` makes on its
-    first call.
+    partitioning x in place, without the numpy.ma import np.quantile's
+    ``np.unique`` makes on its first call.
 
     numpy's "linear" method step for step: the virtual index (n - 1) * q,
     its floor and the next index, both -1 where it reaches n - 1; one
@@ -597,11 +554,6 @@ def _quantiles(x: np.ndarray, qs: tuple[float, ...]) -> np.ndarray:
     lerp, which counts back from the upper value where the weight is at
     least 0.5.  A NaN sorts last and becomes every quantile.
     """
-    return _select_quantiles(x.copy(), qs)
-
-
-def _select_quantiles(x: np.ndarray, qs: tuple[float, ...]) -> np.ndarray:
-    """:func:`_quantiles` of x, which it partitions in place."""
     n = x.size
     virtual = (n - 1) * np.asarray(qs, dtype=np.float64)
     lower = np.floor(virtual)

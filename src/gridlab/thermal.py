@@ -28,7 +28,6 @@ __all__ = [
     "temp_step",
     "run_scenario_pair",
     "run_heat_pump_scenario",
-    "affine_cop",
 ]
 
 
@@ -187,13 +186,3 @@ def check_heat_pump(b: Building, s: ThermalScenario) -> None:
             if f != d:
                 raise ValueError(
                     "heat-pump variant requires full frustration F(t) == demand(t)")
-
-
-def affine_cop(b: Building, c: float, t_star_tau: float, t_prev: float) -> float:
-    """Convenience COP model eps' = eps * (1 - c * (T*(tau) - T(tau-1))).
-
-    Not part of the thermal analysis itself (no functional form is
-    prescribed for the COP degradation); clipped to (0, eps].
-    """
-    val = b.eps * (1.0 - c * (t_star_tau - t_prev))
-    return min(max(val, 1e-12), b.eps)

@@ -801,11 +801,13 @@ def test_trajectory_h_lyap_may_read_inf(runner, tmp_path):
     assert res.exit_code == 0, res.output
     sim, _ = parse_simulate(json.loads(Path(cfg).read_text()))
     _, traj = simulate(sim)
+    p, r, z = traj.params, traj.r, traj.z
     with np.errstate(over="ignore"):
-        h = lyap_h(traj.params, (traj.r, traj.z))
+        h = lyap_h(p, (r, z))
     assert np.isinf(h).all()
-    columns = [traj.t, traj.r, traj.z, traj.region, traj.b_expr,
-               traj.f_frustrated, traj.h_control, h]
+    columns = [np.arange(r.size), r, z,
+               np.array(["D1", "D2", "D3", "D4"])[region_codes(p, r)],
+               expressed_backlog(p, z), frustrated_demand(r), ramp_control(p, r), h]
     text = (out / "trajectory.csv").read_text()
     assert text == reference_trajectory_csv(columns)
     rows = list(csv.DictReader(io.StringIO(text)))

@@ -207,6 +207,7 @@ class TestDrift:
         p = validate_params(0.5, 0.0, 1, 1, 3, 1)
         rep = drift_report(p, (-1.0, 2.0), n_samples=1000, seed=1)
         assert rep.paper_formula is None and rep.paper_kind is None
+        assert rep.agree_paper is None
 
 
 class TestNegativeDriftGeometry:

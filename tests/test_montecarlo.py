@@ -25,16 +25,17 @@ from gridlab import (
     validate_params,
 )
 from gridlab import dynamics, montecarlo
-from gridlab.cli import _CHUNK_ROWS
+from gridlab.cli import _CHUNK_ROWS, _rows
 from gridlab.dynamics import (OVERFLOW_GUARD, breakpoints, expressed_backlog,
                               frustrated_demand, iterate, ramp_control,
                               region_codes)
 from gridlab.montecarlo import (GROWTH_SLICE, GROWTH_X0, KERNEL_BLOCK, KS_CHUNK,
                                 QUANTILES,
-                                _growth_block, _growth_probe, _ks_statistic,
-                                _quantiles, _run_chain)
+                                _growth_block, _growth_probe, _ks_sorted,
+                                _run_chain, _select_quantiles)
 from gridlab.rng import gaussian, point_seed, stream
 from conftest import random_params
+from test_cli import reference_trajectory_csv
 
 
 class TestSimConfig:
@@ -189,8 +190,9 @@ def bits(a: np.ndarray) -> list:
 
 
 class TestTrajectoryColumns:
-    """A Trajectory stores the thinned chain and derives every other column;
-    a row range gets the bits the whole-array calls give its rows."""
+    """A Trajectory is the thinned chain; the writer derives every other
+    column, and a row range gets the bytes the whole-array helper calls
+    give its rows."""
 
     C = _CHUNK_ROWS
 
@@ -228,17 +230,11 @@ class TestTrajectoryColumns:
                      np.array(["D1", "D2", "D3", "D4"])[region_codes(p0, rr)],
                      expressed_backlog(p0, zz), frustrated_demand(rr),
                      ramp_control(p0, rr), lyap_h(p0, (rr, zz))]
-            got = [traj.t, traj.r, traj.z, traj.region, traj.b_expr,
-                   traj.f_frustrated, traj.h_control]
-            assert [bits(c) for c in got] == [bits(c) for c in whole[:7]]
+            want = reference_trajectory_csv(whole).encode().splitlines(True)[1:]
             ranges = [(a, min(a + self.C, n)) for a in range(0, n, self.C)]
             ranges += [(0, 1), (self.C - 5, self.C + 5), (n - 9, n), (4, 4)]
-            # columns() gives the region as its code.
-            whole[3] = region_codes(p0, rr)
             for lo, hi in ranges:
-                cols = traj.columns(lo, hi)
-                cols.append(lyap_h(p0, (cols[1], cols[2])))
-                assert [bits(c) for c in cols] == [bits(c[lo:hi]) for c in whole]
+                assert b"".join(_rows(traj, lo, hi)) == b"".join(want[lo:hi])
 
 
 class TestSimulate:
@@ -251,7 +247,7 @@ class TestSimulate:
         assert traj.r.tolist() == [0.0, 1.0, 2.0, 3.0, 3.0]
         assert traj.z.tolist() == [0.0] * 5
         assert stats.final_state == (3.0, 0.0)
-        assert traj.region.tolist() == ["D2", "D2", "D3", "D3", "D3"]
+        assert region_codes(p, traj.r).tolist() == [1, 1, 2, 2, 2]  # D2 D2 D3 D3 D3
 
     def test_seed_determinism(self, p0):
         cfg = SimConfig(p0, (0.0, 0.0), steps=1000, burn_in=100, seed=42)
@@ -277,8 +273,10 @@ class TestSimulate:
     def test_record_thinning(self, p0):
         cfg = SimConfig(p0, (0.0, 0.0), steps=100, seed=1, record_every=10)
         _, traj = simulate(cfg)
-        assert traj.t.tolist() == list(range(0, 101, 10))
-        assert len(traj.r) == 11
+        _, every = simulate(replace(cfg, record_every=1))
+        assert traj.record_every == 10 and len(traj.r) == 11
+        assert traj == replace(every, record_every=10, r=every.r[::10],
+                               z=every.z[::10])
 
     def test_stats_are_consistent(self, p0):
         cfg = SimConfig(p0, (0.0, 0.0), steps=20_000, burn_in=2_000, seed=7)
@@ -299,9 +297,11 @@ class TestSimulate:
         qs = (0.0, *QUANTILES, 1.0)
         with np.errstate(invalid="ignore"):
             want = np.quantile(x, qs)
-            got = _quantiles(x, qs)
+            got = _select_quantiles(x, qs)
         assert got.view(np.uint64).tolist() == want.view(np.uint64).tolist()
-        assert x.view(np.uint64).tolist() == np.array(values).view(np.uint64).tolist()
+        # Partitioned in place: the same elements, reordered.
+        assert sorted(x.view(np.uint64).tolist()) == sorted(
+            np.array(values).view(np.uint64).tolist())
 
     def test_occupancy_concentrates_near_target(self, p0):
         # Positive evaporation keeps the chain near the target reserve:
@@ -490,17 +490,18 @@ class TestKSStatistic:
             "single-values": lambda: (np.array([1.0]), np.array([-0.0, 0.0])),
         }[case]()
         for x, y in ((a, b), (b, a)):
-            assert _ks_statistic(x, y).hex() == self.scipy_ks(x, y).hex()
+            assert _ks_sorted(np.sort(x), np.sort(y)).hex() == self.scipy_ks(x, y).hex()
 
     def test_identical_arrays_give_zero(self):
         a = np.random.default_rng(3).normal(size=1000)
-        assert _ks_statistic(a, a.copy()) == self.scipy_ks(a, a.copy()) == 0.0
+        assert _ks_sorted(np.sort(a), np.sort(a)) == self.scipy_ks(a, a.copy()) == 0.0
 
     def test_nan_propagates_like_scipy(self):
         a = np.array([1.0, np.nan, 2.0])
         b = np.array([0.5, 3.0])
-        assert math.isnan(_ks_statistic(a, b)) and math.isnan(self.scipy_ks(a, b))
-        assert math.isnan(_ks_statistic(b, a)) and math.isnan(self.scipy_ks(b, a))
+        for x, y in ((a, b), (b, a)):
+            assert math.isnan(_ks_sorted(np.sort(x), np.sort(y)))
+            assert math.isnan(self.scipy_ks(x, y))
 
     @given(st.data())
     def test_matches_scipy_on_drawn_samples(self, data):
@@ -514,10 +515,10 @@ class TestKSStatistic:
         # scipy's p-value divides by zero for two one-element samples; only
         # its statistic is compared.
         with np.errstate(divide="ignore"):
-            assert _ks_statistic(a, b).hex() == self.scipy_ks(a, b).hex()
+            assert _ks_sorted(np.sort(a), np.sort(b)).hex() == self.scipy_ks(a, b).hex()
             a = np.insert(a, nan_at, np.nan)
             for x, y in ((a, b), (b, a)):
-                assert math.isnan(_ks_statistic(x, y))
+                assert math.isnan(_ks_sorted(np.sort(x), np.sort(y)))
                 assert math.isnan(self.scipy_ks(x, y))
 
     @pytest.mark.parametrize("size_a, size_b", [
@@ -535,7 +536,7 @@ class TestKSStatistic:
         else:
             a, b = rng.normal(size=size_a), rng.normal(0.1, size=size_b)
         for x, y in ((a, b), (b, a)):
-            assert _ks_statistic(x, y).hex() == self.scipy_ks(x, y).hex()
+            assert _ks_sorted(np.sort(x), np.sort(y)).hex() == self.scipy_ks(x, y).hex()
 
     @pytest.mark.parametrize("chunk", [1, 2, 3, 7])
     def test_small_chunks_match_scipy(self, chunk, monkeypatch):
@@ -548,7 +549,8 @@ class TestKSStatistic:
                  (rng.normal(size=23), rng.normal(size=8))]
         for a, b in cases:
             for x, y in ((a, b), (b, a)):
-                assert _ks_statistic(x, y).hex() == self.scipy_ks(x, y).hex()
+                got = _ks_sorted(np.sort(x), np.sort(y))
+                assert got.hex() == self.scipy_ks(x, y).hex()
 
     @pytest.mark.parametrize("mu", [-0.1, 0.1])
     def test_sweep_point_chains(self, mu):
@@ -558,7 +560,7 @@ class TestKSStatistic:
         ra, _ = _run_chain(p, (0.0, 0.0), 5000, stream(seed, 0))
         rb, _ = _run_chain(p, (-50.0, 100.0), 5000, stream(seed, 1))
         want = self.scipy_ks(ra[500:], rb[500:])
-        assert _ks_statistic(ra[500:], rb[500:]).hex() == want.hex()
+        assert _ks_sorted(np.sort(ra[500:]), np.sort(rb[500:])).hex() == want.hex()
         assert two_chain_convergence(p, (0.0, 0.0), (-50.0, 100.0),
                                      5000, 500, seed).hex() == want.hex()
 

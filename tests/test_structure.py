@@ -1,6 +1,7 @@
 """The package's structure: every import at module level, the chain
-experiments independent of the Lyapunov module, one function that forks
-child processes, and one that compares states with the overflow guard."""
+experiments independent of the Lyapunov module and of trajectory.csv's
+columns, one function that forks child processes, and one that compares
+states with the overflow guard."""
 
 import ast
 from pathlib import Path
@@ -33,6 +34,15 @@ def test_montecarlo_imports_nothing_from_lyapunov():
             names.update(part for alias in node.names
                          for part in alias.name.split("."))
     assert "lyapunov" not in names
+
+
+def test_cli_alone_derives_the_trajectory_columns():
+    # montecarlo returns the chain; trajectory.csv's derived columns are
+    # the writer's, in cli.
+    names = {alias.name for node in ast.walk(parse("montecarlo.py"))
+             if isinstance(node, (ast.Import, ast.ImportFrom))
+             for alias in node.names}
+    assert not names & {"region_codes", "frustrated_demand", "ramp_control"}
 
 
 # The process calls behind forked children and their result files.

@@ -5,7 +5,6 @@ from gridlab import (
     Building,
     InfeasibleScenario,
     ThermalScenario,
-    affine_cop,
     run_heat_pump_scenario,
     run_scenario_pair,
     temp_step,
@@ -151,10 +150,3 @@ class TestHeatPump:
                                 eps_prime=float(rng.uniform(0.1, 1.0)) * b.eps)
             led = run_heat_pump_scenario(b, s)
             assert led.identity_residual < 1e-9
-
-
-class TestAffineCop:
-    def test_clipped_to_range(self):
-        assert affine_cop(B0, 0.0, 3.0, 2.0) == B0.eps
-        assert affine_cop(B0, 10.0, 3.0, 2.0) > 0.0
-        assert affine_cop(B0, 0.1, 3.0, 2.0) == pytest.approx(2.7, rel=1e-12)
