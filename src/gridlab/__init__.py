@@ -6,7 +6,6 @@ from .dynamics import (
     Regime,
     Region,
     State,
-    StepRecord,
     affine_piece,
     classify_region,
     ramp_control,
@@ -48,6 +47,7 @@ from .lyapunov import (
 )
 from .montecarlo import (
     GrowthResult,
+    Marginal,
     SimConfig,
     StabilityVerdict,
     SweepPoint,

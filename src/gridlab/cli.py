@@ -12,6 +12,7 @@ from __future__ import annotations
 import functools
 import sys
 import time
+from dataclasses import asdict
 from pathlib import Path
 from typing import BinaryIO, Callable, Iterator
 
@@ -206,7 +207,7 @@ def cmd_simulate(sim: SimConfig) -> Files:
     """Run one trajectory; write trajectory.csv, stats.json, manifest.json."""
     stats, traj = simulate(sim)
     return {"trajectory.csv": functools.partial(_write_trajectory, traj),
-            "stats.json": json_text("stats.json", stats.as_dict())}
+            "stats.json": json_text("stats.json", asdict(stats))}
 
 
 def _sample_points(p: Params, per_region: int, seed: int) -> list[tuple[float, float]]:
@@ -297,8 +298,7 @@ def cmd_thermal(cfg: tuple) -> Files:
         ledger, mode = run_scenario_pair(building, scenario), "constant-cop"
     else:
         ledger, mode = run_heat_pump_scenario(building, scenario), "heat-pump"
-    return {"ledger.json": json_text("ledger.json",
-                                     dict(ledger.as_dict(), mode=mode))}
+    return {"ledger.json": json_text("ledger.json", dict(asdict(ledger), mode=mode))}
 
 
 @_command("regions")

@@ -40,7 +40,6 @@ __all__ = [
     "State",
     "Region",
     "AffinePiece",
-    "StepRecord",
     "validate_params",
     "breakpoints",
     "classify_region",
@@ -109,19 +108,6 @@ class AffinePiece:
 
     a: tuple[tuple[float, float], tuple[float, float]]
     b: tuple[float, float]
-
-
-@dataclass(frozen=True)
-class StepRecord:
-    """Observables attached to one transition."""
-
-    t: int
-    state: State
-    region: Region
-    noise: float
-    b_expr: float        # expressed backlog B = lam * Z
-    f_frustrated: float  # frustrated demand F = max(-R, 0)
-    h_control: float     # real-time purchase increment
 
 
 def validate_params(
@@ -350,26 +336,18 @@ def iterate_columns(ps, r0, z0, blocks
         yield r, z, _first_beyond(r, z)
 
 
-def step(p: Params, x: State, n: float, t: int = 0) -> tuple[State, StepRecord]:
-    """One transition of the chain with an explicit noise draw.
+def step(p: Params, x: State, n: float) -> tuple[State, Region]:
+    """One transition of the chain with an explicit noise draw: the next
+    state and the region whose piece moved x.
 
     Pure: all randomness is the caller's responsibility.  The update is
     :func:`step_matrix`, which tests pin bit for bit to one step of
-    :func:`iterate` without its per-block array work, and the next state
-    is a pair of Python floats, as are the record's observables.
+    :func:`iterate`, as a pair of Python floats.  B, F and the control at
+    x come from the helpers :func:`expressed_backlog`,
+    :func:`frustrated_demand` and :func:`ramp_control`.
     """
-    r, z = x
     r1, z1 = step_matrix(p, x, n)
-    record = StepRecord(
-        t=t,
-        state=(r, z),
-        region=classify_region(p, x),
-        noise=n,
-        b_expr=float(expressed_backlog(p, z)),
-        f_frustrated=float(frustrated_demand(r)),
-        h_control=float(ramp_control(p, r)),
-    )
-    return (float(r1), float(z1)), record
+    return (float(r1), float(z1)), classify_region(p, x)
 
 
 def step_matrix(p: Params, x: State, n) -> State:

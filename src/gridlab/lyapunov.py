@@ -207,12 +207,13 @@ def drift_exact(p: Params, x: State) -> float:
 
 
 def empirical_drift(p: Params, x: State, n: int, seed: int) -> tuple[float, float]:
-    """Sample mean and stderr of H(X(1)) - H(x) over n independent draws."""
+    """Sample mean and stderr of H(X(1)) - H(x) over n independent draws;
+    at sigma = 0, every increment's value (drift_exact's bits) and 0."""
     noise = gaussian(stream(seed), n, p.sigma)
     incr = lyap_h(p, step_matrix(p, x, noise)) - lyap_h(p, x)
-    mean = float(incr.mean())
-    stderr = 0.0 if p.sigma == 0.0 else float(incr.std(ddof=1) / math.sqrt(n))
-    return mean, stderr
+    if p.sigma == 0.0:
+        return float(incr[0]), 0.0
+    return float(incr.mean()), float(incr.std(ddof=1) / math.sqrt(n))
 
 
 def _ratio(x: float, y: float) -> float:

@@ -37,6 +37,7 @@ from .rng import gaussian, gaussians, point_seed, stream
 
 __all__ = [
     "SimConfig",
+    "Marginal",
     "TrajectoryStats",
     "Trajectory",
     "GrowthResult",
@@ -183,39 +184,29 @@ class SimConfig:
 
 
 @dataclass(frozen=True)
-class TrajectoryStats:
-    """Post-burn-in summary of one trajectory."""
+class Marginal:
+    """The post-burn-in marginal of one coordinate of the chain."""
 
-    r_mean: float
-    r_var: float
-    r_min: float
-    r_max: float
-    r_quantiles: dict[float, float]
-    z_mean: float
-    z_var: float
-    z_min: float
-    z_max: float
-    z_quantiles: dict[float, float]
+    mean: float
+    var: float
+    min: float
+    max: float
+    quantiles: dict[float, float]  # QUANTILES -> value
+
+
+@dataclass(frozen=True)
+class TrajectoryStats:
+    """Post-burn-in summary of one trajectory: the marginals of R and Z,
+    each region's share of the states, the means of F and B, the last
+    state and the sample count.  stats.json is its ``asdict``."""
+
+    r: Marginal
+    z: Marginal
     occupancy: dict[str, float]
     mean_frustrated: float
     mean_expressed: float
     final_state: State
     n_samples: int
-
-    def as_dict(self) -> dict:
-        return {
-            "r": {"mean": self.r_mean, "var": self.r_var, "min": self.r_min,
-                  "max": self.r_max,
-                  "quantiles": {str(q): v for q, v in self.r_quantiles.items()}},
-            "z": {"mean": self.z_mean, "var": self.z_var, "min": self.z_min,
-                  "max": self.z_max,
-                  "quantiles": {str(q): v for q, v in self.z_quantiles.items()}},
-            "occupancy": self.occupancy,
-            "mean_frustrated": self.mean_frustrated,
-            "mean_expressed": self.mean_expressed,
-            "final_state": list(self.final_state),
-            "n_samples": self.n_samples,
-        }
 
 
 @dataclass(frozen=True)
@@ -302,7 +293,7 @@ def simulate(cfg: SimConfig) -> tuple[TrajectoryStats, Trajectory]:
 
     Deterministic given the config.  Raises :class:`SimulationDiverged`
     if |R| or Z exceeds the 1e300 guard; a post-burn-in deviation past
-    about 1.3e154 makes r_var and z_var inf, with numpy's "overflow
+    about 1.3e154 makes r.var and z.var inf, with numpy's "overflow
     encountered in square" RuntimeWarning (``gridlab simulate`` exits 3).
     The :class:`Trajectory` holds views of the chain, every
     record_every-th state, and no other array: the chain's 16 bytes per
@@ -325,15 +316,8 @@ def simulate(cfg: SimConfig) -> tuple[TrajectoryStats, Trajectory]:
     scratch = np.empty(rs_.size)
     np.negative(rs_, out=scratch)
     mean_frustrated = float(np.maximum(scratch, 0.0, out=scratch).mean())
-    r_var, r_quantiles = _spread(rs_, scratch)
-    z_var, z_quantiles = _spread(zs_, scratch)
     stats = TrajectoryStats(
-        r_mean=float(rs_.mean()), r_var=r_var,
-        r_min=float(rs_.min()), r_max=float(rs_.max()),
-        r_quantiles=r_quantiles,
-        z_mean=float(zs_.mean()), z_var=z_var,
-        z_min=float(zs_.min()), z_max=float(zs_.max()),
-        z_quantiles=z_quantiles,
+        r=_marginal(rs_, scratch), z=_marginal(zs_, scratch),
         occupancy={region.value: float(c) / rs_.size
                    for region, c in zip(Region, counts)},
         mean_frustrated=mean_frustrated,
@@ -346,14 +330,16 @@ def simulate(cfg: SimConfig) -> tuple[TrajectoryStats, Trajectory]:
                              z[::cfg.record_every])
 
 
-def _spread(x: np.ndarray, scratch: np.ndarray) -> tuple[float, dict[float, float]]:
-    """(``x.var()``, x's QUANTILES as ``np.quantile`` gives them), bit for
-    bit, in scratch, an array of x's size: the deviations squared in
-    place, as numpy's _var squares them, then a copy of x to partition."""
+def _marginal(x: np.ndarray, scratch: np.ndarray) -> Marginal:
+    """x's :class:`Marginal`, each field numpy's own reduction of x bit
+    for bit (``x.var()``, and ``np.quantile`` at QUANTILES), in scratch,
+    an array of x's size: the deviations squared in place, as numpy's
+    _var squares them, then a copy of x to partition."""
     np.square(np.subtract(x, x.mean(keepdims=True), out=scratch), out=scratch)
     var = float(scratch.sum() / x.size)
     np.copyto(scratch, x)
-    return var, dict(zip(QUANTILES, _select_quantiles(scratch, QUANTILES).tolist()))
+    quantiles = dict(zip(QUANTILES, _select_quantiles(scratch, QUANTILES).tolist()))
+    return Marginal(float(x.mean()), var, float(x.min()), float(x.max()), quantiles)
 
 
 def _ks_sorted(a: np.ndarray, b: np.ndarray) -> float:

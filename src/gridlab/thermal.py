@@ -87,17 +87,6 @@ class EvaporationLedger:
     identity_value: float            # the closed-form right-hand side
     identity_residual: float         # relative mismatch of the two
 
-    def as_dict(self) -> dict:
-        return {
-            "t_star": list(self.t_star),
-            "t_constrained": list(self.t_constrained),
-            "z_tau_minus_1": self.z_tau_minus_1,
-            "z_tau": self.z_tau,
-            "delta_z": self.delta_z,
-            "identity_value": self.identity_value,
-            "identity_residual": self.identity_residual,
-        }
-
 
 def temp_step(b: Building, t_prev: float, theta: float, energy: float) -> float:
     """Room temperature after one slot of heating with the given energy."""

@@ -9,6 +9,7 @@ import subprocess
 import sys
 import tempfile
 import tracemalloc
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -20,12 +21,13 @@ from hypothesis import strategies as st
 import gridlab.cli
 from conftest import count_forks, use_cpus
 from test_golden import CASES as GOLDEN_CASES
-from gridlab import floatfmt, lyap_h, simulate, sweep
+from gridlab import (floatfmt, lyap_h, run_heat_pump_scenario,
+                     run_scenario_pair, simulate, sweep)
 from gridlab.cli import _CHUNK_ROWS, _write_trajectory, main
 from gridlab.config import (MAX_DRAWS, MAX_GRID_POINTS, MAX_GROWTH_COLUMNS,
                             MAX_PER_REGION, ConfigError, atomic_file,
                             fmt_float, parse_drift, parse_simulate,
-                            parse_sweep)
+                            parse_sweep, parse_thermal)
 from gridlab.dynamics import (breakpoints, expressed_backlog,
                               frustrated_demand, ramp_control, region_codes)
 from gridlab.montecarlo import Trajectory
@@ -97,6 +99,19 @@ class TestSimulate:
             outs.append(out)
         for fname in ("trajectory.csv", "stats.json"):
             assert (outs[0] / fname).read_bytes() == (outs[1] / fname).read_bytes()
+
+    def test_stats_json_is_the_record(self, runner, tmp_path):
+        # stats.json is asdict of library simulate's TrajectoryStats, as
+        # JSON writes it: tuples as lists, the quantile keys as strings.
+        doc = {"params": P0, "x0": [0.0, 0.0], "steps": 2000, "burn_in": 200,
+               "seed": 7}
+        out = tmp_path / "out"
+        res = runner.invoke(main, ["simulate", "--config",
+                                   write_config(tmp_path, doc), "--out", str(out)])
+        assert res.exit_code == 0, res.output
+        stats, _ = simulate(parse_simulate(doc)[0])
+        want = json.loads(json.dumps(asdict(stats)))
+        assert json.loads((out / "stats.json").read_text()) == want
 
     def test_seed_override_changes_output(self, runner, tmp_path):
         cfg = write_config(tmp_path, {
@@ -365,6 +380,18 @@ class TestThermal:
         ledger = json.loads((out / "ledger.json").read_text())
         assert ledger["mode"] == "heat-pump"
         assert ledger["delta_z"] == pytest.approx(1.065, rel=1e-9)
+
+    @pytest.mark.parametrize("doc, run, mode", [
+        (B0_SCENARIO, run_scenario_pair, "constant-cop"),
+        (dict(B0_SCENARIO, eps_prime=2.0), run_heat_pump_scenario, "heat-pump")])
+    def test_ledger_json_is_the_record(self, runner, tmp_path, doc, run, mode):
+        out = tmp_path / "out"
+        res = runner.invoke(main, ["thermal", "--config",
+                                   write_config(tmp_path, doc), "--out", str(out)])
+        assert res.exit_code == 0, res.output
+        ledger = run(*parse_thermal(doc)[0])
+        want = json.loads(json.dumps(dict(asdict(ledger), mode=mode)))
+        assert json.loads((out / "ledger.json").read_text()) == want
 
 
 class TestRegions:

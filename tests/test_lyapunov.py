@@ -203,6 +203,25 @@ class TestDrift:
         assert rep.agree_paper and rep.agree_mc
         assert abs(rep.exact - rep.mc_mean) <= 4.0 * rep.mc_stderr
 
+    @given(st.data())
+    def test_noiseless_monte_carlo_is_the_exact_drift(self, data):
+        # At sigma = 0 every draw is +0.0 and every increment has
+        # drift_exact's bits, so their mean must too: a mean of n copies
+        # an ulp away would fail agree_mc against a stderr of 0.
+        lam = data.draw(st.floats(0.01, 0.9), label="lambda")
+        mu = data.draw(st.floats(-0.99, 0.98 - lam), label="mu")
+        zeta = data.draw(st.floats(0.01, 10.0), label="zeta")
+        xi = data.draw(st.floats(0.01, 10.0), label="xi")
+        r_star = zeta + data.draw(st.floats(0.01, 10.0), label="r_star - zeta")
+        p = validate_params(lam, mu, zeta, xi, r_star, 0.0)
+        x = (data.draw(st.floats(-50.0, r_star + xi + 50.0), label="r"),
+             data.draw(st.floats(0.0, 50.0), label="z"))
+        rep = drift_report(p, x, data.draw(st.integers(2, 2000), label="n"),
+                           seed=data.draw(st.integers(0, 2 ** 32 - 1), label="seed"))
+        bits = np.float64([rep.exact, rep.mc_mean]).view(np.uint64)
+        assert bits[0] == bits[1]
+        assert rep.mc_stderr == 0.0 and rep.agree_mc is True
+
     def test_report_mu_zero_d1(self):
         p = validate_params(0.5, 0.0, 1, 1, 3, 1)
         rep = drift_report(p, (-1.0, 2.0), n_samples=1000, seed=1)

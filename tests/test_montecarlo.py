@@ -2,7 +2,7 @@ import math
 import tracemalloc
 import warnings
 from collections import Counter
-from dataclasses import replace
+from dataclasses import asdict, replace
 
 import numpy as np
 import pytest
@@ -256,7 +256,7 @@ class TestSimulate:
         assert s1 == s2
         assert np.array_equal(t1.r, t2.r) and np.array_equal(t1.z, t2.z)
         s3, _ = simulate(SimConfig(p0, (0.0, 0.0), steps=1000, burn_in=100, seed=43))
-        assert s3.r_mean != s1.r_mean
+        assert s3.r.mean != s1.r.mean
 
     def test_trajectories_compare_by_value(self, p0):
         cfg = SimConfig(p0, (0.0, 0.0), steps=1000, seed=42, record_every=3)
@@ -283,10 +283,11 @@ class TestSimulate:
         stats, _ = simulate(cfg)
         assert stats.n_samples == 18_001
         assert sum(stats.occupancy.values()) == pytest.approx(1.0, abs=1e-12)
-        assert stats.r_min <= stats.r_quantiles[0.05] <= stats.r_quantiles[0.5]
-        assert stats.r_quantiles[0.5] <= stats.r_quantiles[0.95] <= stats.r_max
-        assert stats.z_min >= 0.0
-        assert stats.mean_expressed == pytest.approx(p0.lam * stats.z_mean, rel=1e-12)
+        r, z = stats.r, stats.z
+        assert r.min <= r.quantiles[0.05] <= r.quantiles[0.5]
+        assert r.quantiles[0.5] <= r.quantiles[0.95] <= r.max
+        assert z.min >= 0.0
+        assert stats.mean_expressed == pytest.approx(p0.lam * z.mean, rel=1e-12)
 
     @given(st.lists(st.one_of(
         st.sampled_from([0.0, -0.0, 1.0, -1.0, 0.5, math.inf, -math.inf, math.nan]),
@@ -325,9 +326,9 @@ class TestSimulate:
         cfg = SimConfig(p, (-5.0, 5.0), steps=20_000, seed=seed)
         with pytest.warns(RuntimeWarning, match="overflow encountered in square"):
             stats, _ = simulate(cfg)
-        assert 1e154 < stats.z_max < OVERFLOW_GUARD
-        assert stats.r_var == stats.z_var == math.inf
-        assert math.isfinite(stats.r_mean) and math.isfinite(stats.z_mean)
+        assert 1e154 < stats.z.max < OVERFLOW_GUARD
+        assert stats.r.var == stats.z.var == math.inf
+        assert math.isfinite(stats.r.mean) and math.isfinite(stats.z.mean)
 
     @given(st.data())
     def test_summary_has_numpys_bits(self, data):
@@ -353,11 +354,14 @@ class TestSimulate:
         with warnings.catch_warnings(record=True) as want_warnings:
             warnings.simplefilter("always")
             counts = np.bincount(region_codes(p, rs), minlength=4)
+
+            def marginal(x):
+                return montecarlo.Marginal(
+                    np.mean(x), x.var(), x.min(), x.max(),
+                    dict(zip(QUANTILES, np.quantile(x, QUANTILES))))
+
             want = montecarlo.TrajectoryStats(
-                r_mean=np.mean(rs), r_var=rs.var(), r_min=rs.min(), r_max=rs.max(),
-                r_quantiles=dict(zip(QUANTILES, np.quantile(rs, QUANTILES))),
-                z_mean=np.mean(zs), z_var=zs.var(), z_min=zs.min(), z_max=zs.max(),
-                z_quantiles=dict(zip(QUANTILES, np.quantile(zs, QUANTILES))),
+                r=marginal(rs), z=marginal(zs),
                 occupancy={region: float(c) / rs.size
                            for region, c in zip(["D1", "D2", "D3", "D4"], counts)},
                 mean_frustrated=np.maximum(-rs, 0).mean(),
@@ -371,7 +375,7 @@ class TestSimulate:
                 return [bits(v) for v in x]
             return np.float64(x).view(np.uint64).item()
 
-        assert bits(got.as_dict()) == bits(want.as_dict())
+        assert bits(asdict(got)) == bits(asdict(want))
         assert ({str(w.message) for w in got_warnings}
                 == {str(w.message) for w in want_warnings})
 
