@@ -27,7 +27,6 @@ from .lyapunov import (
     Basis,
     DriftReport,
     NegativeDriftGeometry,
-    QuadForm,
     basis,
     drift_exact,
     drift_paper,

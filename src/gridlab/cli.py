@@ -9,10 +9,12 @@ JSON file or a drift_report.csv row), 4 (internal error).
 
 from __future__ import annotations
 
+import enum
 import functools
+import math
 import sys
 import time
-from dataclasses import asdict
+from dataclasses import asdict, astuple, fields
 from pathlib import Path
 from typing import BinaryIO, Callable, Iterator
 
@@ -20,14 +22,14 @@ import click
 import numpy as np
 
 from . import __version__, config as cfgmod
-from .config import (ConfigError, atomic_file, atomic_write_text, fmt_float,
-                     json_text, load_json)
+from .config import (SWEEP_AXES, ConfigError, atomic_file, atomic_write_text,
+                     fmt_float, json_text, load_json)
 from .dynamics import (Params, Region, breakpoints, expressed_backlog,
                        frustrated_demand, ramp_control, region_codes)
 from .errors import (GridlabError, InfeasibleScenario, NonFiniteResult,
                      SimulationDiverged)
 from .floatfmt import fmt_floats
-from .lyapunov import drift_report, lyap_h, negative_drift_geometry
+from .lyapunov import DriftReport, drift_report, lyap_h, negative_drift_geometry
 from .montecarlo import (SimConfig, Trajectory, forked, simulate, sweep,
                          usable_cpus)
 from .rng import ALGORITHM, point_seed, stream
@@ -42,10 +44,22 @@ EXIT_INTERNAL = 4
 Files = dict[str, str | Callable[[BinaryIO, Path], None]]
 
 
-def _csv_text(header: list[str], rows: list[list[str]]) -> str:
-    """The text of a small CSV file.  Every field is a number, a fixed
-    word or blank, so none needs quoting."""
-    return "".join([",".join(row) + "\n" for row in [header, *rows]])
+def _field(v) -> str:
+    """A small CSV file's field: None blank, a flag true or false, an enum
+    member its value, a number by :func:`fmt_float` and a word as it is."""
+    if v is None:
+        return ""
+    if isinstance(v, bool):
+        return "true" if v else "false"
+    if isinstance(v, enum.Enum):
+        return v.value
+    return fmt_float(v) if isinstance(v, (int, float)) else v
+
+
+def _csv_text(header, rows) -> str:
+    """The text of a small CSV file, each value written by :func:`_field`.
+    Every field is a number, a fixed word or blank, so none needs quoting."""
+    return "".join([",".join(map(_field, row)) + "\n" for row in [header, *rows]])
 
 
 # trajectory.csv rows per share unit of forked(); nothing else is cut by it.
@@ -55,7 +69,7 @@ _CHUNK_ROWS = 8192
 # peaks near 1.2 MB whatever the row count.
 _BLOCK_ROWS = 1024
 # Region code 0..3 -> its name and comma, as ASCII.
-_REGION_FIELDS = np.frombuffer(b"D1,D2,D3,D4,", np.uint8).reshape(4, 3)
+_REGION_FIELDS = np.array([list(f"{r.value},".encode()) for r in Region], np.uint8)
 
 
 def _rows(traj: Trajectory, lo: int, hi: int) -> Iterator[bytes]:
@@ -233,22 +247,13 @@ def cmd_drift(cfg: dict) -> Files:
     for i, x in enumerate(points):
         rep = drift_report(p, x, cfg["mc_samples"],
                            seed=point_seed(cfg["seed"], i))
-        drifts = [rep.exact, rep.mc_mean, rep.mc_stderr]
-        if rep.paper_formula is not None:
-            drifts.append(rep.paper_formula)
-        if not np.isfinite(drifts).all():
+        state, *rest = astuple(rep)
+        rows.append([*state, *rest])
+        if not all(math.isfinite(v) for v in rows[-1] if isinstance(v, float)):
             raise NonFiniteResult(f"drift_report.csv: point {i} has a NaN or "
                                   "infinite result")
-        paper_val = "" if rep.paper_formula is None else fmt_float(rep.paper_formula)
-        kind = rep.paper_kind or "not-applicable"
-        agree = "" if rep.agree_paper is None else str(rep.agree_paper).lower()
-        rows.append([fmt_float(x[0]), fmt_float(x[1]), rep.region.value,
-                     fmt_float(rep.exact), paper_val, kind,
-                     fmt_float(rep.mc_mean), fmt_float(rep.mc_stderr),
-                     agree, str(rep.agree_mc).lower()])
-    return {"drift_report.csv": _csv_text(
-        ["r", "z", "region", "exact", "paper_formula", "paper_kind",
-         "mc_mean", "mc_stderr", "agree_paper", "agree_mc"], rows)}
+    _, *names = (f.name for f in fields(DriftReport))
+    return {"drift_report.csv": _csv_text(["r", "z", *names], rows)}
 
 
 @_command("sweep", _SEED,
@@ -259,28 +264,19 @@ def cmd_sweep(cfg: dict) -> Files:
     """Stability verdict per grid point; verdicts.csv plus drift geometry."""
     results = sweep(cfg["params"], cfg["grid"], cfg["steps"], cfg["burn_in"],
                     cfg["n_seeds"], cfg["seed"])
-
-    def fmt_or_blank(v):
-        return fmt_float(v) if isinstance(v, (int, float)) else ""
-
+    columns = ("verdict", "ks_distance", "logz_slope", "seeds_used")
     rows = []
     geometry = {}
     for sp in results:
         p, res = sp.params, sp.result
-        mu = p.mu if p else sp.overrides.get("mu", "")
-        lam = p.lam if p else sp.overrides.get("lambda", "")
-        rstar = p.r_star if p else sp.overrides.get("r_star", "")
-        row = [fmt_or_blank(mu), fmt_or_blank(lam), fmt_or_blank(rstar)]
+        axes = [(p.as_dict() if p else sp.overrides).get(a) for a in SWEEP_AXES]
         if res is None:
-            rows.append(row + ["error", "", "", "0"])
+            rows.append([*axes, "error", None, None, 0])
             continue
-        rows.append(row + [res.verdict, fmt_float(res.ks_distance),
-                           fmt_float(res.logz_slope), str(res.seeds_used)])
+        rows.append([*axes, *(getattr(res, name) for name in columns)])
         if p.mu > 0.0:
             geometry[str(sp.index)] = negative_drift_geometry(p).as_dict()
-    files = {"verdicts.csv": _csv_text(
-        ["mu", "lambda", "r_star", "verdict", "ks_distance", "logz_slope",
-         "seeds_used"], rows)}
+    files = {"verdicts.csv": _csv_text([*SWEEP_AXES, *columns], rows)}
     if geometry:
         files["geometry.json"] = json_text("geometry.json", geometry)
     return files

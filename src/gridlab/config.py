@@ -18,10 +18,11 @@ import math
 import os
 import tempfile
 from contextlib import contextmanager
+from dataclasses import fields
 from pathlib import Path
 from typing import Any, BinaryIO, Iterator
 
-from .dynamics import Params, validate_params
+from .dynamics import PARAM_KEYS, Params, is_finite_number, validate_params
 from .errors import ConfigError, NonFiniteResult
 from .montecarlo import SimConfig, check_horizon
 from .thermal import Building, ThermalScenario, check_heat_pump
@@ -59,19 +60,12 @@ MAX_GRID_POINTS = 10**5
 # the cap.
 MAX_GROWTH_COLUMNS = 10**7
 
-
-def _is_number(v: Any) -> bool:
-    """A finite JSON number (``json.load`` also accepts NaN and Infinity)."""
-    if isinstance(v, bool) or not isinstance(v, (int, float)):
-        return False
-    try:
-        return math.isfinite(v)
-    except OverflowError:  # an integer beyond the float range
-        return False
+# The params keys a sweep grid may vary, in verdicts.csv's column order.
+SWEEP_AXES = ("mu", "lambda", "r_star")
 
 
 def _pair(v: Any, where: str) -> tuple[float, float]:
-    if not (isinstance(v, list) and len(v) == 2 and all(map(_is_number, v))):
+    if not (isinstance(v, list) and len(v) == 2 and all(map(is_finite_number, v))):
         raise ConfigError(f"{where} must be a [r, z] pair of finite numbers")
     return (float(v[0]), float(v[1]))
 
@@ -103,7 +97,7 @@ class _Section:
         v = self.take(key, default)
         if v is default and default is not _MISSING:
             return v
-        if not _is_number(v):
+        if not is_finite_number(v):
             raise ConfigError(f"{self._path}: field '{key}' must be a finite number")
         return float(v)
 
@@ -124,7 +118,7 @@ class _Section:
         v = self.take(key, default)
         if v is default and default is not _MISSING:
             return v
-        if not (isinstance(v, list) and v and all(map(_is_number, v))):
+        if not (isinstance(v, list) and v and all(map(is_finite_number, v))):
             raise ConfigError(
                 f"{self._path}.{key}: must be a non-empty list of finite numbers")
         return [float(x) for x in v]
@@ -163,16 +157,9 @@ def load_json(path: str | Path) -> dict:
 
 def parse_params(sec: _Section) -> Params:
     p = sec.section("params")
-    vals = dict(
-        lam=p.take_number("lambda"),
-        mu=p.take_number("mu"),
-        zeta=p.take_number("zeta"),
-        xi=p.take_number("xi"),
-        r_star=p.take_number("r_star"),
-        sigma=p.take_number("sigma"),
-    )
+    vals = [p.take_number(key) for key in PARAM_KEYS]
     p.finish()
-    return validate_params(**vals)
+    return validate_params(*vals)
 
 
 def parse_regions(doc: dict) -> tuple[Params, dict]:
@@ -234,7 +221,7 @@ def parse_sweep(doc: dict) -> tuple[dict, dict]:
     sec = _Section(doc, "config")
     params = parse_params(sec)
     grid_sec = sec.section("grid")
-    axes = {name: vals for name in ("mu", "lambda", "r_star")
+    axes = {name: vals for name in SWEEP_AXES
             if (vals := grid_sec.take_numbers(name, None)) is not None}
     grid_sec.finish()
     if not axes:
@@ -265,11 +252,7 @@ def parse_thermal(doc: dict) -> tuple[tuple[Building, ThermalScenario], dict]:
     """The building and scenario; ``eps_prime`` selects the heat-pump variant."""
     sec = _Section(doc, "scenario")
     bsec = sec.section("building")
-    building = Building(
-        k_leak=bsec.take_number("k_leak"),
-        c_inertia=bsec.take_number("c_inertia"),
-        eps=bsec.take_number("eps"),
-    )
+    building = Building(*(bsec.take_number(f.name) for f in fields(Building)))
     bsec.finish()
     kwargs = dict(
         theta=sec.take_numbers("theta"),

@@ -26,7 +26,7 @@ import enum
 import math
 import struct
 from bisect import bisect_right
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 from typing import Iterator
 
 import numpy as np
@@ -35,11 +35,13 @@ from .errors import ParamError
 
 __all__ = [
     "OVERFLOW_GUARD",
+    "PARAM_KEYS",
     "Regime",
     "Params",
     "State",
     "Region",
     "AffinePiece",
+    "is_finite_number",
     "validate_params",
     "breakpoints",
     "classify_region",
@@ -57,6 +59,9 @@ __all__ = [
 
 # The kernel stops a trajectory once |R| or Z exceeds this.
 OVERFLOW_GUARD = 1e300
+
+# The config ``params`` keys, in validate_params' and Params' order.
+PARAM_KEYS = ("lambda", "mu", "zeta", "xi", "r_star", "sigma")
 
 
 class Regime(str, enum.Enum):
@@ -94,9 +99,8 @@ class Params:
     regime: Regime
 
     def as_dict(self) -> dict:
-        """The six constants under their config ``params`` keys."""
-        return {"lambda": self.lam, "mu": self.mu, "zeta": self.zeta,
-                "xi": self.xi, "r_star": self.r_star, "sigma": self.sigma}
+        """The six constants under their ``PARAM_KEYS``."""
+        return dict(zip(PARAM_KEYS, astuple(self)))
 
 
 State = tuple[float, float]  # (r, z) with z >= 0
@@ -110,6 +114,16 @@ class AffinePiece:
     b: tuple[float, float]
 
 
+def is_finite_number(v) -> bool:
+    """The one number rule: a finite int or float, and not a bool."""
+    if isinstance(v, bool) or not isinstance(v, (int, float)):
+        return False
+    try:
+        return math.isfinite(v)
+    except OverflowError:  # an integer beyond the float range
+        return False
+
+
 def validate_params(
     lam: float,
     mu: float,
@@ -120,13 +134,13 @@ def validate_params(
 ) -> Params:
     """Check the parameter constraints and derive gamma and the regime.
 
-    Raises :class:`ParamError` naming the first violated constraint.  Any
-    sign of mu is accepted as long as lam + mu < 1; mu <= -lam is merely
-    tagged as the trivially unstable regime.
+    Raises :class:`ParamError` naming, by ``PARAM_KEYS``, the first value
+    not :func:`is_finite_number`, or the first broken constraint.  Any mu
+    with lam + mu < 1 passes; mu <= -lam is the trivially unstable regime.
     """
-    vals = dict(lam=lam, mu=mu, zeta=zeta, xi=xi, r_star=r_star, sigma=sigma)
-    for name, v in vals.items():
-        if not isinstance(v, (int, float)) or not math.isfinite(v):
+    vals = (lam, mu, zeta, xi, r_star, sigma)
+    for name, v in zip(PARAM_KEYS, vals):
+        if not is_finite_number(v):
             raise ParamError(name, "must be a finite number")
     if not 0.0 < lam < 1.0:
         raise ParamError("lambda", "must satisfy 0 < lambda < 1")
@@ -152,8 +166,7 @@ def validate_params(
         regime = Regime.NEGATIVE_TRIVIAL
 
     gamma = 1.0 - lam - mu
-    return Params(float(lam), float(mu), float(zeta), float(xi),
-                  float(r_star), float(sigma), gamma, regime)
+    return Params(*map(float, vals), gamma, regime)
 
 
 def breakpoints(p: Params) -> tuple[float, float, float]:

@@ -8,7 +8,7 @@ class GridlabError(Exception):
 class ParamError(GridlabError, ValueError):
     """A model parameter violates its validity constraints.
 
-    The message always starts with the name of the first violated field.
+    The message starts with ``field``, the parameter's config key.
     """
 
     def __init__(self, field: str, message: str):

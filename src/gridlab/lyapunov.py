@@ -27,7 +27,6 @@ from .errors import GeometryUndefined, TransformUndefined
 from .rng import gaussian, stream
 
 __all__ = [
-    "QuadForm",
     "Basis",
     "DriftReport",
     "NegativeDriftGeometry",
@@ -60,18 +59,6 @@ MC_SIGMAS = 4.0
 
 
 @dataclass(frozen=True)
-class QuadForm:
-    """Symmetric matrix q with H(x) = x^T q x."""
-
-    q: Mat2
-
-    def __call__(self, x: State) -> float:
-        r, z = x
-        (q00, q01), (_, q11) = self.q
-        return q00 * r * r + 2.0 * q01 * r * z + q11 * z * z
-
-
-@dataclass(frozen=True)
 class Basis:
     """Eigendecompositions A1 = M1 L1 M1^-1 and A2 = M2 L2 M2^-1."""
 
@@ -85,13 +72,14 @@ class Basis:
 
 @dataclass(frozen=True)
 class DriftReport:
-    """Exact, paper-formula, and Monte Carlo drift at one state."""
+    """Exact, paper-formula, and Monte Carlo drift at one state: a row of
+    drift_report.csv, field for field, with the state as r and z."""
 
     state: State
     region: Region
     exact: float
     paper_formula: float | None  # None when undefined (mu == 0 in D1)
-    paper_kind: str | None       # "exact", "upper_bound" or "expression"
+    paper_kind: str  # "exact", "upper_bound", "expression", "not-applicable"
     mc_mean: float
     mc_stderr: float
     agree_paper: bool | None     # None where nothing is claimed
@@ -115,12 +103,10 @@ class NegativeDriftGeometry:
     radius_const: float  # rhs of the ellipse equation
 
     def g1(self, v):
-        c2, c1, c0 = self.g1_coeffs
-        return c2 * v * v + c1 * v + c0
+        return _quadratic(self.g1_coeffs, v)
 
     def g4(self, v):
-        c2, c1, c0 = self.g4_coeffs
-        return c2 * v * v + c1 * v + c0
+        return _quadratic(self.g4_coeffs, v)
 
     def as_dict(self) -> dict:
         return {"g1_coeffs": list(self.g1_coeffs), "v_plus": self.v_plus,
@@ -133,9 +119,16 @@ class NegativeDriftGeometry:
         return 2.0 * r * r + self.alpha * d * d < self.radius_const
 
 
-def quad_form(p: Params) -> QuadForm:
+def _quadratic(coeffs: tuple[float, float, float], v):
+    c2, c1, c0 = coeffs
+    return c2 * v * v + c1 * v + c0
+
+
+def quad_form(p: Params) -> Mat2:
+    """The symmetric matrix Q with H(x) = x^T Q x."""
     lm = p.lam + p.mu
-    return QuadForm(((2.0, 2.0 * p.lam + p.mu), (2.0 * p.lam + p.mu, p.lam * p.lam + lm * lm)))
+    q01 = 2.0 * p.lam + p.mu
+    return ((2.0, q01), (q01, p.lam * p.lam + lm * lm))
 
 
 def lyap_h(p: Params, x: State) -> float:
@@ -373,7 +366,7 @@ def drift_report(p: Params, x: State, n_samples: int, seed: int) -> DriftReport:
     region = classify_region(p, x)
     exact = drift_exact(p, x)
     if region is Region.D1 and p.mu == 0.0:
-        paper_val, kind, agree_paper = None, None, None
+        paper_val, kind, agree_paper = None, "not-applicable", None
     else:
         paper_val, kind = drift_paper(p, x)
         scale = max(1.0, abs(exact), abs(paper_val))

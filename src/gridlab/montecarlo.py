@@ -23,11 +23,13 @@ from typing import BinaryIO, Callable, Iterator
 import numpy as np
 
 from .dynamics import (
+    PARAM_KEYS,
     Params,
     Region,
     State,
     breakpoints,
     expressed_backlog,
+    is_finite_number,
     iterate,
     iterate_columns,
     validate_params,
@@ -168,6 +170,9 @@ def check_horizon(steps: int, burn_in: int) -> None:
 
 @dataclass(frozen=True)
 class SimConfig:
+    """One simulate run: ValueError unless steps > burn_in >= 0,
+    record_every >= 1 and x0 is a finite state (r, z) with z >= 0."""
+
     params: Params
     x0: State
     steps: int
@@ -179,8 +184,8 @@ class SimConfig:
         check_horizon(self.steps, self.burn_in)
         if self.record_every < 1:
             raise ValueError("record_every must be >= 1")
-        if self.x0[1] < 0.0:
-            raise ValueError("initial backlog z must be >= 0")
+        if not (all(map(is_finite_number, self.x0)) and self.x0[1] >= 0.0):
+            raise ValueError("x0 must be a pair of finite numbers with z >= 0")
 
 
 @dataclass(frozen=True)
@@ -654,8 +659,7 @@ def _grid_point(index: int, overrides: dict[str, float],
     """A grid point with its validated params, or with the error instead."""
     vals = dict(base.as_dict(), **overrides)
     try:
-        p = validate_params(vals["lambda"], vals["mu"], vals["zeta"],
-                            vals["xi"], vals["r_star"], vals["sigma"])
+        p = validate_params(*(vals[key] for key in PARAM_KEYS))
     except Exception as exc:
         return SweepPoint(index, dict(overrides), None, None, str(exc))
     return SweepPoint(index, dict(overrides), p, None)
@@ -686,12 +690,12 @@ def sweep(base: Params, grid: list[dict[str, float]], steps: int,
           burn_in: int, n_seeds: int = 16, seed: int = 0) -> list[SweepPoint]:
     """Evaluate a stability verdict at each grid point.
 
-    grid is a list of parameter overrides (keys among lambda, mu, zeta,
-    xi, r_star, sigma).  Each point gets a seed derived from (seed, index),
-    so results do not depend on evaluation order or process count.
-    Per-point failures are recorded and the sweep continues; a horizon
-    that breaks :func:`check_horizon` or n_seeds < 1 raises ValueError
-    before any point runs.
+    grid is a list of parameter overrides keyed by ``PARAM_KEYS``.  Each
+    point gets a seed derived from (seed, index), so results do not depend
+    on evaluation order or process count.  Per-point failures are recorded
+    and the sweep continues; a key outside PARAM_KEYS, a horizon that
+    breaks :func:`check_horizon` or n_seeds < 1 raises ValueError before
+    any point runs.
 
     The valid points are dealt into the shares of :func:`forked`, share
     k of n holding every n-th point from the k-th.  Each share computes
@@ -700,6 +704,8 @@ def sweep(base: Params, grid: list[dict[str, float]], steps: int,
     lockstep (:func:`growth_slope` is the one-point case), and pickles
     its rows.  Rows come back in grid order.
     """
+    if unknown := {key for point in grid for key in point} - set(PARAM_KEYS):
+        raise ValueError(f"unknown grid key(s): {sorted(map(str, unknown))}")
     check_horizon(steps, burn_in)
     t_hi = min(500, steps)
     t_lo = t_hi * 2 // 5

@@ -16,9 +16,10 @@ degrades to eps'(tau) < eps during catch-up, the identity gains the term
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Sequence
 
+from .dynamics import is_finite_number
 from .errors import InfeasibleScenario
 
 __all__ = [
@@ -33,17 +34,18 @@ __all__ = [
 
 @dataclass(frozen=True)
 class Building:
-    k_leak: float     # heat-loss rate per degree, > 0
-    c_inertia: float  # heat capacity, > 0
-    eps: float        # coefficient of performance, > 0
+    """The RC model's constants: ValueError names the first that is not a
+    finite number > 0 (:func:`gridlab.dynamics.is_finite_number`)."""
+
+    k_leak: float     # heat-loss rate per degree
+    c_inertia: float  # heat capacity
+    eps: float        # coefficient of performance
 
     def __post_init__(self):
-        if self.k_leak <= 0.0:
-            raise ValueError("k_leak must be > 0")
-        if self.c_inertia <= 0.0:
-            raise ValueError("c_inertia must be > 0")
-        if self.eps <= 0.0:
-            raise ValueError("eps must be > 0")
+        for f in fields(self):
+            v = getattr(self, f.name)
+            if not (is_finite_number(v) and v > 0.0):
+                raise ValueError(f"{f.name} must be a finite number > 0")
 
 
 @dataclass(frozen=True)

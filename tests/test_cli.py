@@ -1,5 +1,6 @@
 import copy
 import csv
+import enum
 import io
 import json
 import math
@@ -9,7 +10,7 @@ import subprocess
 import sys
 import tempfile
 import tracemalloc
-from dataclasses import asdict
+from dataclasses import asdict, astuple, fields
 from pathlib import Path
 
 import numpy as np
@@ -21,16 +22,18 @@ from hypothesis import strategies as st
 import gridlab.cli
 from conftest import count_forks, use_cpus
 from test_golden import CASES as GOLDEN_CASES
-from gridlab import (floatfmt, lyap_h, run_heat_pump_scenario,
-                     run_scenario_pair, simulate, sweep)
+from gridlab import (DriftReport, drift_report, floatfmt, lyap_h,
+                     run_heat_pump_scenario, run_scenario_pair, simulate,
+                     sweep)
 from gridlab.cli import _CHUNK_ROWS, _write_trajectory, main
 from gridlab.config import (MAX_DRAWS, MAX_GRID_POINTS, MAX_GROWTH_COLUMNS,
-                            MAX_PER_REGION, ConfigError, atomic_file,
-                            fmt_float, parse_drift, parse_simulate,
-                            parse_sweep, parse_thermal)
+                            MAX_PER_REGION, SWEEP_AXES, ConfigError,
+                            atomic_file, fmt_float, parse_drift,
+                            parse_simulate, parse_sweep, parse_thermal)
 from gridlab.dynamics import (breakpoints, expressed_backlog,
                               frustrated_demand, ramp_control, region_codes)
 from gridlab.montecarlo import Trajectory
+from gridlab.rng import point_seed
 
 P0 = {"lambda": 0.5, "mu": 0.1, "zeta": 1.0, "xi": 1.0, "r_star": 3.0,
       "sigma": 1.0}
@@ -58,6 +61,19 @@ def write_config(tmp_path, doc, name="config.json"):
 def read_csv(path):
     with open(path, newline="") as fh:
         return list(csv.reader(fh))
+
+
+def csv_field(v) -> str:
+    """A verdicts.csv or drift_report.csv field, by README's rule: a number
+    as fmt_float writes it, a flag true or false, None blank, an enum
+    member its value, a word as it is."""
+    if v is None:
+        return ""
+    if isinstance(v, bool):
+        return "true" if v else "false"
+    if isinstance(v, enum.Enum):
+        return v.value
+    return v if isinstance(v, str) else fmt_float(v)
 
 
 def files_in(out):
@@ -206,6 +222,27 @@ class TestDrift:
         for row in data:
             assert row[8] == "true" and row[9] == "true"
 
+    @pytest.mark.parametrize("mu", [0.1, 0.0, -0.1])
+    def test_rows_are_the_library_reports(self, runner, tmp_path, mu):
+        # drift_report.csv is library drift_report's DriftReport field for
+        # field, the state as r and z.  A point in each region; at mu = 0
+        # the D1 row reads not-applicable, at mu < 0 D3 and D4 expression.
+        doc = {"params": dict(P0, mu=mu), "mc_samples": 500, "seed": 3,
+               "points": [[-1.0, 2.0], [1.0, 1.0], [2.5, 1.0], [10.0, 5.0]]}
+        out = tmp_path / "out"
+        res = runner.invoke(main, ["drift", "--config",
+                                   write_config(tmp_path, doc), "--out", str(out)])
+        assert res.exit_code == 0, res.output
+        cfg, _ = parse_drift(doc)
+        reports = [drift_report(cfg["params"], x, cfg["mc_samples"],
+                                seed=point_seed(cfg["seed"], i))
+                   for i, x in enumerate(cfg["points"])]
+        assert (reports[0].paper_kind == "not-applicable") == (mu == 0.0)
+        header, *rows = read_csv(out / "drift_report.csv")
+        assert header == ["r", "z", *[f.name for f in fields(DriftReport)][1:]]
+        assert rows == [[csv_field(v) for v in (*rep.state, *astuple(rep)[1:])]
+                        for rep in reports]
+
     def test_mu_zero_not_applicable(self, runner, tmp_path):
         cfg = write_config(tmp_path, {
             "params": dict(P0, mu=0.0),
@@ -297,18 +334,29 @@ class TestSweep:
     def test_rows_equal_library_sweep(self, runner, tmp_path):
         doc = {"params": P0, "grid": {"mu": [-0.6, -0.1, 0.1, 0.9]},
                "steps": 2_000, "burn_in": 200, "n_seeds": 3, "seed": 5}
+        # Whole rows: the SWEEP_AXES values of the point's params, or of its
+        # grid point on an error row, then four StabilityVerdict fields.
         cfg, _ = parse_sweep(doc)
-        want = [["error", "", ""] if sp.result is None else
-                [sp.result.verdict, fmt_float(sp.result.ks_distance),
-                 fmt_float(sp.result.logz_slope)]
-                for sp in sweep(cfg["params"], cfg["grid"], cfg["steps"],
-                                cfg["burn_in"], cfg["n_seeds"], cfg["seed"])]
-        assert want[0][1] == "nan" and want[3][0] == "error"
+        want = []
+        for sp in sweep(cfg["params"], cfg["grid"], cfg["steps"],
+                        cfg["burn_in"], cfg["n_seeds"], cfg["seed"]):
+            axes = sp.params.as_dict() if sp.params else sp.overrides
+            res = sp.result
+            verdict = (["error", None, None, 0] if res is None else
+                       [res.verdict, res.ks_distance, res.logz_slope,
+                        res.seeds_used])
+            want.append([csv_field(v) for v in
+                         (*map(axes.get, SWEEP_AXES), *verdict)])
+        assert want[0][4] == "nan"
+        assert want[3] == ["0.90000000000000002", "", "", "error", "", "", "0"]
         out = tmp_path / "out"
         res = runner.invoke(main, ["sweep", "--config", write_config(tmp_path, doc),
                                    "--out", str(out)])
         assert res.exit_code == 0, res.output
-        assert [r[3:6] for r in read_csv(out / "verdicts.csv")[1:]] == want
+        header, *rows = read_csv(out / "verdicts.csv")
+        assert header == [*SWEEP_AXES, "verdict", "ks_distance", "logz_slope",
+                          "seeds_used"]
+        assert rows == want
 
     def test_seeds_used_column(self, runner, tmp_path):
         # At lambda=0.5, mu=0.4 the backlog underflows to 0 inside the fit

@@ -63,6 +63,11 @@ class TestValidateParams:
         (dict(xi=-1.0), "xi"),
         (dict(r_star=0.5), "r_star"),
         (dict(sigma=-1.0), "sigma"),
+        # The one number rule: finite, a double, not a flag; each named by
+        # its config key.
+        (dict(lam=math.nan), "lambda"),
+        (dict(zeta=True), "zeta"),
+        (dict(sigma=10**400), "sigma"),
     ])
     def test_rejects_by_name(self, kwargs, field):
         base = dict(lam=0.5, mu=0.1, zeta=1.0, xi=1.0, r_star=3.0, sigma=1.0)

@@ -44,10 +44,11 @@ class TestLyapH:
         rng = np.random.default_rng(10)
         for _ in range(200):
             p = random_params(rng)
-            q = quad_form(p)
+            q = np.array(quad_form(p))
+            assert (q == q.T).all()
             for _ in range(20):
-                x = random_state(rng, p)
-                assert q(x) == pytest.approx(lyap_h(p, x), rel=1e-12, abs=1e-12)
+                x = np.array(random_state(rng, p))
+                assert x @ q @ x == pytest.approx(lyap_h(p, x), rel=1e-12, abs=1e-12)
 
     def test_nonnegative_and_definite(self):
         rng = np.random.default_rng(11)
@@ -225,7 +226,7 @@ class TestDrift:
     def test_report_mu_zero_d1(self):
         p = validate_params(0.5, 0.0, 1, 1, 3, 1)
         rep = drift_report(p, (-1.0, 2.0), n_samples=1000, seed=1)
-        assert rep.paper_formula is None and rep.paper_kind is None
+        assert rep.paper_formula is None and rep.paper_kind == "not-applicable"
         assert rep.agree_paper is None
 
 

@@ -48,6 +48,10 @@ class TestSimConfig:
             SimConfig(p0, (0.0, 0.0), steps=10, record_every=0)
         with pytest.raises(ValueError):
             SimConfig(p0, (0.0, -1.0), steps=10)
+        # x0 is a finite state, by the one number rule.
+        for x0 in [(math.nan, 1.0), (0.0, math.inf), (10**400, 0.0)]:
+            with pytest.raises(ValueError, match="x0"):
+                SimConfig(p0, x0, steps=10)
 
 
 B = KERNEL_BLOCK
@@ -763,7 +767,9 @@ class TestSweep:
         assert c[1].result != a[1].result  # index changed -> stream changed
 
     def test_invalid_point_recorded_not_raised(self, p0):
-        rows = sweep(p0, [{"mu": 0.9}, {"mu": 0.1}], steps=5_000, burn_in=500,
-                     n_seeds=2, seed=18)
+        rows = sweep(p0, [{"mu": 0.9}, {"mu": 0.1}, {"lambda": math.inf}],
+                     steps=5_000, burn_in=500, n_seeds=2, seed=18)
         assert rows[0].error is not None and rows[0].result is None
         assert rows[1].error is None and rows[1].result is not None
+        # validate_params names a value by its config key.
+        assert rows[2].error == "lambda: must be a finite number"

@@ -25,14 +25,20 @@ GRID = [{"mu": -0.6}, {"mu": -0.1}, {"mu": 0.1}, {"mu": 0.9}]
 FAST = dict(steps=500, burn_in=50, n_seeds=1, seed=1)
 
 
-@pytest.mark.parametrize("steps, burn_in, n_seeds", [
-    (100, 200, 2), (100, 100, 2), (100, -1, 2), (100, 10, 0)],
+@pytest.mark.parametrize("grid, steps, burn_in, n_seeds, match", [
+    (GRID, 100, 200, 2, "steps > burn_in >= 0"),
+    (GRID, 100, 100, 2, "steps > burn_in >= 0"),
+    (GRID, 100, -1, 2, "steps > burn_in >= 0"),
+    (GRID, 100, 10, 0, "n_seeds"),
+    # Not a point at the base lambda: a key outside PARAM_KEYS is named.
+    ([{"mu": 0.2}, {"lam": 0.9, "mu": 0.2}], 500, 50, 2, "'lam'")],
     ids=["burn-in-over-steps", "burn-in-equals-steps", "negative-burn-in",
-         "zero-seeds"])
-def test_bad_horizon_or_seed_count_raises(p0, steps, burn_in, n_seeds):
+         "zero-seeds", "unknown-grid-key"])
+def test_bad_horizon_or_seed_count_raises(p0, grid, steps, burn_in, n_seeds,
+                                          match):
     # Per-point errors become rows; these must raise before any point runs.
-    with pytest.raises(ValueError, match="steps > burn_in >= 0|n_seeds"):
-        sweep(p0, GRID, steps=steps, burn_in=burn_in, n_seeds=n_seeds)
+    with pytest.raises(ValueError, match=match):
+        sweep(p0, grid, steps=steps, burn_in=burn_in, n_seeds=n_seeds)
 
 
 def test_workers_do_not_change_rows(p0, monkeypatch):

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -45,6 +47,13 @@ class TestValidation:
             Building(1.0, -1.0, 3.0)
         with pytest.raises(ValueError):
             Building(1.0, 9.0, 0.0)
+        # NaN fails every comparison, so it needs the finite-number rule.
+        for bad in (math.nan, math.inf):
+            for i, name in enumerate(("k_leak", "c_inertia", "eps")):
+                fields = [1.0, 9.0, 3.0]
+                fields[i] = bad
+                with pytest.raises(ValueError, match=name):
+                    Building(*fields)
 
     def test_scenario_shapes(self):
         with pytest.raises(ValueError):
